@@ -19,7 +19,7 @@ from . import affine as affine_mod
 from . import bounds as bounds_mod
 from . import construct as construct_mod
 from .model import code_to_json, load_code, save_code, total_length
-from .sim import compare_models, serve_batch
+from .sim import serve_batch
 from .verify import ResponseModel, verify_bac, verify_pir
 
 

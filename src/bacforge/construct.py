@@ -169,20 +169,12 @@ def _augmenting_match(left_count: int, neighbors) -> dict:
     return {u: b for b, u in owner.items()}
 
 
-_CYCLIC_CHECKED: dict = {}
-
-
 def _check_cyclic_code(params: CyclicParams, code: CodeSpec) -> None:
-    entry = _CYCLIC_CHECKED.get(id(code))
-    if entry is not None and entry[0] is code and params in entry[1]:
-        return
-    expected = cyclic_shift_code(params.n, params.k, params.m, code.field)
-    if not codes_equal(expected, code):
-        raise ValueError("code does not match the cyclic construction for these parameters")
-    if entry is None or entry[0] is not code:
-        _CYCLIC_CHECKED[id(code)] = (code, {params})
-    else:
-        entry[1].add(params)
+    checked = code.cache.setdefault("cyclic-checked", set())
+    if params not in checked:
+        if not codes_equal(cyclic_shift_code(params.n, params.k, params.m, code.field), code):
+            raise ValueError("code does not match the cyclic construction for these parameters")
+        checked.add(params)
 
 
 def cyclic_certified_plan(
@@ -458,20 +450,12 @@ def canonical_recovery_sets(v: GoodVector, n: int, i: int) -> list:
     return sets
 
 
-_GOODVEC_CHECKED: dict = {}
-
-
 def _check_goodvec_code(v: GoodVector, code: CodeSpec) -> int:
-    entry = _GOODVEC_CHECKED.get(id(code))
-    if entry is not None and entry[0] is code and v in entry[1]:
-        return code.n
-    expected = good_vector_code(v, code.field)
-    if not codes_equal(expected, code):
-        raise ValueError("code does not match the good-vector construction for this vector")
-    if entry is None or entry[0] is not code:
-        _GOODVEC_CHECKED[id(code)] = (code, {v})
-    else:
-        entry[1].add(v)
+    checked = code.cache.setdefault("goodvec-checked", set())
+    if v not in checked:
+        if not codes_equal(good_vector_code(v, code.field), code):
+            raise ValueError("code does not match the good-vector construction for this vector")
+        checked.add(v)
     return code.n
 
 

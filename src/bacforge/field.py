@@ -4,9 +4,11 @@
 Vectors are plain tuples of residues in [0, p).  Everything is exact integer
 arithmetic; there is no floating point anywhere in this module.  For p = 2 the
 elimination routines switch to a bit-packed representation (one Python int per
-row, bit i = coordinate i), which is what makes the exhaustive verifiers fast
-enough in pure Python.  Correctness is defined by the generic path; the packed
-path is an equivalent specialization.
+row, bit i = coordinate i, with the row's combination of inserted vectors in
+the bits above), which is what makes the exhaustive verifiers fast enough in
+pure Python.  Correctness is defined by the generic path; the packed path is
+an equivalent specialization.  `Echelon` is the one elimination core:
+membership, rank and linear solves all go through it.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -50,18 +52,6 @@ class PrimeField:
     def normalize_vector(self, vec: Sequence[int]) -> tuple:
         return tuple(v % self.p for v in vec)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""
         a %= self.p
@@ -91,22 +81,44 @@ def vector_to_mask(vec: Sequence[int]) -> int:
 
 
 class Echelon:
-    """Incremental row-echelon basis of a set of vectors over F_p.
+    """Incremental reduced row-echelon basis of the vectors inserted so far,
+    over F_p, that also records how each row combines those vectors.
 
-    Rows are kept reduced with pivots at strictly increasing coordinates, so
-    membership tests are a single reduction pass.  Over GF(2) rows are bit
-    masks and reduction is XOR.
+    Rows are fully reduced, with pivots at strictly increasing coordinates,
+    so a membership test is one reduction pass.  The combination is kept over
+    the inserted vectors that enlarged the span when they were inserted
+    (`independent` maps its index j to the insertion index); `solve` reads a
+    target's coefficients from it.  Over GF(2) a row is one packed int: bits
+    below `length` are the vector, bit length + j the coefficient of
+    independent vector j, and reduction is XOR.  Otherwise a row is a list of
+    residues and its combination a dict {j: coefficient}.
     """
+
+    __slots__ = ("field", "length", "coords", "pivots", "rows", "combos", "independent", "inserted")
 
     def __init__(self, field: PrimeField, length: int):
         self.field = field
         self.length = length
+        self.coords = (1 << length) - 1  # p=2: the vector bits of a packed row
         self.pivots: list[int] = []  # pivot coordinate of each row, ascending
         self.rows: list = []  # packed ints for p=2, lists otherwise
+        self.combos: list = []  # per row {j: coefficient}; unused for p=2
+        self.independent: list[int] = []  # insertion index of each independent vector
+        self.inserted = 0  # vectors inserted so far
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def copy(self) -> "Echelon":
+        """An independent copy (rows are replaced on update, never mutated)."""
+        out = Echelon(self.field, self.length)
+        out.pivots = list(self.pivots)
+        out.rows = list(self.rows)
+        out.combos = list(self.combos)
+        out.independent = list(self.independent)
+        out.inserted = self.inserted
+        return out
 
     def _reduce2(self, mask: int) -> int:
         for piv, row in zip(self.pivots, self.rows):
@@ -114,65 +126,104 @@ class Echelon:
                 mask ^= row
         return mask
 
-    def _reduce_generic(self, vec: Sequence[int]) -> list:
+    def _reduce_generic(self, vec: Sequence[int], combo: Optional[dict] = None) -> list:
+        """Reduce vec against the rows; if `combo` is given, add into it the
+        combination of independent vectors that was subtracted."""
         p = self.field.p
         work = [v % p for v in vec]
-        for piv, row in zip(self.pivots, self.rows):
+        for piv, row, row_combo in zip(self.pivots, self.rows, self.combos):
             c = work[piv]
             if c:
                 for j in range(piv, self.length):
                     work[j] = (work[j] - c * row[j]) % p
+                if combo is not None:
+                    for j, v in row_combo.items():
+                        combo[j] = (combo.get(j, 0) + c * v) % p
         return work
 
     def contains(self, vec: Sequence[int]) -> bool:
         """True iff vec lies in the span of the inserted vectors."""
         if self.field.p == 2:
-            return self._reduce2(vector_to_mask(vec)) == 0
+            return self._reduce2(vector_to_mask(vec)) & self.coords == 0
         return not any(self._reduce_generic(vec))
 
     def contains_unit(self, i: int) -> bool:
         """Membership test for the i-th (0-based) unit vector."""
         if self.field.p == 2:
-            return self._reduce2(1 << i) == 0
+            return self._reduce2(1 << i) & self.coords == 0
         vec = [0] * self.length
         vec[i] = 1
         return not any(self._reduce_generic(vec))
+
+    def solve(self, vec: Sequence[int]) -> Optional[tuple]:
+        """Coefficients c over the inserted vectors, in insertion order, with
+        sum_i c_i * inserted[i] = vec, or None if vec is outside the span.
+        Only independent vectors get nonzero coefficients."""
+        if len(vec) != self.length:
+            raise ValueError(f"vector length {len(vec)} != {self.length}")
+        out = [0] * self.inserted
+        if self.field.p == 2:
+            mask = self._reduce2(vector_to_mask(vec))
+            if mask & self.coords:
+                return None
+            bits = mask >> self.length
+            for j, src in enumerate(self.independent):
+                if (bits >> j) & 1:
+                    out[src] = 1
+            return tuple(out)
+        combo: dict = {}
+        if any(self._reduce_generic(vec, combo)):
+            return None
+        for j, c in combo.items():
+            out[self.independent[j]] = c
+        return tuple(out)
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         if len(vec) != self.length:
             raise ValueError(f"vector length {len(vec)} != {self.length}")
+        index = self.inserted
+        self.inserted += 1
+        j_new = len(self.independent)
         if self.field.p == 2:
-            mask = self._reduce2(vector_to_mask(vec))
-            if mask == 0:
+            new_row = self._reduce2(vector_to_mask(vec) | (1 << (self.length + j_new)))
+            vector = new_row & self.coords
+            if vector == 0:
                 return False
-            piv = (mask & -mask).bit_length() - 1
+            piv = (vector & -vector).bit_length() - 1
             # keep rows fully reduced above the new pivot
             for idx, row in enumerate(self.rows):
                 if (row >> piv) & 1:
-                    self.rows[idx] = row ^ mask
-            pos = 0
-            while pos < len(self.pivots) and self.pivots[pos] < piv:
-                pos += 1
-            self.pivots.insert(pos, piv)
-            self.rows.insert(pos, mask)
-            return True
-        p = self.field.p
-        work = self._reduce_generic(vec)
-        piv = next((j for j, v in enumerate(work) if v), None)
-        if piv is None:
-            return False
-        c_inv = self.field.inv(work[piv])
-        work = [(v * c_inv) % p for v in work]
-        for idx, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[idx] = [(rv - c * wv) % p for rv, wv in zip(row, work)]
+                    self.rows[idx] = row ^ new_row
+            combo = None
+        else:
+            p = self.field.p
+            subtracted: dict = {}
+            work = self._reduce_generic(vec, subtracted)
+            piv = next((j for j, v in enumerate(work) if v), None)
+            if piv is None:
+                return False
+            c_inv = self.field.inv(work[piv])
+            new_row = [(v * c_inv) % p for v in work]
+            # vec - sum(subtracted rows) = work, scaled to a unit pivot
+            combo = {j: (-v * c_inv) % p for j, v in subtracted.items() if v}
+            combo[j_new] = c_inv
+            for idx, row in enumerate(self.rows):
+                c = row[piv]
+                if c:
+                    self.rows[idx] = [(rv - c * wv) % p for rv, wv in zip(row, new_row)]
+                    row_combo = dict(self.combos[idx])
+                    for j, v in combo.items():
+                        row_combo[j] = (row_combo.get(j, 0) - c * v) % p
+                    self.combos[idx] = row_combo
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < piv:
             pos += 1
         self.pivots.insert(pos, piv)
-        self.rows.insert(pos, work)
+        self.rows.insert(pos, new_row)
+        if combo is not None:
+            self.combos.insert(pos, combo)
+        self.independent.append(index)
         return True
 
 
@@ -195,73 +246,16 @@ def span_solve(
 ) -> Optional[tuple]:
     """Coefficients c with sum_i c_i * generators[i] = target, or None.
 
-    Deterministic: Gaussian elimination on the augmented system with
-    lowest-index pivot selection; free variables are set to zero, so the
-    solution prefers the earliest generators.
+    Deterministic: the generators are inserted into an `Echelon` in order and
+    the solution is carried by those that enlarge the span of the earlier
+    ones; every other coefficient is zero, so the solution prefers the
+    earliest generators.  (This is the solution of Gaussian elimination on
+    the augmented system with lowest-index pivots and free variables zero.)
     """
-    length = len(target)
+    ech = Echelon(field, len(target))
     for g in generators:
-        if len(g) != length:
-            raise ValueError(f"generator length {len(g)} != target length {length}")
-    r = len(generators)
-    p = field.p
-
-    if p == 2:
-        # rows indexed by coordinate; bits 0..r-1 are coefficients, bit r is
-        # the target entry
-        rows = []
-        for coord in range(length):
-            row = 0
-            for j, g in enumerate(generators):
-                if g[coord] & 1:
-                    row |= 1 << j
-            if target[coord] & 1:
-                row |= 1 << r
-            rows.append(row)
-        pivot_of_col: dict[int, int] = {}
-        next_row = 0
-        for col in range(r):
-            sel = next((i for i in range(next_row, length) if (rows[i] >> col) & 1), None)
-            if sel is None:
-                continue
-            rows[next_row], rows[sel] = rows[sel], rows[next_row]
-            pivot_row = rows[next_row]
-            for i in range(length):
-                if i != next_row and (rows[i] >> col) & 1:
-                    rows[i] ^= pivot_row
-            pivot_of_col[col] = next_row
-            next_row += 1
-        if any(rows[i] >> r for i in range(next_row, length)):
-            return None
-        coeffs = [0] * r
-        for col, row_idx in pivot_of_col.items():
-            coeffs[col] = (rows[row_idx] >> r) & 1
-        return tuple(coeffs)
-
-    rows = [[g[coord] % p for g in generators] + [target[coord] % p] for coord in range(length)]
-    pivot_of_col = {}
-    next_row = 0
-    for col in range(r):
-        sel = next((i for i in range(next_row, length) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[next_row], rows[sel] = rows[sel], rows[next_row]
-        inv = field.inv(rows[next_row][col])
-        rows[next_row] = [(v * inv) % p for v in rows[next_row]]
-        piv_row = rows[next_row]
-        for i in range(length):
-            if i != next_row and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(v - c * pv) % p for v, pv in zip(rows[i], piv_row)]
-        pivot_of_col[col] = next_row
-        next_row += 1
-    # below next_row every coefficient column has been eliminated
-    if any(rows[i][r] for i in range(next_row, length)):
-        return None
-    coeffs = [0] * r
-    for col, row_idx in pivot_of_col.items():
-        coeffs[col] = rows[row_idx][r]
-    return tuple(coeffs)
+        ech.add(g)
+    return ech.solve(target)
 
 
 def unit_vector(i: int, length: int) -> tuple:

@@ -9,13 +9,15 @@ is its column span; `cap_and_reduce` exploits that to shrink buckets without
 changing recoverability.
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
-CodeSpec and Codeword are immutable and safe to share between workers.
+CodeSpec and Codeword are immutable and safe to share between workers; a
+CodeSpec's `cache` holds state derived from it (the span engine of `verify`,
+construction checks) and is freed with the code.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Optional, Sequence
 
 from .field import Echelon, PrimeField, dot
@@ -36,6 +38,12 @@ class CodeSpec:
     field: PrimeField
     n: int
     buckets: tuple
+    # derived per-code state, filled lazily by its users; not part of the
+    # code's value: left out of ==, hash, repr and pickles
+    cache: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return (CodeSpec, (self.field, self.n, self.buckets))
 
     def __post_init__(self):
         if self.n < 1:
@@ -161,13 +169,32 @@ def code_from_dict(data: dict) -> tuple[CodeSpec, Optional[dict]]:
     extra = set(data) - allowed
     if extra:
         raise ValueError(f"unexpected keys in code JSON: {sorted(extra)}")
-    fieldobj = PrimeField(int(data["p"]))
-    n = int(data["n"])
-    buckets = tuple(
-        tuple(tuple(int(v) for v in col) for col in bucket) for bucket in data["buckets"]
-    )
-    code = CodeSpec(fieldobj, n, buckets)
+    missing = {"p", "n", "buckets"} - set(data)
+    if missing:
+        raise ValueError(f"missing keys in code JSON: {sorted(missing)}")
+    fieldobj = PrimeField(_json_int(data["p"], '"p"'))
+    n = _json_int(data["n"], '"n"')
+    buckets = []
+    for ell, bucket in enumerate(_json_list(data["buckets"], '"buckets"'), start=1):
+        cols = []
+        for col in _json_list(bucket, f"bucket {ell}"):
+            entries = _json_list(col, f"a column of bucket {ell}")
+            cols.append(tuple(_json_int(v, f"an entry of bucket {ell}") for v in entries))
+        buckets.append(tuple(cols))
+    code = CodeSpec(fieldobj, n, tuple(buckets))
     return code, data.get("provenance")
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def code_from_json(text: str) -> tuple[CodeSpec, Optional[dict]]:

@@ -235,19 +235,6 @@ class ModelComparison:
         }
 
 
-def sweep_to_csv(reports: Iterable[SimReport]) -> str:
-    """Request-sweep accounting as CSV rows `request,node,load,symbols_read`
-    (one row per node per batch; requests are dash-joined indices)."""
-    lines = ["request,node,load,symbols_read"]
-    for rep in reports:
-        label = "-".join(str(i) for i in rep.request)
-        for ell in range(len(rep.response_counts)):
-            lines.append(
-                f"{label},{ell + 1},{rep.response_counts[ell]},{rep.symbols_read[ell]}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def compare_models(
     code_linear: CodeSpec,
     code_projection: CodeSpec,

@@ -12,9 +12,13 @@ answers.  Two response regimes are supported:
                  unit vector.
 
 `find_plan` is an exact decision procedure (backtracking over candidate
-recovery sets in increasing cardinality); `certify_plan` checks a plan as a
-coefficient identity over the field, independently of how it was found.
-Every plan returned by the search is certified before being handed out.
+recovery sets, as bucket bitmasks, in increasing cardinality).  Its span
+queries go through the code's `SpanEngine`, which reduces each bucket subset
+once into a coefficient-tracking `Echelon` and solves each (subset, symbol,
+regime) part once, so assembling a plan is lookups.  The engine lives in the
+code's own `cache` and is freed with the code.  `certify_plan` checks a plan
+as a coefficient identity over the field, independently of how it was found;
+every plan returned by the search is certified before being handed out.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, span_solve, unit_vector
+from .field import Echelon, unit_vector
 from .model import CodeSpec
 
 
@@ -108,62 +112,98 @@ class VerificationReport:
         }
 
 
-class SpanEngine:
-    """Per-code caches for joint-span queries over bucket subsets.
+def bucket_indices(mask: int) -> list:
+    """The 0-based bucket indices set in a bucket bitmask, ascending."""
+    return [ell0 for ell0 in range(mask.bit_length()) if (mask >> ell0) & 1]
 
-    Subsets are frozensets of 0-based bucket indices.  Echelon bases are
-    write-once per subset, so concurrent readers within a process are safe.
+
+class SpanEngine:
+    """Per-code caches of joint-span queries over bucket subsets.
+
+    A subset is an int bitmask over the 0-based bucket indices.  Its joint
+    column span is reduced once into a coefficient-tracking `Echelon` (the
+    buckets' columns inserted in ascending bucket order), and every (subset,
+    symbol, regime) part of a plan is solved once: `part` caches it, with its
+    tuples interned, so plan assembly is lookups.  The engine holds only the
+    code's field, n and buckets and lives in the code's own cache (see
+    `engine_for`), so it is freed together with the code.  Entries are
+    write-once, so concurrent readers within a process are safe.
     """
 
-    def __init__(self, code: CodeSpec):
-        self.code = code
-        self._bases: dict = {}
-        self._linear: dict = {}
-        self._projection: dict = {}
+    def __init__(self, field, n: int, buckets: tuple):
+        self.field = field
+        self.n = n
+        self.buckets = buckets
+        self.zero_responses = tuple((0,) * len(b) for b in buckets)
+        self._bases: dict = {}  # mask -> Echelon
+        self._linear: dict = {}  # mask * n + i0 -> bool
+        self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
+        self._interned: dict = {}
 
-    def _basis(self, subset: frozenset) -> Echelon:
-        ech = self._bases.get(subset)
+    def _basis(self, mask: int) -> Echelon:
+        ech = self._bases.get(mask)
         if ech is None:
-            ech = Echelon(self.code.field, self.code.n)
-            for ell0 in sorted(subset):
-                for col in self.code.buckets[ell0]:
+            ech = Echelon(self.field, self.n)
+            for ell0 in bucket_indices(mask):
+                for col in self.buckets[ell0]:
                     ech.add(col)
-            self._bases[subset] = ech
+            self._bases[mask] = ech
         return ech
 
-    def joint_rank(self, subset: frozenset) -> int:
-        return self._basis(subset).rank
+    def joint_rank(self, mask: int) -> int:
+        return self._basis(mask).rank
 
-    def recovers_linear(self, subset: frozenset, i0: int) -> bool:
-        key = (subset, i0)
+    def recovers_linear(self, mask: int, i0: int) -> bool:
+        key = mask * self.n + i0
         hit = self._linear.get(key)
         if hit is None:
-            hit = self._basis(subset).contains_unit(i0)
+            hit = self._basis(mask).contains_unit(i0)
             self._linear[key] = hit
         return hit
 
-    def recovers_projection(self, subset: frozenset, i0: int) -> bool:
-        return self.projection_choice(subset, i0) is not None
+    def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
+        if model is ResponseModel.LINEAR:
+            return self.recovers_linear(mask, i0)
+        return self.part(mask, i0, model) is not None
 
-    def projection_choice(self, subset: frozenset, i0: int) -> Optional[tuple]:
-        """A choice of at most one column per bucket whose span contains e_i,
-        as ((bucket0, col_idx), ...), or None.  Deterministic DFS, buckets
-        ascending, skip-first, with an early exit once the span suffices."""
-        key = (subset, i0)
-        if key in self._projection:
-            return self._projection[key]
-        if not self.recovers_linear(subset, i0):
-            # projection responses are a restriction of linear ones
-            self._projection[key] = None
+    def part(self, mask: int, i0: int, model: ResponseModel) -> Optional[tuple]:
+        """How the buckets in `mask` serve symbol i0, or None if they cannot:
+        (bucket set, ((bucket0, response vector), ...) for the buckets that
+        answer something nonzero, combo), with the set and the combo 1-based
+        as in `RecoveryPlan`."""
+        cache = self._parts[model]
+        key = mask * self.n + i0
+        if key not in cache:
+            if model is ResponseModel.LINEAR:
+                cache[key] = self._solve_linear(mask, i0)
+            else:
+                cache[key] = self._solve_projection(mask, i0)
+        return cache[key]
+
+    def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
+        """Any combination of each bucket's columns: the lowest-index solve
+        over the subset's cached basis; every bucket's combo coefficient is 1."""
+        coeffs = self._basis(mask).solve(unit_vector(i0, self.n))
+        if coeffs is None:
             return None
-        order = sorted(subset)
-        buckets = self.code.buckets
-        fieldobj = self.code.field
-        n = self.code.n
+        order = bucket_indices(mask)
+        owners = [(ell0, s) for ell0 in order for s in range(len(self.buckets[ell0]))]
+        return self._intern_part(order, zip(owners, coeffs), {})
+
+    def _solve_projection(self, mask: int, i0: int) -> Optional[tuple]:
+        """At most one stored column per bucket, returned verbatim: a
+        deterministic DFS over the buckets ascending, skip-first, with an early
+        exit once the chosen columns span e_i; the user combines the chosen
+        columns with their lowest-index solve."""
+        if not self.recovers_linear(mask, i0):
+            # projection responses are a restriction of linear ones
+            return None
+        order = bucket_indices(mask)
+        buckets = self.buckets
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):
             if ech.contains_unit(i0):
-                return chosen
+                return chosen, ech.solve(unit_vector(i0, self.n))
             if idx == len(order):
                 return None
             res = dfs(idx + 1, ech, chosen)
@@ -171,9 +211,7 @@ class SpanEngine:
                 return res
             ell0 = order[idx]
             for s, col in enumerate(buckets[ell0]):
-                ech2 = Echelon(fieldobj, n)
-                ech2.pivots = list(ech.pivots)
-                ech2.rows = list(ech.rows)
+                ech2 = ech.copy()
                 if not ech2.add(col):
                     continue
                 res = dfs(idx + 1, ech2, chosen + ((ell0, s),))
@@ -181,46 +219,39 @@ class SpanEngine:
                     return res
             return None
 
-        result = dfs(0, Echelon(fieldobj, n), ())
-        self._projection[key] = result
-        return result
-
-    def recovers(self, subset: frozenset, i0: int, model: ResponseModel) -> bool:
-        if model is ResponseModel.LINEAR:
-            return self.recovers_linear(subset, i0)
-        return self.recovers_projection(subset, i0)
-
-    def solve_linear(self, subset: frozenset, i0: int) -> Optional[dict]:
-        """Per-bucket response vectors realizing e_i from the subset's joint
-        span, via the deterministic lowest-index solve."""
-        order = sorted(subset)
-        gens = []
-        owners = []
-        for ell0 in order:
-            for s, col in enumerate(self.code.buckets[ell0]):
-                gens.append(col)
-                owners.append((ell0, s))
-        coeffs = span_solve(unit_vector(i0, self.code.n), gens, self.code.field)
-        if coeffs is None:
+        found = dfs(0, Echelon(self.field, self.n), ())
+        if found is None:
             return None
-        responses: dict = {}
-        for (ell0, s), c in zip(owners, coeffs):
-            if c:
-                responses.setdefault(ell0, {})[s] = c
-        return responses
+        choice, coeffs = found
+        used = [(pick, c) for pick, c in zip(choice, coeffs) if c]
+        combo_coeffs = {ell0: c for (ell0, _), c in used}
+        return self._intern_part(order, [(pick, 1) for pick, _ in used], combo_coeffs)
 
+    def _intern_part(self, order: list, picks, coefficients: dict) -> tuple:
+        """A part from its (bucket0, column) -> response value picks and the
+        combo coefficient of each bucket (1 where absent).  Parts of one code
+        share most of their pieces, so every tuple is interned."""
+        table = self._interned
 
-# engine registry, keyed by object identity; entries live for the process
-# lifetime (the handful of codes a run touches makes this a non-issue)
-_ENGINES: dict = {}
+        def intern(obj):
+            return table.setdefault(obj, obj)
+
+        vectors: dict = {}
+        for (ell0, s), value in picks:
+            if value:
+                vectors.setdefault(ell0, [0] * len(self.buckets[ell0]))[s] = value
+        responses = tuple(intern((ell0, intern(tuple(v)))) for ell0, v in vectors.items())
+        combo = tuple(intern((ell0 + 1, coefficients.get(ell0, 1))) for ell0 in order)
+        bucket_set = intern(frozenset(ell0 + 1 for ell0 in order))
+        return intern((bucket_set, intern(responses), intern(combo)))
 
 
 def engine_for(code: CodeSpec) -> SpanEngine:
-    entry = _ENGINES.get(id(code))
-    if entry is None or entry[0] is not code:
-        entry = (code, SpanEngine(code))
-        _ENGINES[id(code)] = entry
-    return entry[1]
+    """The code's span engine, made on first use and kept in `code.cache`."""
+    engine = code.cache.get("span-engine")
+    if engine is None:
+        engine = code.cache["span-engine"] = SpanEngine(code.field, code.n, code.buckets)
+    return engine
 
 
 def certify_plan(
@@ -301,48 +332,20 @@ def certify_plan(
 
 
 def _plan_from_parts(
-    code: CodeSpec,
-    req: tuple,
-    parts: list,
-    model: ResponseModel,
-    engine: SpanEngine,
+    engine: SpanEngine, req: tuple, parts: list, model: ResponseModel
 ) -> RecoveryPlan:
-    """Assemble response vectors and combos for chosen parts (0-based)."""
-    p = code.field.p
-    responses = [[0] * len(b) for b in code.buckets]
-    combos = []
-    for part0, i in zip(parts, req):
-        subset = frozenset(part0)
-        combo = []
-        if model is ResponseModel.LINEAR:
-            solved = engine.solve_linear(subset, i - 1)
-            if solved is None:
-                raise AssertionError("search accepted an unsolvable part")
-            for ell0 in sorted(part0):
-                for s, c in solved.get(ell0, {}).items():
-                    responses[ell0][s] = c
-                combo.append((ell0 + 1, 1))
-        else:
-            choice = engine.projection_choice(subset, i - 1)
-            if choice is None:
-                raise AssertionError("search accepted an unsolvable part")
-            cols = [code.buckets[ell0][s] for ell0, s in choice]
-            coeffs = span_solve(unit_vector(i - 1, code.n), cols, code.field)
-            if coeffs is None:
-                raise AssertionError("projection choice lost its witness")
-            chosen = {}
-            for (ell0, s), c in zip(choice, coeffs):
-                if c:
-                    responses[ell0][s] = 1
-                    chosen[ell0] = c
-            for ell0 in sorted(part0):
-                combo.append((ell0 + 1, chosen.get(ell0, 1) % p))
-        combos.append(tuple(combo))
+    """Assemble the plan for the chosen parts (bucket bitmasks) from the
+    engine's solved parts."""
+    solved = [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
+    responses = list(engine.zero_responses)
+    for _, vectors, _ in solved:
+        for ell0, vector in vectors:
+            responses[ell0] = vector
     return RecoveryPlan(
         request=req,
-        sets=tuple(frozenset(ell0 + 1 for ell0 in part0) for part0 in parts),
-        responses=tuple(tuple(r) for r in responses),
-        combos=tuple(combos),
+        sets=tuple(bucket_set for bucket_set, _, _ in solved),
+        responses=tuple(responses),
+        combos=tuple(combo for _, _, combo in solved),
     )
 
 
@@ -365,36 +368,34 @@ def find_plan(
     if k > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {k} non-empty parts")
     engine = engine_for(code)
+    parts: list = []  # bucket bitmasks
 
-    def recovers(subset: frozenset, i: int) -> bool:
-        return engine.recovers(subset, i - 1, model)
-
-    parts: list = []
-
-    def search(pos: int, remaining: tuple) -> bool:
+    def search(pos: int, remaining: tuple, left: int) -> bool:
+        # remaining: the single-bucket bits still free, ascending; left: their union
+        i0 = req[pos] - 1
         if pos == k - 1:
-            leftover = frozenset(remaining)
-            if recovers(leftover, req[pos]):
-                parts.append(tuple(sorted(remaining)))
+            if engine.recovers(left, i0, model):
+                parts.append(left)
                 return True
             return False
         # recoverability is monotone, so an infeasible union prunes the branch
-        if not recovers(frozenset(remaining), req[pos]):
+        if not engine.recovers(left, i0, model):
             return False
         max_size = len(remaining) - (k - pos - 1)
         for size in range(1, max_size + 1):
             for cand in itertools.combinations(remaining, size):
-                if recovers(frozenset(cand), req[pos]):
-                    parts.append(cand)
-                    rest = tuple(b for b in remaining if b not in cand)
-                    if search(pos + 1, rest):
+                mask = sum(cand)
+                if engine.recovers(mask, i0, model):
+                    parts.append(mask)
+                    rest = tuple(b for b in remaining if not b & mask)
+                    if search(pos + 1, rest, left ^ mask):
                         return True
                     parts.pop()
         return False
 
-    if not search(0, tuple(range(code.m))):
+    if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
         return None
-    plan = _plan_from_parts(code, req, parts, model, engine)
+    plan = _plan_from_parts(engine, req, parts, model)
     if not certify_plan(code, req, plan, model):
         raise AssertionError(f"internal: found plan failed certification for {req}")
     return plan
@@ -472,7 +473,7 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     engine = engine_for(code)
     size = code.m - k + 1
     for subset in itertools.combinations(range(code.m), size):
-        if engine.joint_rank(frozenset(subset)) < code.n:
+        if engine.joint_rank(sum(1 << ell0 for ell0 in subset)) < code.n:
             return False
     return True
 

@@ -1,6 +1,8 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every coefficient vector, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
+`reference_span_solve` is the exception: a plain augmented elimination that
+pins the exact coefficients `span_solve` must return.
 """
 
 from __future__ import annotations
@@ -90,3 +92,74 @@ def naive_has_plan(code, request, projection: bool = False) -> bool:
         ):
             return True
     return False
+
+
+def reference_span_solve(target, generators, field):
+    """Coefficients c with sum_i c_i * generators[i] = target, or None, by
+    Gaussian elimination on the augmented system: lowest-index pivot
+    selection, free variables set to zero.  This is the library's earlier
+    `span_solve`, kept as the reference its `Echelon`-based solve must match
+    coefficient for coefficient."""
+    length = len(target)
+    for g in generators:
+        if len(g) != length:
+            raise ValueError(f"generator length {len(g)} != target length {length}")
+    r = len(generators)
+    p = field.p
+
+    if p == 2:
+        # rows indexed by coordinate; bits 0..r-1 are coefficients, bit r is
+        # the target entry
+        rows = []
+        for coord in range(length):
+            row = 0
+            for j, g in enumerate(generators):
+                if g[coord] & 1:
+                    row |= 1 << j
+            if target[coord] & 1:
+                row |= 1 << r
+            rows.append(row)
+        pivot_of_col: dict[int, int] = {}
+        next_row = 0
+        for col in range(r):
+            sel = next((i for i in range(next_row, length) if (rows[i] >> col) & 1), None)
+            if sel is None:
+                continue
+            rows[next_row], rows[sel] = rows[sel], rows[next_row]
+            pivot_row = rows[next_row]
+            for i in range(length):
+                if i != next_row and (rows[i] >> col) & 1:
+                    rows[i] ^= pivot_row
+            pivot_of_col[col] = next_row
+            next_row += 1
+        if any(rows[i] >> r for i in range(next_row, length)):
+            return None
+        coeffs = [0] * r
+        for col, row_idx in pivot_of_col.items():
+            coeffs[col] = (rows[row_idx] >> r) & 1
+        return tuple(coeffs)
+
+    rows = [[g[coord] % p for g in generators] + [target[coord] % p] for coord in range(length)]
+    pivot_of_col = {}
+    next_row = 0
+    for col in range(r):
+        sel = next((i for i in range(next_row, length) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[next_row], rows[sel] = rows[sel], rows[next_row]
+        inv = field.inv(rows[next_row][col])
+        rows[next_row] = [(v * inv) % p for v in rows[next_row]]
+        piv_row = rows[next_row]
+        for i in range(length):
+            if i != next_row and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(v - c * pv) % p for v, pv in zip(rows[i], piv_row)]
+        pivot_of_col[col] = next_row
+        next_row += 1
+    # below next_row every coefficient column has been eliminated
+    if any(rows[i][r] for i in range(next_row, length)):
+        return None
+    coeffs = [0] * r
+    for col, row_idx in pivot_of_col.items():
+        coeffs[col] = rows[row_idx][r]
+    return tuple(coeffs)

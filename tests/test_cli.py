@@ -56,6 +56,33 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     assert run(["verify", str(out), "--k", "9", "--jobs", "1"]) == 2
 
 
+VALID_CODE = {"format": "bacforge-code-v1", "p": 2, "n": 1, "buckets": [[[1]]]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": None},  # missing key
+        {"buckets": 5},
+        {"buckets": [[1]]},  # a column that is not a list
+        {"p": 2.9},
+        {"n": 1.7},
+        {"buckets": [[[True]]]},
+    ],
+    ids=["missing-n", "buckets-int", "column-int", "p-float", "n-float", "bool-entry"],
+)
+def test_malformed_code_json_exits_2(tmp_path, capsys, change):
+    data = {**VALID_CODE, **change}
+    data = {key: value for key, value in data.items() if value is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(path), "--k", "1", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_unknown_flags_rejected(capsys):
     assert run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--frobnicate"]) == 2
     assert run(["nonsense"]) == 2

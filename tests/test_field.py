@@ -10,7 +10,7 @@ from bacforge.field import (
     span_solve,
     unit_vector,
 )
-from oracles import naive_in_span, naive_rank
+from oracles import naive_in_span, naive_rank, reference_span_solve
 
 
 def test_prime_field_rejects_composites():
@@ -99,6 +99,8 @@ def test_span_solve_round_trip(p, data):
     length, gens = data.draw(vectors_over(p))
     target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(length))
     coeffs = span_solve(target, gens, f)
+    # not just a valid solution: exactly the augmented-elimination one
+    assert coeffs == reference_span_solve(target, gens, f)
     if coeffs is None:
         assert not naive_in_span(target, gens, p)
     else:

@@ -104,15 +104,3 @@ def test_compare_models(c2_code, c1_code):
 def test_compare_models_requires_same_n(c2_code, gv1_code):
     with pytest.raises(ValueError):
         compare_models(c2_code, gv1_code, [(1,)])
-
-
-def test_sweep_csv(c2_code):
-    from bacforge.sim import sweep_to_csv
-
-    rep = serve_batch(c2_code, (1, 0, 1, 1), (1, 1, 1, 1))
-    text = sweep_to_csv([rep])
-    lines = text.strip().splitlines()
-    assert lines[0] == "request,node,load,symbols_read"
-    assert lines[1] == "1-1-1-1,1,1,1"
-    assert lines[4] == "1-1-1-1,4,1,3"
-    assert len(lines) == 1 + c2_code.m

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,15 @@ from bacforge import (
     ResponseModel,
     certify_plan,
     check_subset_spanning,
+    cyclic_certified_plan,
+    cyclic_params,
+    cyclic_shift_code,
     find_plan,
+    good_vector_code,
+    goodvec_certified_plan,
+    greedy_plan,
     parity_code_k2,
+    random_bac,
     verify_bac,
     verify_pir,
 )
@@ -216,7 +225,7 @@ def test_all_batch_requests_count():
 
 @st.composite
 def tiny_code(draw):
-    p = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     buckets = []
@@ -237,11 +246,18 @@ def test_find_plan_sound_and_complete(code, data):
     request = tuple(
         sorted(data.draw(st.integers(1, code.n)) for _ in range(k))
     )
+    # warm the code's engine with other requests first
+    for other in all_batch_requests(code.n, k):
+        find_plan(code, other, LIN)
+        find_plan(code, other, PROJ)
+    fresh = CodeSpec(code.field, code.n, code.buckets)
     for model, projection in ((LIN, False), (PROJ, True)):
         plan = find_plan(code, request, model)
         assert (plan is not None) == naive_has_plan(code, request, projection)
         if plan is not None:
             assert certify_plan(code, request, plan, model)
+        # a warm engine hands out the same plan as a cold one
+        assert plan == find_plan(fresh, request, model)
 
 
 @given(tiny_code(), st.data())
@@ -251,3 +267,31 @@ def test_projection_success_implies_linear(code, data):
     request = tuple(sorted(data.draw(st.integers(1, code.n)) for _ in range(k)))
     if find_plan(code, request, PROJ) is not None:
         assert find_plan(code, request, LIN) is not None
+
+
+def test_code_cache_is_not_part_of_the_value(c2_code):
+    code = CodeSpec(GF2, c2_code.n, c2_code.buckets)
+    before = (pickle.dumps(code), hash(code), repr(code))
+    assert verify_bac(code, 4, LIN).passed
+    assert code.cache  # the engine is kept on the code
+    assert (pickle.dumps(code), hash(code), repr(code)) == before
+    assert code == c2_code
+    assert pickle.loads(pickle.dumps(code)).cache == {}
+
+
+def test_code_is_freed_after_use(t4_vector):
+    def used_codes():
+        cyclic = cyclic_shift_code(4, 4, 5)
+        assert verify_bac(cyclic, 4, LIN).passed
+        assert find_plan(cyclic, (1, 2, 3, 4), PROJ) is not None
+        assert check_subset_spanning(cyclic, 4)
+        cyclic_certified_plan(cyclic_params(4, 4, 5), cyclic, (1, 1, 2, 3))
+        goodvec = good_vector_code(t4_vector)
+        goodvec_certified_plan(t4_vector, goodvec, (1, 1, 2, 3, 5, 8, 13))
+        assert verify_pir(goodvec, 7, LIN).passed
+        apc = random_bac(5, 2, 1.0, 1.0, 7)
+        greedy_plan(apc, (1, 2))
+        return [weakref.ref(code) for code in (cyclic, goodvec, apc.code)]
+
+    refs = used_codes()
+    assert [ref() for ref in refs] == [None, None, None]
