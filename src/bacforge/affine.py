@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .field import GF2, is_prime, unit_vector
 from .model import CodeSpec
 from .verify import RecoveryPlan, certify_plan, normalize_request
@@ -222,6 +220,8 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
+    import numpy as np  # imported here so that loading the CLI does not pay for it
+
     stream_lines, stream_points = [
         np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(seed).spawn(2)
     ]
@@ -391,6 +391,8 @@ class TrialReport:
 
 
 def _run_trials(apc, k, strict_appendix, children):
+    import numpy as np
+
     n = apc.code.n
     successes = 0
     failures = []
@@ -434,6 +436,8 @@ def trial_verify(
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+    import numpy as np
+
     start = time.monotonic()
     children = np.random.SeedSequence(int(seed)).spawn(trials)
     if jobs and jobs > 1:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Optional
 
-from .construct import enumerate_good_vectors, max_batch_k
+from .construct import max_batch_k
 
 
 def lb_general(n: int, k: int, m: int) -> Fraction:
@@ -77,11 +77,10 @@ def best_lower_bound(n: int, k: int, m: int) -> tuple[Fraction, str]:
 
 
 def _goodvec_length_exists(t: int) -> bool:
-    """Whether a good vector of length 2t exists; decided by enumeration for
-    small t (larger t never arises in the supported table ranges)."""
-    if t > 5:
-        return False
-    return bool(enumerate_good_vectors(t, 2 * t))
+    """Whether a good vector of length 2t exists.  Those are exactly the
+    Skolem sequences of order t, which exist iff t = 0 or 1 (mod 4)
+    (Th. Skolem, Math. Scand. 5, 1957)."""
+    return t % 4 in (0, 1)
 
 
 def ub_constructions(n: int, k: int, m: int) -> Optional[tuple[int, str]]:

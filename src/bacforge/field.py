@@ -20,19 +20,36 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
+# Miller-Rabin with these bases decides primality exactly below the limit
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check (moduli here are small)."""
+    """Exact primality test, fast for any size up to about 3.2e23; larger
+    values raise ValueError (no modulus here comes anywhere near them)."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_LIMIT:
+        raise ValueError(f"modulus {p} is too large")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -155,6 +172,22 @@ class Echelon:
         vec[i] = 1
         return not any(self._reduce_generic(vec))
 
+    def spanned_units(self) -> int:
+        """Bitmask of the coordinates i whose unit vector e_i lies in the span,
+        read from the rows in O(rank): the rows are fully reduced, so e_i is
+        in the span exactly when some row's vector part is e_i."""
+        out = 0
+        if self.field.p == 2:
+            coords = self.coords
+            for piv, row in zip(self.pivots, self.rows):
+                if row & coords == 1 << piv:
+                    out |= 1 << piv
+            return out
+        for piv, row in zip(self.pivots, self.rows):
+            if not any(row[piv + 1 :]):
+                out |= 1 << piv
+        return out
+
     def solve(self, vec: Sequence[int]) -> Optional[tuple]:
         """Coefficients c over the inserted vectors, in insertion order, with
         sum_i c_i * inserted[i] = vec, or None if vec is outside the span.
@@ -178,15 +211,25 @@ class Echelon:
             out[self.independent[j]] = c
         return tuple(out)
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert a vector; returns True iff it enlarged the span."""
-        if len(vec) != self.length:
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True iff it enlarged the span.  Over GF(2)
+        the vector may also be given already packed, as an int (see
+        `vector_to_mask`)."""
+        if isinstance(vec, int):
+            if self.field.p != 2 or vec < 0 or vec >> self.length:
+                raise ValueError(f"packed vector {vec!r} needs GF(2) and length {self.length}")
+            packed = vec
+        elif len(vec) != self.length:
             raise ValueError(f"vector length {len(vec)} != {self.length}")
+        elif self.field.p == 2:
+            packed = vector_to_mask(vec)
         index = self.inserted
         self.inserted += 1
+        if len(self.pivots) == self.length:  # full rank: nothing enlarges the span
+            return False
         j_new = len(self.independent)
         if self.field.p == 2:
-            new_row = self._reduce2(vector_to_mask(vec) | (1 << (self.length + j_new)))
+            new_row = self._reduce2(packed | (1 << (self.length + j_new)))
             vector = new_row & self.coords
             if vector == 0:
                 return False

@@ -11,14 +11,20 @@ answers.  Two response regimes are supported:
                  classic batch-code regime), so its response vector must be a
                  unit vector.
 
-`find_plan` is an exact decision procedure (backtracking over candidate
-recovery sets, as bucket bitmasks, in increasing cardinality).  Its span
-queries go through the code's `SpanEngine`, which reduces each bucket subset
-once into a coefficient-tracking `Echelon` and solves each (subset, symbol,
-regime) part once, so assembling a plan is lookups.  The engine lives in the
-code's own `cache` and is freed with the code.  `certify_plan` checks a plan
-as a coefficient identity over the field, independently of how it was found;
-every plan returned by the search is certified before being handed out.
+`find_plan` is an exact decision procedure: backtracking over the minimal
+recovery sets of each requested symbol (bucket bitmasks no proper subset of
+which recovers it), in increasing cardinality, with the last request taking
+every leftover bucket.  Recoverability is monotone, so a superset of a minimal
+set never completes a plan that the minimal set could not, and the plans are
+those of trying every subset in the same order.  The code's `SpanEngine`
+builds the minimal sets one size at a time, reading the symbols a subset
+spans off one incremental `Echelon` per subset; it also reduces each part's
+bucket subset once and solves each (subset, symbol, regime) part once, so
+assembling a plan is lookups.  The engine lives in the code's own `cache`
+and is freed with the code.  `certify_plan` checks a plan as a coefficient
+identity over the field (XOR of packed columns over GF(2)), independently of
+how it was found; every plan returned by the search is certified before
+being handed out.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, unit_vector
+from .field import Echelon, unit_vector, vector_to_mask
 from .model import CodeSpec
 
 
@@ -122,49 +128,174 @@ class SpanEngine:
 
     A subset is an int bitmask over the 0-based bucket indices.  Its joint
     column span is reduced once into a coefficient-tracking `Echelon` (the
-    buckets' columns inserted in ascending bucket order), and every (subset,
-    symbol, regime) part of a plan is solved once: `part` caches it, with its
-    tuples interned, so plan assembly is lookups.  The engine holds only the
-    code's field, n and buckets and lives in the code's own cache (see
-    `engine_for`), so it is freed together with the code.  Entries are
-    write-once, so concurrent readers within a process are safe.
+    buckets' columns inserted in ascending bucket order, packed once over
+    GF(2)), grown from the cached basis of its longest cached prefix (its
+    lowest buckets).  Every (subset, symbol, regime) part of a plan is solved
+    once: `part` caches it, with its tuples interned, so plan assembly is
+    lookups.  `minimal_sets` lists, size by size, the minimal recovery sets
+    the search draws its parts from.  The engine holds only the code's field,
+    n and buckets and lives in the code's own cache (see `engine_for`), so it
+    is freed together with the code.  It grows its minimal-set levels in
+    place, so it is for one thread at a time.
     """
 
     def __init__(self, field, n: int, buckets: tuple):
         self.field = field
         self.n = n
         self.buckets = buckets
+        # the columns as `Echelon.add` takes them: packed ints over GF(2)
+        if field.p == 2:
+            self.columns = tuple(tuple(vector_to_mask(col) for col in b) for b in buckets)
+        else:
+            self.columns = buckets
         self.zero_responses = tuple((0,) * len(b) for b in buckets)
-        self._bases: dict = {}  # mask -> Echelon
+        self._bases: dict = {0: Echelon(field, n)}  # mask -> Echelon
         self._linear: dict = {}  # mask * n + i0 -> bool
         self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
         self._interned: dict = {}
+        # minimal recovery sets: per regime, level s holds per symbol the
+        # minimal masks of s buckets; `_open` has the symbols that may still
+        # have minimal sets above the last level built
+        self._levels: dict = {model: [((),) * n] for model in ResponseModel}
+        self._open: dict = {model: (1 << n) - 1 for model in ResponseModel}
+        self._level_spans: dict = {0: 0}  # last linear level: mask -> spanned symbols
+
+    def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
+        """A copy of `ech` with bucket ell0's columns inserted."""
+        grown = ech.copy()
+        for col in self.columns[ell0]:
+            grown.add(col)
+        return grown
+
+    def _prefix_bases(self, mask: int):
+        """The bases of the prefixes of `mask` (its lowest bucket, its lowest
+        two, ..., all of it) in turn.  Each is cached, and one not cached yet
+        is a copy of the one before with the next bucket's columns added, so
+        the insertion order is always ascending."""
+        ech, prefix, rest = self._bases[0], 0, mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prefix |= low
+            grown = self._bases.get(prefix)
+            if grown is None:
+                grown = self._bases[prefix] = self._with_bucket(ech, low.bit_length() - 1)
+            ech = grown
+            yield ech
 
     def _basis(self, mask: int) -> Echelon:
         ech = self._bases.get(mask)
         if ech is None:
-            ech = Echelon(self.field, self.n)
-            for ell0 in bucket_indices(mask):
-                for col in self.buckets[ell0]:
-                    ech.add(col)
-            self._bases[mask] = ech
+            *_, ech = self._prefix_bases(mask)
         return ech
-
-    def joint_rank(self, mask: int) -> int:
-        return self._basis(mask).rank
 
     def recovers_linear(self, mask: int, i0: int) -> bool:
         key = mask * self.n + i0
         hit = self._linear.get(key)
         if hit is None:
-            hit = self._basis(mask).contains_unit(i0)
-            self._linear[key] = hit
+            ech = self._bases.get(mask)
+            if ech is None:
+                # a prefix of full rank spans e_i0, and so does all of mask
+                for ech in self._prefix_bases(mask):
+                    if ech.rank == self.n:
+                        break
+            hit = self._linear[key] = ech.contains_unit(i0)
         return hit
 
     def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
         if model is ResponseModel.LINEAR:
             return self.recovers_linear(mask, i0)
         return self.part(mask, i0, model) is not None
+
+    def minimal_sets(self, i0: int, model: ResponseModel, size: int) -> tuple:
+        """The bucket bitmasks of `size` buckets that recover symbol i0 under
+        `model` while no proper subset does, ordered by their ascending
+        bucket-index tuples (`itertools.combinations` order).  Sizes are
+        built lazily, one level for all symbols at a time, and only as far as
+        asked; above the size at which every subset recovers i0 there are
+        none, and nothing more is built."""
+        levels = self._levels[model]
+        while len(levels) <= size:
+            if not (self._open[model] >> i0) & 1 or len(levels) > len(self.buckets):
+                return ()
+            if model is ResponseModel.LINEAR:
+                self._grow_linear(len(levels))
+            else:
+                self._grow_projection(len(levels))
+        return levels[size][i0]
+
+    def _subsets(self, size: int, done):
+        """(mask, symbols) for each subset of `size` buckets in combinations
+        order, with bit i of `symbols` set when its columns span e_i.  A DFS
+        keeps one `Echelon` per depth and caches none; it does not extend a
+        smaller subset for which done(mask, symbols) holds."""
+        m = len(self.columns)
+
+        def extend(start: int, depth: int, mask: int, ech: Echelon):
+            for ell0 in range(start, m - size + depth + 1):
+                grown = self._with_bucket(ech, ell0)
+                sub, symbols = mask | 1 << ell0, grown.spanned_units()
+                if depth + 1 == size:
+                    yield sub, symbols
+                elif not done(sub, symbols):
+                    yield from extend(ell0 + 1, depth + 1, sub, grown)
+
+        return extend(0, 0, 0, self._bases[0])
+
+    def _grow_linear(self, size: int) -> None:
+        """Level `size` of the linear minimal sets: a subset is minimal for
+        the symbols it spans that none of its (size-1)-subsets spans.  Only
+        the spans of the previous level are kept, and only of the subsets
+        that miss an open symbol; a subset that spans every open symbol is
+        not extended, as nothing above it is minimal for one."""
+        open_, below = self._open[ResponseModel.LINEAR], self._level_spans
+        found: list = [[] for _ in range(self.n)]
+        spans: dict = {}
+        still_open = 0
+        for mask, symbols in self._subsets(size, lambda _, symbols: symbols & open_ == open_):
+            new = symbols & open_
+            rest = mask
+            while new and rest:
+                low = rest & -rest
+                # a subset missing from `below` spans every open symbol
+                new &= ~below.get(mask ^ low, open_)
+                rest ^= low
+            for i0 in bucket_indices(new):
+                found[i0].append(mask)
+            missing = open_ & ~symbols
+            if missing:
+                still_open |= missing
+                spans[mask] = symbols
+        self._level_spans = spans
+        self._open[ResponseModel.LINEAR] = still_open
+        self._levels[ResponseModel.LINEAR].append(tuple(map(tuple, found)))
+
+    def _grow_projection(self, size: int) -> None:
+        """Level `size` of the projection minimal sets: among the subsets
+        that span e_i, those that `part` can serve and that contain no
+        smaller projection-minimal set of i."""
+        model = ResponseModel.PROJECTION
+        open_, levels = self._open[model], self._levels[model]
+        smaller = [[mask for level in levels for mask in level[i0]] for i0 in range(self.n)]
+
+        def served(mask: int, i0: int) -> bool:
+            return any(mask & known == known for known in smaller[i0])
+
+        def done(mask: int, _) -> bool:
+            return all(served(mask, i0) for i0 in bucket_indices(open_))
+
+        found: list = [[] for _ in range(self.n)]
+        still_open = 0
+        for mask, symbols in self._subsets(size, done):
+            for i0 in bucket_indices(open_):
+                if served(mask, i0):
+                    continue
+                if (symbols >> i0) & 1 and self.part(mask, i0, model) is not None:
+                    found[i0].append(mask)
+                else:
+                    still_open |= 1 << i0
+        self._open[model] = still_open
+        levels.append(tuple(map(tuple, found)))
 
     def part(self, mask: int, i0: int, model: ResponseModel) -> Optional[tuple]:
         """How the buckets in `mask` serve symbol i0, or None if they cannot:
@@ -199,7 +330,7 @@ class SpanEngine:
             # projection responses are a restriction of linear ones
             return None
         order = bucket_indices(mask)
-        buckets = self.buckets
+        columns = self.columns
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):
             if ech.contains_unit(i0):
@@ -210,7 +341,7 @@ class SpanEngine:
             if res is not None:
                 return res
             ell0 = order[idx]
-            for s, col in enumerate(buckets[ell0]):
+            for s, col in enumerate(columns[ell0]):
                 ech2 = ech.copy()
                 if not ech2.add(col):
                     continue
@@ -254,6 +385,22 @@ def engine_for(code: CodeSpec) -> SpanEngine:
     return engine
 
 
+def _certify_tables(code: CodeSpec) -> tuple:
+    """The code's bucket sizes, its 1-based bucket indices and a table of the
+    columns as `certify_plan` reads them (packed ints over GF(2), sparse
+    ((coordinate, value), ...) tuples otherwise), filled lazily per (bucket,
+    column) in `code.cache`: a code rebuilt per batch then packs only the
+    columns its plans touch."""
+    tables = code.cache.get("certify-tables")
+    if tables is None:
+        tables = code.cache["certify-tables"] = (
+            code.bucket_sizes,
+            frozenset(range(1, code.m + 1)),
+            {},
+        )
+    return tables
+
+
 def certify_plan(
     code: CodeSpec,
     request: Sequence[int],
@@ -270,37 +417,34 @@ def certify_plan(
     req = normalize_request(request, code.n)
     m = code.m
     p = code.field.p
+    sizes, bucket_ids, columns = _certify_tables(code)
     if len(plan.responses) != m:
         raise ValueError(f"plan has {len(plan.responses)} responses, code has {m} buckets")
-    for ell0, resp in enumerate(plan.responses):
-        if len(resp) != len(code.buckets[ell0]):
-            raise ValueError(
-                f"response for bucket {ell0 + 1} has length {len(resp)}, "
-                f"bucket stores {len(code.buckets[ell0])}"
-            )
+    if tuple(map(len, plan.responses)) != sizes:
+        for ell0, resp in enumerate(plan.responses):
+            if len(resp) != sizes[ell0]:
+                raise ValueError(
+                    f"response for bucket {ell0 + 1} has length {len(resp)}, "
+                    f"bucket stores {sizes[ell0]}"
+                )
     if len(plan.sets) != len(plan.combos):
         raise ValueError("plan sets and combos disagree in length")
-    for part in plan.sets:
-        for ell in part:
-            if not 1 <= ell <= m:
-                raise ValueError(f"bucket index {ell} out of range [1, {m}]")
+    union = frozenset().union(*plan.sets)
+    if not union <= bucket_ids:
+        for part in plan.sets:
+            for ell in part:
+                if not 1 <= ell <= m:
+                    raise ValueError(f"bucket index {ell} out of range [1, {m}]")
     for part, combo in zip(plan.sets, plan.combos):
         for ell, _ in combo:
             if ell not in part:
                 raise ValueError(f"combo references bucket {ell} outside its recovery set")
 
-    # (a) partition of [m] into exactly k non-empty parts
-    if len(plan.sets) != len(req):
+    # (a) partition of [m] into exactly k non-empty parts: no bucket twice
+    # (the part sizes add up to the union's) and none left out
+    if len(plan.sets) != len(req) or not all(plan.sets):
         return False
-    seen: set = set()
-    for part in plan.sets:
-        if not part:
-            return False
-        for ell in part:
-            if ell in seen:
-                return False
-            seen.add(ell)
-    if len(seen) != m:
+    if len(union) != m or sum(map(len, plan.sets)) != m:
         return False
 
     # (c) projection regime: nonzero responses must be unit vectors
@@ -310,24 +454,38 @@ def certify_plan(
             if nz and nz != [1]:
                 return False
 
-    # (b) coefficient identity per request, over the generator columns
-    n = code.n
-    for j, i in enumerate(req):
-        acc = [0] * n
-        for ell, coeff in plan.combos[j]:
-            bucket = code.buckets[ell - 1]
+    # (b) coefficient identity per request, over the generator columns:
+    # XOR of packed columns over GF(2), one reduction per coordinate otherwise
+    for combo, i in zip(plan.combos, req):
+        acc = 0 if p == 2 else {}  # F_p: coordinate -> unreduced sum
+        for ell, coeff in combo:
             resp = plan.responses[ell - 1]
+            if not any(resp):
+                continue
             for s, r in enumerate(resp):
                 w = (coeff * r) % p
-                if w:
-                    col = bucket[s]
-                    for d in range(n):
-                        if col[d]:
-                            acc[d] = (acc[d] + w * col[d]) % p
-        target = [0] * n
-        target[i - 1] = 1
-        if acc != target:
-            return False
+                if not w:
+                    continue
+                col = columns.get((ell, s))
+                if col is None:
+                    column = code.buckets[ell - 1][s]
+                    if p == 2:
+                        col = vector_to_mask(column)
+                    else:
+                        col = tuple((d, v) for d, v in enumerate(column) if v)
+                    columns[ell, s] = col
+                if p == 2:
+                    acc ^= col
+                else:
+                    for d, v in col:
+                        acc[d] = acc.get(d, 0) + w * v
+        if p == 2:
+            if acc != 1 << (i - 1):
+                return False
+        else:
+            acc[i - 1] = acc.get(i - 1, 0) - 1
+            if any(a % p for a in acc.values()):
+                return False
     return True
 
 
@@ -356,11 +514,16 @@ def find_plan(
 ) -> Optional[RecoveryPlan]:
     """Exact search for a recovery plan, or None if no partition works.
 
-    Requests are processed in sorted order; candidate recovery sets for each
-    request are enumerated from the remaining buckets in increasing
-    cardinality (lexicographic within a cardinality), the final request
-    absorbs all leftover buckets, and the search backtracks on failure.
-    Deterministic given the code.
+    Requests are processed in sorted order.  Each request but the last takes
+    a minimal recovery set (`SpanEngine.minimal_sets`) from the remaining
+    buckets, in increasing cardinality and lexicographic within a
+    cardinality; the final request absorbs all leftover buckets, and the
+    search backtracks on failure.  Deterministic given the code.
+
+    The plans are those of trying every recovering subset in the same order:
+    recoverability is monotone and leftover buckets join the last part, so a
+    completion for a superset of a minimal set A is also one for A, and A
+    comes first.  A non-minimal set is thus never the first to succeed.
     """
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
@@ -370,8 +533,8 @@ def find_plan(
     engine = engine_for(code)
     parts: list = []  # bucket bitmasks
 
-    def search(pos: int, remaining: tuple, left: int) -> bool:
-        # remaining: the single-bucket bits still free, ascending; left: their union
+    def search(pos: int, left: int) -> bool:
+        # left: the bitmask of the buckets still free
         i0 = req[pos] - 1
         if pos == k - 1:
             if engine.recovers(left, i0, model):
@@ -381,19 +544,17 @@ def find_plan(
         # recoverability is monotone, so an infeasible union prunes the branch
         if not engine.recovers(left, i0, model):
             return False
-        max_size = len(remaining) - (k - pos - 1)
+        max_size = left.bit_count() - (k - pos - 1)
         for size in range(1, max_size + 1):
-            for cand in itertools.combinations(remaining, size):
-                mask = sum(cand)
-                if engine.recovers(mask, i0, model):
+            for mask in engine.minimal_sets(i0, model, size):
+                if mask & left == mask:
                     parts.append(mask)
-                    rest = tuple(b for b in remaining if not b & mask)
-                    if search(pos + 1, rest, left ^ mask):
+                    if search(pos + 1, left ^ mask):
                         return True
                     parts.pop()
         return False
 
-    if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
+    if not search(0, (1 << code.m) - 1):
         return None
     plan = _plan_from_parts(engine, req, parts, model)
     if not certify_plan(code, req, plan, model):
@@ -470,12 +631,9 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     property."""
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    engine = engine_for(code)
-    size = code.m - k + 1
-    for subset in itertools.combinations(range(code.m), size):
-        if engine.joint_rank(sum(1 << ell0 for ell0 in subset)) < code.n:
-            return False
-    return True
+    everything = (1 << code.n) - 1
+    subsets = engine_for(code)._subsets(code.m - k + 1, lambda mask, symbols: False)
+    return all(symbols == everything for _, symbols in subsets)
 
 
 # ---------------------------------------------------------------------------

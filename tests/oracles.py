@@ -1,29 +1,38 @@
 """Brute-force oracles, independent of the library's elimination and search
-paths: span membership by enumerating every coefficient vector, recovery-plan
+paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-`reference_span_solve` is the exception: a plain augmented elimination that
-pins the exact coefficients `span_solve` must return.
+Two references are the exception: `reference_span_solve`, a plain augmented
+elimination that pins the exact coefficients `span_solve` must return, and
+`reference_find_plan`, the earlier search over every subset that pins the
+exact plans `find_plan` must return.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from bacforge.verify import ResponseModel, SpanEngine, _plan_from_parts, normalize_request
+
+
+def _extend(span, g, p: int) -> frozenset:
+    """The span of `span` (a set of vectors) and one more generator g."""
+    return frozenset(
+        tuple((a + c * b) % p for a, b in zip(vec, g)) for vec in span for c in range(p)
+    )
+
+
+def naive_span(generators, p: int, n: int) -> frozenset:
+    """Every vector of the span: {0} closed under adding each multiple of
+    each generator in turn."""
+    span = frozenset([(0,) * n])
+    for g in generators:
+        span = _extend(span, g, p)
+    return span
+
 
 def naive_in_span(target, generators, p: int) -> bool:
-    """Try every coefficient vector in F_p^r."""
-    n = len(target)
-    target = tuple(v % p for v in target)
-    gens = [tuple(v % p for v in g) for g in generators]
-    for coeffs in itertools.product(range(p), repeat=len(gens)):
-        acc = [0] * n
-        for c, g in zip(coeffs, gens):
-            if c:
-                for d in range(n):
-                    acc[d] = (acc[d] + c * g[d]) % p
-        if tuple(acc) == target:
-            return True
-    return False
+    """Look the target up among all vectors of the span."""
+    return tuple(v % p for v in target) in naive_span(generators, p, len(target))
 
 
 def naive_rank(vectors, p: int) -> int:
@@ -52,25 +61,24 @@ def _unit(i0: int, n: int):
     return tuple(1 if d == i0 else 0 for d in range(n))
 
 
+def naive_recovered(code, bucket_subset, projection: bool = False) -> set:
+    """The symbols (1-based) a set of buckets (1-based) recovers."""
+    p, n = code.field.p, code.n
+    per_bucket = [code.buckets[ell - 1] for ell in sorted(bucket_subset)]
+    if not projection:
+        spans = [naive_span([c for bucket in per_bucket for c in bucket], p, n)]
+    else:
+        # one column (or none) per bucket: every such choice, kept as the
+        # set of distinct spans the choices so far reach
+        spans = {naive_span((), p, n)}
+        for bucket in per_bucket:
+            spans |= {_extend(span, c, p) for span in spans for c in bucket}
+    return {i for i in range(1, n + 1) if any(_unit(i - 1, n) in span for span in spans)}
+
+
 def naive_recovers(code, bucket_subset, i: int, projection: bool = False) -> bool:
     """Recoverability of symbol i (1-based) from a set of buckets (1-based)."""
-    p = code.field.p
-    cols = []
-    per_bucket = []
-    for ell in sorted(bucket_subset):
-        bucket = code.buckets[ell - 1]
-        per_bucket.append(list(bucket))
-        cols.extend(bucket)
-    target = _unit(i - 1, code.n)
-    if not projection:
-        return naive_in_span(target, cols, p)
-    # one column (or none) per bucket
-    options = [[None] + bucket for bucket in per_bucket]
-    for choice in itertools.product(*options):
-        chosen = [c for c in choice if c is not None]
-        if naive_in_span(target, chosen, p):
-            return True
-    return False
+    return i in naive_recovered(code, bucket_subset, projection)
 
 
 def naive_has_plan(code, request, projection: bool = False) -> bool:
@@ -81,17 +89,61 @@ def naive_has_plan(code, request, projection: bool = False) -> bool:
     m = code.m
     if k > m:
         raise ValueError("k > m")
+    seen: dict = {}
+
+    def recovers(part, i):
+        key = (part, i)
+        if key not in seen:
+            seen[key] = naive_recovers(code, part, i, projection)
+        return seen[key]
+
     for assignment in itertools.product(range(k), repeat=m):
         parts = [[] for _ in range(k)]
         for ell0, part in enumerate(assignment):
             parts[part].append(ell0 + 1)
         if any(not part for part in parts):
             continue
-        if all(
-            naive_recovers(code, part, i, projection) for part, i in zip(parts, req)
-        ):
+        if all(recovers(tuple(part), i) for part, i in zip(parts, req)):
             return True
     return False
+
+
+def reference_find_plan(code, request, model=ResponseModel.LINEAR):
+    """The earlier `find_plan` search, on a fresh `SpanEngine`: for each
+    request but the last, every recovering subset of the remaining buckets in
+    increasing cardinality (lexicographic within a cardinality), the last
+    request absorbing all leftover buckets, with backtracking.  The plan is
+    not certified here."""
+    model = ResponseModel.parse(model)
+    req = normalize_request(request, code.n)
+    k = len(req)
+    engine = SpanEngine(code.field, code.n, code.buckets)
+    parts: list = []
+
+    def search(pos: int, remaining: tuple, left: int) -> bool:
+        i0 = req[pos] - 1
+        if pos == k - 1:
+            if engine.recovers(left, i0, model):
+                parts.append(left)
+                return True
+            return False
+        if not engine.recovers(left, i0, model):
+            return False
+        max_size = len(remaining) - (k - pos - 1)
+        for size in range(1, max_size + 1):
+            for cand in itertools.combinations(remaining, size):
+                mask = sum(cand)
+                if engine.recovers(mask, i0, model):
+                    parts.append(mask)
+                    rest = tuple(b for b in remaining if not b & mask)
+                    if search(pos + 1, rest, left ^ mask):
+                        return True
+                    parts.pop()
+        return False
+
+    if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
+        return None
+    return _plan_from_parts(engine, req, parts, model)
 
 
 def reference_span_solve(target, generators, field):

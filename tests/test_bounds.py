@@ -12,7 +12,13 @@ from bacforge import (
     lb_midrange,
     ub_constructions,
 )
-from bacforge.bounds import CSV_HEADER, lb_ishai_projection, table_to_csv
+from bacforge.bounds import (
+    CSV_HEADER,
+    _goodvec_length_exists,
+    lb_ishai_projection,
+    table_to_csv,
+)
+from bacforge.construct import enumerate_good_vectors
 
 
 def test_lb_general():
@@ -127,3 +133,16 @@ def test_table_csv():
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "4,4,5,13,1,13,midrange,13,cyclic,true"
+
+
+def test_goodvec_length_exists_matches_enumeration():
+    # length-2t good vectors are the Skolem sequences: t = 0, 1 (mod 4)
+    counts = [len(enumerate_good_vectors(t, 2 * t)) for t in range(1, 9)]
+    assert counts == [1, 0, 0, 6, 10, 0, 0, 504]
+    assert [_goodvec_length_exists(t) for t in range(1, 9)] == [c > 0 for c in counts]
+
+
+def test_ub_goodvec_beyond_enumerated_range():
+    # t = 8: m = 4t + 1 = 33, and max_batch_k(8) = 11 >= 5
+    assert ub_constructions(33, 5, 33) == (297, "goodvec")
+    assert bound_report(33, 5, 33).upper == 297

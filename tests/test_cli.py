@@ -1,6 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bacforge.cli import run
 from bacforge.model import code_to_json, load_code
@@ -271,3 +280,104 @@ def test_construct_affine_prints_seed(tmp_path, capsys):
     assert "generated seed" in err
     _, prov = load_code(str(out))
     assert prov["seed"] >= 0
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bacforge.cli; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _verify_text(text: str, k: int, mode: str):
+    """Run `verify` on a code file with the given text: (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(["verify", str(path), "--k", str(k), "--mode", mode, "--jobs", "1"])
+    return rc, err.getvalue()
+
+
+def _assert_clean_exit(rc: int, err: str) -> None:
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+fuzz_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@given(json_values, st.integers(1, 2), st.sampled_from(["linear", "projection"]))
+@fuzz_settings
+def test_verify_survives_arbitrary_json(value, k, mode):
+    _assert_clean_exit(*_verify_text(json.dumps(value), k, mode))
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for idx, child in enumerate(value):
+            yield from _paths(child, prefix + (idx,))
+
+
+SMALL_CODE = {
+    "format": "bacforge-code-v1",
+    "p": 3,
+    "n": 2,
+    "buckets": [[[1, 0], [0, 1]], [[1, 1]], [[1, 2]]],
+    "provenance": {"family": "hand"},
+}
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(["linear", "projection"]))
+@fuzz_settings
+def test_verify_survives_mutated_code_json(data, k, mode):
+    doc = copy.deepcopy(SMALL_CODE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        action = data.draw(st.sampled_from(["replace", "delete", "append"]))
+        if not path:
+            doc = data.draw(json_values)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if action == "replace":
+            parent[path[-1]] = data.draw(json_values)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], list):
+            parent[path[-1]].append(data.draw(json_values))
+    _assert_clean_exit(*_verify_text(json.dumps(doc), k, mode))
+
+
+def test_verify_huge_modulus_exits_promptly():
+    code = {**SMALL_CODE, "p": 2**61 - 1}  # prime: decided without trial division
+    assert _verify_text(json.dumps(code), 1, "linear")[0] in (0, 1)
+    code["p"] = 2**89 - 1
+    rc, err = _verify_text(json.dumps(code), 1, "linear")
+    assert rc == 2 and "too large" in err

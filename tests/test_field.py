@@ -1,14 +1,18 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bacforge.field import (
     GF2,
+    Echelon,
     PrimeField,
     ff_inverse,
     is_prime,
     rank,
     span_solve,
     unit_vector,
+    vector_to_mask,
 )
 from oracles import naive_in_span, naive_rank, reference_span_solve
 
@@ -24,6 +28,18 @@ def test_prime_field_rejects_composites():
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {p for p in range(31) if is_prime(p)} == primes
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert all(is_prime(p) == by_trial(p) for p in range(-3, 20000))
+    # a Mersenne prime, and strong pseudoprimes to the smallest prime bases
+    assert is_prime(2**61 - 1)
+    assert not any(is_prime(p) for p in (2**61 + 1, 3215031751, 3825123056546413051))
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # too large to decide exactly
 
 
 def test_ff_inverse_examples():
@@ -142,3 +158,35 @@ def test_unit_vector():
     assert unit_vector(1, 3) == (0, 1, 0)
     with pytest.raises(ValueError):
         unit_vector(3, 3)
+
+
+@given(small_field, st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_spanned_units_matches_contains_unit(p, n, data):
+    unit = st.integers(0, n - 1).map(lambda i: unit_vector(i, n))
+    entry = st.integers(0, p - 1)
+    vector = st.one_of(unit, st.lists(entry, min_size=n, max_size=n).map(tuple))
+    ech = Echelon(PrimeField(p), n)
+    for vec in data.draw(st.lists(vector, max_size=8)):
+        ech.add(vec)
+        units = ech.spanned_units()
+        assert [bool((units >> i) & 1) for i in range(n)] == [ech.contains_unit(i) for i in range(n)]
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_add_matches_vector_add(n, data):
+    vectors = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=8))
+    by_vector, packed = Echelon(GF2, n), Echelon(GF2, n)
+    for vec in vectors:
+        assert by_vector.add(vec) == packed.add(vector_to_mask(vec))
+    assert (by_vector.pivots, by_vector.rows, by_vector.independent, by_vector.inserted) == (
+        packed.pivots,
+        packed.rows,
+        packed.independent,
+        packed.inserted,
+    )
+    with pytest.raises(ValueError):
+        packed.add(1 << n)  # longer than the vectors
+    with pytest.raises(ValueError):
+        Echelon(PrimeField(3), n).add(1)  # packed ints are GF(2) only

@@ -25,9 +25,9 @@ from bacforge import (
     verify_pir,
 )
 from bacforge.field import PrimeField
-from bacforge.verify import all_batch_requests, normalize_request
+from bacforge.verify import SpanEngine, all_batch_requests, bucket_indices, normalize_request
 from conftest import col
-from oracles import naive_has_plan, naive_recovers
+from oracles import naive_has_plan, naive_recovered, naive_recovers, reference_find_plan
 
 LIN = ResponseModel.LINEAR
 PROJ = ResponseModel.PROJECTION
@@ -295,3 +295,123 @@ def test_code_is_freed_after_use(t4_vector):
 
     refs = used_codes()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+@st.composite
+def small_code(draw):
+    """Codes with 4..7 buckets of 0..2 columns over F_2, F_3 or F_5, n <= 4."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(4, 7))
+    column = st.tuples(*[st.integers(0, p - 1)] * n)
+    buckets = draw(st.lists(st.lists(column, max_size=2).map(tuple), min_size=m, max_size=m))
+    return CodeSpec(PrimeField(p), n, tuple(buckets))
+
+
+@given(small_code(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_find_plan_matches_reference_search(code, data):
+    k = data.draw(st.integers(1, min(code.m, 4)))
+    request = tuple(sorted(data.draw(st.integers(1, code.n)) for _ in range(k)))
+    for model, projection in ((LIN, False), (PROJ, True)):
+        plan = find_plan(code, request, model)
+        # the same plan, not just the same decision, as trying every subset
+        assert plan == reference_find_plan(code, request, model)
+        assert (plan is not None) == naive_has_plan(code, request, projection)
+
+
+@given(small_code(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_minimal_sets_are_the_brute_force_antichain(code, descending):
+    m = code.m
+    subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), size)]
+    for model, projection in ((LIN, False), (PROJ, True)):
+        engine = SpanEngine(code.field, code.n, code.buckets)
+        recovered = {s: naive_recovered(code, s, projection) for s in subsets}
+        symbols = range(1, code.n + 1)
+        # the levels are built lazily; the order of the queries must not matter
+        for i in reversed(symbols) if descending else symbols:
+            recovering = [set(s) for s in subsets if i in recovered[s]]
+            for size in sorted(range(m + 2), reverse=descending):
+                expected = [
+                    s
+                    for s in itertools.combinations(range(1, m + 1), size)
+                    if set(s) in recovering and not any(r < set(s) for r in recovering)
+                ]
+                got = [
+                    tuple(ell0 + 1 for ell0 in bucket_indices(mask))
+                    for mask in engine.minimal_sets(i - 1, model, size)
+                ]
+                assert got == expected, (i, size, model)
+
+
+def _code_c1(p):
+    """The (4, 14, 4, 5) projection code over F_p (see conftest.c1_code)."""
+    n = 4
+    return CodeSpec(
+        PrimeField(p),
+        n,
+        (
+            (col(1, n=n), col(2, n=n), col(3, n=n)),
+            (col(1, n=n), col(2, n=n), col(4, n=n)),
+            (col(1, n=n), col(3, n=n), col(4, n=n)),
+            (col(2, n=n), col(3, n=n), col(4, n=n)),
+            (col(1, 4, n=n), col(2, 3, n=n)),
+        ),
+    )
+
+
+def _with(plan, sets=None, responses=None, combos=None):
+    return RecoveryPlan(
+        plan.request,
+        plan.sets if sets is None else tuple(sets),
+        plan.responses if responses is None else tuple(responses),
+        plan.combos if combos is None else tuple(combos),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certify_negative_cases(p):
+    code = _code_c1(p)
+    req = (1, 1, 1, 1)
+    plan = find_plan(code, req, PROJ)
+    assert plan.sets[-1] == frozenset({4, 5})  # x1 = (x1 + x4) - x4
+    assert certify_plan(code, req, plan, PROJ) and certify_plan(code, req, plan, LIN)
+    sets, combos, responses = list(plan.sets), list(plan.combos), list(plan.responses)
+
+    for bad in (6, 0):
+        with pytest.raises(ValueError, match="out of range"):
+            certify_plan(code, req, _with(plan, sets=[sets[0] | {bad}] + sets[1:]), LIN)
+    # bucket 5 in two parts
+    assert not certify_plan(code, req, _with(plan, sets=[sets[0] | {5}] + sets[1:]), LIN)
+    # bucket 5 in none
+    uncovered = _with(plan, sets=sets[:3] + [frozenset({4})], combos=combos[:3] + [((4, 1),)])
+    assert not certify_plan(code, req, uncovered, LIN)
+    # an empty part, its buckets merged into another
+    empty = _with(
+        plan,
+        sets=[frozenset(), sets[1] | sets[0]] + sets[2:],
+        combos=[(), combos[1] + combos[0]] + combos[2:],
+    )
+    assert not certify_plan(code, req, empty, LIN)
+    # one part too few or too many
+    assert not certify_plan(code, req + (2,), plan, LIN)
+    merged = _with(plan, sets=[sets[0] | sets[1]] + sets[2:], combos=[combos[0] + combos[1]] + combos[2:])
+    assert not certify_plan(code, req, merged, LIN)
+    # each response entry flipped in turn
+    for ell0, resp in enumerate(responses):
+        for s in range(len(resp)):
+            flipped = list(resp)
+            flipped[s] = (flipped[s] + 1) % p
+            changed = responses[:ell0] + [tuple(flipped)] + responses[ell0 + 1 :]
+            assert not certify_plan(code, req, _with(plan, responses=changed), LIN)
+    # non-unit projection responses: two stored symbols at once, and (over
+    # F_3) twice a stored symbol in a plan that is valid in the linear regime
+    wide = responses[:4] + [(1, 1)]
+    assert not certify_plan(code, req, _with(plan, responses=wide), PROJ)
+    if p == 3:
+        scaled = responses[:3] + [(0, 0, 2), (2, 0)]  # 2 * the valid plan's last part
+        half = [combos[0], combos[1], combos[2], ((4, combos[3][0][1] * 2 % 3), (5, 2))]
+        doubled = _with(plan, responses=scaled, combos=half)
+        assert certify_plan(code, req, doubled, LIN)
+        assert not certify_plan(code, req, doubled, PROJ)
