@@ -19,7 +19,7 @@ from . import affine as affine_mod
 from . import bounds as bounds_mod
 from . import construct as construct_mod
 from .model import code_to_json, load_code, save_code, total_length
-from .sim import serve_batch
+from .sim import planner_context, serve_batch
 from .verify import ResponseModel, verify_bac, verify_pir
 
 
@@ -295,13 +295,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_random_trials(args) -> int:
     code, prov = load_code(args.code)
-    if not prov or prov.get("family") != "affine":
+    if not isinstance(prov, dict) or prov.get("family") != "affine":
         raise ValueError("random-trials needs a code with affine provenance")
-    apc = affine_mod.rebuild_from_provenance(prov)
-    from .model import codes_equal
-
-    if not codes_equal(apc.code, code):
-        raise ValueError("code file does not match its affine provenance")
+    apc = planner_context(code, prov)
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(63)

@@ -169,12 +169,21 @@ def _augmenting_match(left_count: int, neighbors) -> dict:
     return {u: b for b, u in owner.items()}
 
 
-def _check_cyclic_code(params: CyclicParams, code: CodeSpec) -> None:
-    checked = code.cache.setdefault("cyclic-checked", set())
-    if params not in checked:
+def _cyclic_positions(params: CyclicParams, code: CodeSpec) -> tuple:
+    """Per information bucket, symbol -> its stored position; made once per
+    (code, params), after checking the code against the construction, and
+    kept in `code.cache`."""
+    tables = code.cache.setdefault("cyclic", {})
+    position_of = tables.get(params)
+    if position_of is None:
         if not codes_equal(cyclic_shift_code(params.n, params.k, params.m, code.field), code):
             raise ValueError("code does not match the cyclic construction for these parameters")
-        checked.add(params)
+        position_of = []
+        for ell in range(1, params.k + 1):
+            stored = [i for i in range(1, params.n + 1) if i not in params.omitted(ell)]
+            position_of.append({i: s for s, i in enumerate(stored)})
+        position_of = tables[params] = tuple(position_of)
+    return position_of
 
 
 def cyclic_certified_plan(
@@ -185,7 +194,7 @@ def cyclic_certified_plan(
     store their symbol; each remaining request takes one unused information
     bucket, alone if it stores the symbol and otherwise paired with a sum
     bucket."""
-    _check_cyclic_code(params, code)
+    position_of = _cyclic_positions(params, code)
     n, k, m = params.n, params.k, params.m
     req = normalize_request(request, n)
     if len(req) != k:
@@ -193,11 +202,6 @@ def cyclic_certified_plan(
     p = code.field.p
     block = params.block
     copies = k // (m - k)
-
-    position_of = []  # per information bucket: symbol -> stored position
-    for ell in range(1, k + 1):
-        stored = [i for i in range(1, n + 1) if i not in params.omitted(ell)]
-        position_of.append({i: s for s, i in enumerate(stored)})
 
     matched_count = 2 * k - m
     neighbors = [
@@ -450,13 +454,19 @@ def canonical_recovery_sets(v: GoodVector, n: int, i: int) -> list:
     return sets
 
 
-def _check_goodvec_code(v: GoodVector, code: CodeSpec) -> int:
-    checked = code.cache.setdefault("goodvec-checked", set())
-    if v not in checked:
+def _goodvec_tables(v: GoodVector, code: CodeSpec) -> tuple:
+    """The canonical recovery sets of every symbol (symbol i at index i - 1)
+    and the supported batch size `max_batch_k(v.t).exact`; made once per
+    (code, v), after checking the code against the construction, and kept in
+    `code.cache`."""
+    tables = code.cache.setdefault("goodvec", {})
+    hit = tables.get(v)
+    if hit is None:
         if not codes_equal(good_vector_code(v, code.field), code):
             raise ValueError("code does not match the good-vector construction for this vector")
-        checked.add(v)
-    return code.n
+        families = tuple(tuple(canonical_recovery_sets(v, code.n, i)) for i in range(1, code.n + 1))
+        hit = tables[v] = (families, max_batch_k(v.t).exact)
+    return hit
 
 
 def goodvec_certified_plan(
@@ -468,12 +478,11 @@ def goodvec_certified_plan(
     still disjoint from everything chosen."""
     if not isinstance(v, GoodVector):
         v = good_vector(v)
-    n = _check_goodvec_code(v, code)
-    req = normalize_request(request, n)
+    families, bound = _goodvec_tables(v, code)
+    req = normalize_request(request, code.n)
     k = len(req)
-    bound = max_batch_k(v.t)
-    if k > bound.exact:
-        raise ValueError(f"k = {k} exceeds the supported batch size {bound.exact} for t = {v.t}")
+    if k > bound:
+        raise ValueError(f"k = {k} exceeds the supported batch size {bound} for t = {v.t}")
     p = code.field.p
 
     groups = sorted(
@@ -483,7 +492,7 @@ def goodvec_certified_plan(
     used: set = set(i for _, i in groups)
     chosen: dict = {i: [] for _, i in groups}
     for mult, i in groups:
-        family = canonical_recovery_sets(v, n, i)
+        family = families[i - 1]
         chosen[i].append(family[0])
         needed = mult - 1
         for cand_set, spec in family[1:]:

@@ -9,9 +9,13 @@ is its column span; `cap_and_reduce` exploits that to shrink buckets without
 changing recoverability.
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
-CodeSpec and Codeword are immutable and safe to share between workers; a
-CodeSpec's `cache` holds state derived from it (the span engine of `verify`,
-construction checks) and is freed with the code.
+CodeSpec and Codeword are immutable and safe to share between workers.  A
+CodeSpec's `cache` holds state derived from it alone, built on first use and
+freed with the code: the column table that `encode` and `certify_plan` read
+(`column_table`), the span engine of `verify`, the per-parameter tables of
+the cyclic and good-vector planners (each made after checking the code
+against its construction) and the planner context `sim` resolves from each
+provenance.  Nothing in it refers back to the code.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, PrimeField, dot
+from .field import Echelon, PrimeField, vector_to_mask
 
 CODE_FORMAT = "bacforge-code-v1"
 
@@ -89,15 +93,41 @@ def total_length(code: CodeSpec) -> int:
     return sum(len(b) for b in code.buckets)
 
 
+def column_table(code: CodeSpec) -> tuple:
+    """Per bucket, its columns as `encode` and `certify_plan` read them:
+    packed ints over GF(2) (bit d = coordinate d), otherwise sparse
+    ((coordinate, value), ...) tuples of the nonzero entries.  Built once and
+    kept in `code.cache`."""
+    table = code.cache.get("columns")
+    if table is None:
+        if code.field.p == 2:
+            table = tuple(tuple(vector_to_mask(col) for col in b) for b in code.buckets)
+        else:
+            table = tuple(
+                tuple(tuple((d, v) for d, v in enumerate(col) if v) for col in b)
+                for b in code.buckets
+            )
+        code.cache["columns"] = table
+    return table
+
+
 def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
-    """Encode a data vector: bucket entry s is <x, column s>."""
+    """Encode a data vector: bucket entry s is <x, column s>, read off the
+    code's column table (a parity of the AND over GF(2), a sparse sum
+    otherwise)."""
     if len(x) != code.n:
         raise ValueError(f"data length {len(x)} != n = {code.n}")
-    xv = code.field.normalize_vector(x)
-    values = tuple(
-        tuple(dot(xv, col, code.field) for col in bucket) for bucket in code.buckets
-    )
-    return Codeword(values)
+    p = code.field.p
+    table = column_table(code)
+    if p == 2:
+        xmask = vector_to_mask(x)
+        values = [tuple([(xmask & col).bit_count() & 1 for col in bucket]) for bucket in table]
+    else:
+        xv = code.field.normalize_vector(x)
+        values = [
+            tuple([sum([xv[d] * v for d, v in col]) % p for col in bucket]) for bucket in table
+        ]
+    return Codeword(tuple(values))
 
 
 def bucket_set_recovers(code: CodeSpec, bucket_indices: Iterable[int], i: int) -> bool:

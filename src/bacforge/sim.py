@@ -16,8 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .affine import greedy_plan, rebuild_from_provenance
+from .construct import (
+    CyclicParams,
+    GoodVector,
+    cyclic_certified_plan,
+    cyclic_params,
+    good_vector,
+    goodvec_certified_plan,
+)
 from .field import dot
-from .model import CodeSpec, encode, total_length
+from .model import CodeSpec, _json_int, _json_list, codes_equal, encode, total_length
 from .verify import (
     RecoveryPlan,
     ResponseModel,
@@ -64,32 +73,90 @@ class SimReport:
         }
 
 
-def _certified_plan(code: CodeSpec, request, provenance: Optional[dict]) -> RecoveryPlan:
+# the keys each construction records in its provenance, with the type of each
+_PROVENANCE_FIELDS = {
+    "cyclic": (("n", int), ("k", int), ("m", int)),
+    "goodvec": (("t", int), ("v", list)),
+    "affine": (("q", int), ("s", int), ("p1", float), ("p2", float), ("seed", int), ("rng", str)),
+}
+
+
+def _provenance_key(provenance) -> tuple:
+    """Check a construction provenance the way `code_from_dict` checks a
+    code (the key set, ints that are not bool, lists of them, numbers,
+    strings) and return it as a hashable (family, value, ...) key."""
     if not provenance:
         raise ValueError("certified planner needs construction provenance")
+    if not isinstance(provenance, dict):
+        raise ValueError(f"provenance must be an object, got {provenance!r}")
     family = provenance.get("family")
+    if not isinstance(family, str) or family not in _PROVENANCE_FIELDS:
+        raise ValueError(f"no certified planner for family {family!r}")
+    fields = _PROVENANCE_FIELDS[family]
+    names = {name for name, _ in fields}
+    missing = names - set(provenance)
+    if missing:
+        raise ValueError(f"missing keys in {family} provenance: {sorted(missing)}")
+    extra = set(provenance) - names - {"family"}
+    if extra:
+        raise ValueError(f"unexpected keys in {family} provenance: {sorted(extra, key=repr)}")
+    key = [family]
+    for name, kind in fields:
+        value, what = provenance[name], f'"{name}"'
+        if kind is int:
+            value = _json_int(value, what)
+        elif kind is list:
+            value = tuple(_json_int(v, f"an entry of {what}") for v in _json_list(value, what))
+        elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"{what} must be a number, got {value!r}")
+        elif kind is str and not isinstance(value, str):
+            raise ValueError(f"{what} must be a string, got {value!r}")
+        key.append(value)
+    return tuple(key)
+
+
+def planner_context(code: CodeSpec, provenance) -> object:
+    """What the certified planner of a code's construction needs: the
+    `CyclicParams`, the `GoodVector`, or the `AffinePlaneCode` rebuilt from
+    the provenance and checked to be this code.  Resolved once per (code,
+    provenance) and kept in `code.cache`; a malformed provenance raises
+    ValueError."""
+    key = _provenance_key(provenance)
+    contexts = code.cache.setdefault("planner-contexts", {})
+    context = contexts.get(key)
+    if context is None:
+        context = contexts[key] = _resolve_context(code, provenance)
+    return context
+
+
+def _resolve_context(code: CodeSpec, prov: dict) -> object:
+    # the size checks come first, so that a huge n or q in a provenance that
+    # cannot match the code is not built
+    family = prov["family"]
     if family == "cyclic":
-        from .construct import cyclic_certified_plan, cyclic_params
-
-        params = cyclic_params(int(provenance["n"]), int(provenance["k"]), int(provenance["m"]))
-        return cyclic_certified_plan(params, code, request)
+        if prov["n"] != code.n:
+            raise ValueError("code does not match the cyclic construction for these parameters")
+        return cyclic_params(prov["n"], prov["k"], prov["m"])
     if family == "goodvec":
-        from .construct import good_vector, goodvec_certified_plan
+        return good_vector(prov["v"], prov["t"])
+    if prov["q"] * prov["q"] != code.n:
+        raise ValueError("code does not match its affine provenance")
+    apc = rebuild_from_provenance(prov)
+    if not codes_equal(apc.code, code):
+        raise ValueError("code does not match its affine provenance")
+    return apc
 
-        v = good_vector(provenance["v"], int(provenance["t"]))
-        return goodvec_certified_plan(v, code, request)
-    if family == "affine":
-        from .affine import greedy_plan, rebuild_from_provenance
-        from .model import codes_equal
 
-        apc = rebuild_from_provenance(provenance)
-        if not codes_equal(apc.code, code):
-            raise ValueError("code does not match its affine provenance")
-        plan = greedy_plan(apc, request)
-        if plan is None:
-            raise ValueError(f"greedy planner found no plan for request {tuple(request)}")
-        return plan
-    raise ValueError(f"no certified planner for family {family!r}")
+def _certified_plan(code: CodeSpec, request, provenance) -> RecoveryPlan:
+    context = planner_context(code, provenance)
+    if isinstance(context, CyclicParams):
+        return cyclic_certified_plan(context, code, request)
+    if isinstance(context, GoodVector):
+        return goodvec_certified_plan(context, code, request)
+    plan = greedy_plan(context, request)
+    if plan is None:
+        raise ValueError(f"greedy planner found no plan for request {tuple(request)}")
+    return plan
 
 
 def serve_batch(
@@ -134,9 +201,11 @@ def serve_batch(
 
     responses = []
     for node, resp in zip(nodes, plan.responses):
-        value = dot(node.bucket_values, resp, fieldobj)
+        value = 0  # a zero response vector reads nothing
+        if any(resp):
+            value = dot(node.bucket_values, resp, fieldobj)
+            node.symbols_read = sum(1 for r in resp if r % fieldobj.p)
         node.response_count += 1
-        node.symbols_read = sum(1 for r in resp if r % fieldobj.p)
         if node.response_count != 1:
             raise AssertionError("node answered more than once in a single batch")
         responses.append(value)

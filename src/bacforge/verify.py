@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .field import Echelon, unit_vector, vector_to_mask
-from .model import CodeSpec
+from .model import CodeSpec, column_table
 
 
 class ResponseModel(Enum):
@@ -386,17 +386,14 @@ def engine_for(code: CodeSpec) -> SpanEngine:
 
 
 def _certify_tables(code: CodeSpec) -> tuple:
-    """The code's bucket sizes, its 1-based bucket indices and a table of the
-    columns as `certify_plan` reads them (packed ints over GF(2), sparse
-    ((coordinate, value), ...) tuples otherwise), filled lazily per (bucket,
-    column) in `code.cache`: a code rebuilt per batch then packs only the
-    columns its plans touch."""
+    """The code's bucket sizes, its 1-based bucket indices and its column
+    table (`model.column_table`), kept in `code.cache`."""
     tables = code.cache.get("certify-tables")
     if tables is None:
         tables = code.cache["certify-tables"] = (
             code.bucket_sizes,
             frozenset(range(1, code.m + 1)),
-            {},
+            column_table(code),
         )
     return tables
 
@@ -462,18 +459,10 @@ def certify_plan(
             resp = plan.responses[ell - 1]
             if not any(resp):
                 continue
-            for s, r in enumerate(resp):
+            for r, col in zip(resp, columns[ell - 1]):
                 w = (coeff * r) % p
                 if not w:
                     continue
-                col = columns.get((ell, s))
-                if col is None:
-                    column = code.buckets[ell - 1][s]
-                    if p == 2:
-                        col = vector_to_mask(column)
-                    else:
-                        col = tuple((d, v) for d, v in enumerate(column) if v)
-                    columns[ell, s] = col
                 if p == 2:
                     acc ^= col
                 else:

@@ -1,16 +1,19 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Two references are the exception: `reference_span_solve`, a plain augmented
-elimination that pins the exact coefficients `span_solve` must return, and
-`reference_find_plan`, the earlier search over every subset that pins the
-exact plans `find_plan` must return.
+Three references are the exception: `reference_span_solve`, a plain
+augmented elimination that pins the exact coefficients `span_solve` must
+return, `reference_find_plan`, the earlier search over every subset that pins
+the exact plans `find_plan` must return, and `reference_encode`, the dense
+inner products `encode` must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from bacforge.field import dot
+from bacforge.model import Codeword
 from bacforge.verify import ResponseModel, SpanEngine, _plan_from_parts, normalize_request
 
 
@@ -215,3 +218,13 @@ def reference_span_solve(target, generators, field):
     for col, row_idx in pivot_of_col.items():
         coeffs[col] = rows[row_idx][r]
     return tuple(coeffs)
+
+
+def reference_encode(code, x):
+    """The earlier `encode`: one dense n-length inner product per column."""
+    if len(x) != code.n:
+        raise ValueError(f"data length {len(x)} != n = {code.n}")
+    xv = code.field.normalize_vector(x)
+    return Codeword(
+        tuple(tuple(dot(xv, col, code.field) for col in bucket) for bucket in code.buckets)
+    )

@@ -240,6 +240,51 @@ def test_random_trials_command(tmp_path, capsys):
     assert run(["random-trials", str(c2), "--k", "1", "--trials", "5", "--seed", "7"]) == 2
 
 
+GV1 = {"family": "goodvec", "t": 1, "v": [1, 1]}
+CYCLIC_4 = {"family": "cyclic", "n": 4, "k": 4, "m": 5}
+
+
+@pytest.mark.parametrize(
+    "command, provenance, message",
+    [
+        ("simulate", {"family": "goodvec", "v": [1, 1]}, "missing keys in goodvec provenance: ['t']"),
+        ("simulate", {"family": "cyclic", "n": 4}, "missing keys in cyclic provenance: ['k', 'm']"),
+        ("simulate", [1], "provenance must be an object, got [1]"),
+        ("simulate", {**GV1, "t": 1.9}, '"t" must be an integer, got 1.9'),
+        ("simulate", {**GV1, "v": [1, True]}, 'an entry of "v" must be an integer, got True'),
+        ("simulate", {**CYCLIC_4, "note": 1}, "unexpected keys in cyclic provenance: ['note']"),
+        ("random-trials", {"family": "affine", "rng": "numpy-pcg64-seedseq-v1", "q": 13},
+         "missing keys in affine provenance: ['p1', 'p2', 's', 'seed']"),
+        ("random-trials", [1], "random-trials needs a code with affine provenance"),
+        # a size that cannot match the code is refused before anything is built
+        ("simulate", {**CYCLIC_4, "n": 8, "k": 3}, "code does not match the cyclic construction"
+         " for these parameters"),
+        ("random-trials", {"family": "affine", "q": 7, "s": 0, "p1": 1.0, "p2": 1.0, "seed": 1,
+                           "rng": "numpy-pcg64-seedseq-v1"}, "code does not match its affine provenance"),
+    ],
+    ids=["goodvec-no-t", "cyclic-no-k", "list", "t-float", "v-bool", "extra-key",
+         "affine-no-s", "trials-list", "cyclic-size", "affine-size"],
+)
+def test_malformed_provenance_exits_2(tmp_path, capsys, command, provenance, message):
+    from bacforge import cyclic_shift_code, good_vector, good_vector_code, random_bac
+
+    if command == "random-trials":
+        code = random_bac(5, 1, 1.0, 1.0, 42).code
+        argv = ["--k", "1", "--trials", "5", "--seed", "7"]
+    elif provenance == [1] or provenance["family"] == "goodvec":
+        code = good_vector_code(good_vector((1, 1)))
+        argv = ["--data", "1,0,1,1,0", "--request", "1,1,1", "--planner", "certified"]
+    else:
+        code = cyclic_shift_code(4, 4, 5)
+        argv = ["--data", "1,0,1,1", "--request", "1,2,3,4", "--planner", "certified"]
+    path = tmp_path / "code.json"
+    path.write_text(code_to_json(code, provenance))
+    assert run([command, str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_random_trials_failures_exit_1(tmp_path, capsys):
     # at p2 = 1 every sampled line covers all information buckets, so
     # duplicate-bucket requests have no greedy plan and the run reports fail

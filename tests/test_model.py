@@ -16,7 +16,7 @@ from bacforge import (
 )
 from bacforge.field import PrimeField
 from conftest import col
-from oracles import naive_recovers
+from oracles import naive_recovers, reference_encode
 
 
 def test_code_spec_normalizes_and_validates():
@@ -35,6 +35,27 @@ def test_encode_reference_table(c2_code):
     assert word.values == ((1, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 0), (0,))
     zero = encode(c2_code, (0, 0, 0, 0))
     assert all(all(v == 0 for v in bucket) for bucket in zero.values)
+
+
+@st.composite
+def code_and_data(draw):
+    """A code over F_2, F_3 or F_5 with n <= 6 and 1..4 buckets of 0..3
+    columns, and data with negative and unreduced entries."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    column = st.tuples(*[st.integers(0, p - 1)] * n)
+    buckets = draw(st.lists(st.lists(column, max_size=3).map(tuple), min_size=1, max_size=4))
+    data = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n))
+    return CodeSpec(PrimeField(p), n, tuple(buckets)), data
+
+
+@given(code_and_data())
+@settings(max_examples=150, deadline=None)
+def test_encode_matches_dense_reference(case):
+    code, data = case
+    assert encode(code, data) == reference_encode(code, data)
+    # and again from the column table the first call left in the cache
+    assert encode(code, tuple(data)) == reference_encode(code, data)
 
 
 def test_encode_dimension_mismatch(c2_code):

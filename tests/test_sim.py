@@ -2,11 +2,17 @@ import itertools
 
 import pytest
 
+import bacforge.affine as affine_mod
 from bacforge import (
     ResponseModel,
+    certify_plan,
+    code_from_json,
+    code_to_json,
     compare_models,
     find_plan,
+    greedy_plan,
     load_stats,
+    random_bac,
     serve_batch,
     total_length,
 )
@@ -64,6 +70,37 @@ def test_serve_batch_certified_goodvec(gv1_code):
     prov = {"family": "goodvec", "t": 1, "v": [1, 1]}
     rep = serve_batch(gv1_code, (1, 0, 1, 1, 0), (1, 1, 1), planner="certified", provenance=prov)
     assert rep.recovered == (1, 1, 1)
+
+
+def test_serve_batch_certified_affine(monkeypatch):
+    apc = random_bac(5, 2, 0.6, 0.7, 7)
+    prov = apc.provenance()
+    code, _ = code_from_json(code_to_json(apc.code))  # as loaded from a file
+    rebuilt = []
+    real_random_bac = affine_mod.random_bac
+    monkeypatch.setattr(
+        affine_mod, "random_bac", lambda *args: rebuilt.append(args) or real_random_bac(*args)
+    )
+    data = tuple(i % 2 for i in range(code.n))
+    served = 0
+    for req in itertools.combinations_with_replacement(range(1, code.n + 1), 2):
+        plan = greedy_plan(apc, req)
+        if plan is None:
+            with pytest.raises(ValueError, match="greedy planner found no plan"):
+                serve_batch(code, data, req, planner="certified", provenance=prov)
+            continue
+        rep = serve_batch(code, data, req, planner="certified", provenance=prov)
+        assert certify_plan(code, req, plan)
+        assert rep.recovered == tuple(data[i - 1] for i in req)
+        assert rep.response_counts == (1,) * code.m
+        served += 1
+    assert served > 100
+    # the provenance was resolved once, on the first batch
+    assert len(rebuilt) == 1
+    # a provenance that does not rebuild this code is still refused
+    with pytest.raises(ValueError, match="does not match its affine provenance"):
+        serve_batch(code, data, (1, 2), planner="certified", provenance={**prov, "seed": 8})
+    assert len(rebuilt) == 2
 
 
 def test_serve_batch_with_explicit_plan(c2_code):

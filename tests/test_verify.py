@@ -21,6 +21,7 @@ from bacforge import (
     greedy_plan,
     parity_code_k2,
     random_bac,
+    serve_batch,
     verify_bac,
     verify_pir,
 )
@@ -291,10 +292,24 @@ def test_code_is_freed_after_use(t4_vector):
         assert verify_pir(goodvec, 7, LIN).passed
         apc = random_bac(5, 2, 1.0, 1.0, 7)
         greedy_plan(apc, (1, 2))
-        return [weakref.ref(code) for code in (cyclic, goodvec, apc.code)]
+        # serving caches planner contexts and tables on the codes as well
+        served = [
+            (cyclic_shift_code(4, 4, 5), {"family": "cyclic", "n": 4, "k": 4, "m": 5}, (1, 1, 2, 3)),
+            (good_vector_code(t4_vector), {"family": "goodvec", "t": 4, "v": list(t4_vector.entries)},
+             (1, 1, 2, 3, 5, 8, 13)),
+            (random_bac(5, 2, 1.0, 1.0, 7).code, apc.provenance(), (1, 25)),
+        ]
+        for code, prov, req in served:
+            data = (1,) * code.n
+            for _ in range(2):
+                rep = serve_batch(code, data, req, planner="certified", provenance=prov)
+                assert rep.recovered == (1,) * len(req)
+            assert "planner-contexts" in code.cache
+        codes = [cyclic, goodvec, apc.code] + [code for code, _, _ in served]
+        return [weakref.ref(code) for code in codes]
 
     refs = used_codes()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None] * 6
 
 
 @st.composite
