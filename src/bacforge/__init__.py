@@ -5,11 +5,10 @@ node holds a bucket of linear code symbols and answers a request with one
 locally computed linear combination.
 """
 
-from .field import GF2, PrimeField, ff_inverse, rank, span_solve
+from .field import GF2, PrimeField, rank, span_solve
 from .model import (
     CodeSpec,
     Codeword,
-    bucket_set_recovers,
     cap_and_reduce,
     code_from_json,
     code_to_json,

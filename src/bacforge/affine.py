@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, is_prime, unit_vector
 from .model import CodeSpec
-from .verify import RecoveryPlan, certify_plan, normalize_request
+from .verify import RecoveryPlan, certify_plan, normalize_request, plan_from_parts
 
 RNG_ID = "numpy-pcg64-seedseq-v1"
 
@@ -46,13 +46,6 @@ class AffinePlane:
     @property
     def n(self) -> int:
         return self.q * self.q
-
-    def point_index(self, a: int, b: int) -> int:
-        """(a, b) -> a*q + b + 1."""
-        return a * self.q + b + 1
-
-    def point_coords(self, i: int) -> tuple:
-        return (i - 1) // self.q, (i - 1) % self.q
 
 
 _PLANES: dict = {}
@@ -143,6 +136,9 @@ class AffinePlaneCode:
     seed: int
     selected: tuple  # indices into plane.lines, in draw order
     point_sets: tuple  # per non-vertical line, frozenset of point indices
+    # per non-vertical line, the 1-based (bucket, column position) of its
+    # parity column, or None if it has none (not selected, or no points)
+    parity_slots: tuple
     code: CodeSpec
 
     @property
@@ -164,35 +160,6 @@ class AffinePlaneCode:
         first_vertical = (bucket - 1) * self.s  # 0-based x of the bucket's first vertical
         pos = point - 1 - first_vertical * self.plane.q
         return bucket, pos
-
-    def class_of_line(self, line_idx: int) -> int:
-        label = slope_label(self.plane.lines[line_idx].slope, self.plane.q)
-        return (label + self.s - 1) // self.s
-
-    def parity_position(self, line_idx: int) -> Optional[tuple]:
-        """(bucket, column position) of a selected line's parity column."""
-        return self._parity_pos().get(line_idx)
-
-    def selected_set(self) -> frozenset:
-        cached = getattr(self, "_selected_cache", None)
-        if cached is None:
-            cached = frozenset(self.selected)
-            object.__setattr__(self, "_selected_cache", cached)
-        return cached
-
-    def _parity_pos(self) -> dict:
-        pos = getattr(self, "_parity_cache", None)
-        if pos is None:
-            pos = {}
-            counters = [0] * (self.info_buckets + 1)
-            for idx in self.selected:
-                if not self.point_sets[idx]:
-                    continue
-                u = self.class_of_line(idx)
-                pos[idx] = (self.info_buckets + u, counters[u])
-                counters[u] += 1
-            object.__setattr__(self, "_parity_cache", pos)
-        return pos
 
     def provenance(self) -> dict:
         return {
@@ -245,6 +212,7 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
                 cols.append(unit_vector(pt - 1, n))
         buckets.append(tuple(cols))
     parity: list = [[] for _ in range(half)]
+    parity_slots: list = [None] * len(plane.lines)
     for idx in selected:
         pts = point_sets[idx]
         if not pts:
@@ -254,6 +222,7 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
         col = [0] * n
         for pt in pts:
             col[pt - 1] = 1
+        parity_slots[idx] = (half + u, len(parity[u - 1]))
         parity[u - 1].append(tuple(col))
     buckets.extend(tuple(cols) for cols in parity)
     code = CodeSpec(GF2, n, tuple(buckets))
@@ -265,16 +234,24 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
         seed=seed,
         selected=selected,
         point_sets=point_sets,
+        parity_slots=tuple(parity_slots),
         code=code,
     )
 
 
-def rebuild_from_provenance(prov: dict) -> AffinePlaneCode:
-    if prov.get("family") != "affine":
-        raise ValueError("provenance is not from the affine construction")
-    if prov.get("rng") != RNG_ID:
-        raise ValueError(f"unsupported rng {prov.get('rng')!r}, expected {RNG_ID}")
-    return random_bac(int(prov["q"]), int(prov["s"]), float(prov["p1"]), float(prov["p2"]), int(prov["seed"]))
+def _summed_part(sizes: tuple, slots) -> tuple:
+    """The plan part in which each bucket holding one of the 1-based (bucket,
+    position) `slots` answers the sum of those positions and the user adds
+    up the answers (every coefficient is 1 over GF(2))."""
+    vectors: dict = {}
+    for bucket, pos in slots:
+        vectors.setdefault(bucket, [0] * sizes[bucket - 1])[pos] = 1
+    buckets = sorted(vectors)
+    return (
+        frozenset(buckets),
+        tuple((bucket - 1, tuple(vectors[bucket])) for bucket in buckets),
+        tuple((bucket, 1) for bucket in buckets),
+    )
 
 
 def greedy_plan(
@@ -286,82 +263,34 @@ def greedy_plan(
     information bucket (unless `strict_appendix`) or a selected line through
     it whose sampled point set contains it, avoids every other requested
     point, and touches only unused buckets.  Candidate lines are scanned in
-    ascending slope order.  Returns a certified plan or None."""
+    ascending slope order.  Returns the plan, not certified (its callers
+    certify it), or None."""
     code = apc.code
-    n = code.n
-    req = normalize_request(request, n)
-    k = len(req)
-    if k > code.m:
-        raise ValueError(f"cannot partition {code.m} buckets into {k} non-empty parts")
-    plane = apc.plane
+    req = normalize_request(request, code.n)
+    if len(req) > code.m:
+        raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
+    plane, sizes = apc.plane, code.bucket_sizes
     used: set = set()
     parts: list = []
-    specs: list = []  # per request: ("info", point) or ("line", line_idx, point)
     for i in req:
-        others = set(req) - {i}
-        found = False
-        if not strict_appendix:
-            bucket = apc.info_bucket_of(i)
-            if bucket not in used:
-                used.add(bucket)
-                parts.append({bucket})
-                specs.append(("info", i))
-                found = True
-        if not found:
-            for line_idx in plane.through[i - 1]:
-                if line_idx not in apc.selected_set():
-                    continue
-                line = plane.lines[line_idx]
-                pts = apc.point_sets[line_idx]
-                if i not in pts:
-                    continue
-                if others & set(line.points):
-                    continue
-                cand = {apc.info_bucket_of(pt) for pt in pts if pt != i}
-                cand.add(apc.parity_position(line_idx)[0])
-                if cand & used:
-                    continue
-                used |= cand
-                parts.append(cand)
-                specs.append(("line", line_idx, i))
-                found = True
-                break
-        if not found:
-            return None
-
-    for leftover in range(1, code.m + 1):
-        if leftover not in used:
-            parts[-1].add(leftover)
-
-    p = code.field.p
-    responses = [[0] * len(b) for b in code.buckets]
-    combos = []
-    for part, spec in zip(parts, specs):
-        combo = {ell: 1 for ell in part}
-        if spec[0] == "info":
-            bucket, pos = apc.info_position(spec[1])
-            responses[bucket - 1][pos] = 1
+        part = None
+        if not strict_appendix and apc.info_bucket_of(i) not in used:
+            part = _summed_part(sizes, [apc.info_position(i)])
         else:
-            _, line_idx, i = spec
-            pbucket, ppos = apc.parity_position(line_idx)
-            responses[pbucket - 1][ppos] = 1
-            for pt in apc.point_sets[line_idx]:
-                if pt == i:
+            others = set(req) - {i}
+            for line_idx in plane.through[i - 1]:
+                slot, pts = apc.parity_slots[line_idx], apc.point_sets[line_idx]
+                if slot is None or i not in pts or others & set(plane.lines[line_idx].points):
                     continue
-                bucket, pos = apc.info_position(pt)
-                responses[bucket - 1][pos] = 1
-                combo[bucket] = (p - 1) % p
-        combos.append(tuple(sorted(combo.items())))
-
-    plan = RecoveryPlan(
-        request=req,
-        sets=tuple(frozenset(part) for part in parts),
-        responses=tuple(tuple(r) for r in responses),
-        combos=tuple(combos),
-    )
-    if not certify_plan(code, req, plan):
-        raise AssertionError(f"internal: greedy plan failed certification for {req}")
-    return plan
+                slots = [slot] + [apc.info_position(pt) for pt in pts if pt != i]
+                if all(bucket not in used for bucket, _ in slots):
+                    part = _summed_part(sizes, slots)
+                    break
+        if part is None:
+            return None
+        used |= part[0]
+        parts.append(part)
+    return plan_from_parts(code, req, parts)
 
 
 @dataclass(frozen=True)
@@ -390,48 +319,16 @@ class TrialReport:
         }
 
 
-def _run_trials(apc, k, strict_appendix, children):
-    import numpy as np
-
-    n = apc.code.n
-    successes = 0
-    failures = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        req = tuple(sorted(int(v) for v in rng.integers(1, n + 1, size=k)))
-        plan = greedy_plan(apc, req, strict_appendix=strict_appendix)
-        if plan is None:
-            failures.append((req, "greedy-stuck"))
-        else:
-            successes += 1
-    return successes, failures
-
-
-_TRIAL_CTX = None
-
-
-def _trial_worker_init(apc, k, strict):
-    global _TRIAL_CTX
-    _TRIAL_CTX = (apc, k, strict)
-
-
-def _trial_worker(children):
-    apc, k, strict = _TRIAL_CTX
-    return _run_trials(apc, k, strict, children)
-
-
 def trial_verify(
     apc: AffinePlaneCode,
     k: int,
     trials: int,
     seed: int,
     strict_appendix: bool = False,
-    jobs: int = 1,
 ) -> TrialReport:
     """Sample `trials` uniform size-k requests, run the greedy planner, and
     certify every plan it returns.  Trial seeds are derived per index, so the
-    report is reproducible and independent of how trials are sharded across
-    workers (`jobs`)."""
+    report is reproducible."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k < 1:
@@ -439,19 +336,18 @@ def trial_verify(
     import numpy as np
 
     start = time.monotonic()
-    children = np.random.SeedSequence(int(seed)).spawn(trials)
-    if jobs and jobs > 1:
-        import multiprocessing as mp
-
-        n_chunks = max(1, min(trials, jobs * 4))
-        chunks = [children[i::n_chunks] for i in range(n_chunks)]
-        ctx = mp.get_context()
-        with ctx.Pool(jobs, initializer=_trial_worker_init, initargs=(apc, k, strict_appendix)) as pool:
-            results = pool.map(_trial_worker, chunks)
-        successes = sum(s for s, _ in results)
-        failures = [f for _, fs in results for f in fs]
-    else:
-        successes, failures = _run_trials(apc, k, strict_appendix, children)
+    code = apc.code
+    successes, failures = 0, []
+    for child in np.random.SeedSequence(int(seed)).spawn(trials):
+        rng = np.random.Generator(np.random.PCG64(child))
+        req = tuple(sorted(int(v) for v in rng.integers(1, code.n + 1, size=k)))
+        plan = greedy_plan(apc, req, strict_appendix=strict_appendix)
+        if plan is None:
+            failures.append((req, "greedy-stuck"))
+        elif certify_plan(code, req, plan):
+            successes += 1
+        else:
+            raise AssertionError(f"internal: greedy plan failed certification for {req}")
     return TrialReport(
         k=k,
         trials=trials,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import affine as affine_mod
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .model import code_to_json, load_code, save_code, total_length
+from .model import code_to_json, load_code, total_length
 from .sim import planner_context, serve_batch
 from .verify import ResponseModel, verify_bac, verify_pir
 

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, PrimeField, unit_vector
 from .model import CodeSpec, codes_equal
-from .verify import RecoveryPlan, normalize_request
+from .verify import RecoveryPlan, normalize_request, plan_from_parts
 
 
 def _wrap(x: int, n: int) -> int:
@@ -169,21 +169,50 @@ def _augmenting_match(left_count: int, neighbors) -> dict:
     return {u: b for b, u in owner.items()}
 
 
-def _cyclic_positions(params: CyclicParams, code: CodeSpec) -> tuple:
-    """Per information bucket, symbol -> its stored position; made once per
+def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:
+    """The parts the cyclic planner serves a symbol with, made once per
     (code, params), after checking the code against the construction, and
-    kept in `code.cache`."""
+    kept in `code.cache`: per information bucket ell0, `alone[ell0]` maps
+    each symbol it stores to the part in which it serves that symbol by
+    itself, and `paired[ell0]` maps each symbol it omits to the parts, one
+    per sum bucket in index order, in which the bucket's block-mates of the
+    symbol are subtracted from that sum bucket's block sum."""
     tables = code.cache.setdefault("cyclic", {})
-    position_of = tables.get(params)
-    if position_of is None:
+    hit = tables.get(params)
+    if hit is None:
         if not codes_equal(cyclic_shift_code(params.n, params.k, params.m, code.field), code):
             raise ValueError("code does not match the cyclic construction for these parameters")
-        position_of = []
-        for ell in range(1, params.k + 1):
-            stored = [i for i in range(1, params.n + 1) if i not in params.omitted(ell)]
-            position_of.append({i: s for s, i in enumerate(stored)})
-        position_of = tables[params] = tuple(position_of)
-    return position_of
+        n, k, m, block = params.n, params.k, params.m, params.block
+        copies = k // (m - k)
+        minus_one = code.field.p - 1
+        alone, paired = [], []
+        for ell in range(1, k + 1):
+            stored = [i for i in range(1, n + 1) if i not in params.omitted(ell)]
+            position_of = {i: s for s, i in enumerate(stored)}
+
+            def answer(symbols) -> tuple:
+                """Bucket ell answers the sum of its stored `symbols`."""
+                vector = [0] * len(stored)
+                for i in symbols:
+                    vector[position_of[i]] = 1
+                return ell - 1, tuple(vector)
+
+            alone.append({i: (frozenset({ell}), (answer((i,)),), ((ell, 1),)) for i in stored})
+            pairs = {}
+            for i in params.omitted(ell):
+                b = (i - 1) % block + 1
+                mates = answer([t * block + b for t in range(copies) if t * block + b != i])
+                pairs[i] = tuple(
+                    (
+                        frozenset({ell, ell_sum}),
+                        (mates, (ell_sum - 1, unit_vector(b - 1, block))),
+                        ((ell, minus_one), (ell_sum, 1)),
+                    )
+                    for ell_sum in range(k + 1, m + 1)
+                )
+            paired.append(pairs)
+        hit = tables[params] = (tuple(alone), tuple(paired))
+    return hit
 
 
 def cyclic_certified_plan(
@@ -192,62 +221,32 @@ def cyclic_certified_plan(
     """Recovery plan built the way the cyclic construction's proof does:
     a complete matching serves 2k-m requests from information buckets that
     store their symbol; each remaining request takes one unused information
-    bucket, alone if it stores the symbol and otherwise paired with a sum
-    bucket."""
-    position_of = _cyclic_positions(params, code)
-    n, k, m = params.n, params.k, params.m
-    req = normalize_request(request, n)
+    bucket, alone if it stores the symbol and otherwise paired with the next
+    unused sum bucket."""
+    alone, paired = _cyclic_tables(params, code)
+    k, m = params.k, params.m
+    req = normalize_request(request, params.n)
     if len(req) != k:
         raise ValueError(f"cyclic planner serves exactly k = {k} requests, got {len(req)}")
-    p = code.field.p
-    block = params.block
-    copies = k // (m - k)
 
     matched_count = 2 * k - m
     neighbors = [
-        [ell0 for ell0 in range(k) if req[u] in position_of[ell0]]
+        [ell0 for ell0 in range(k) if req[u] in alone[ell0]]
         for u in range(matched_count)
     ]
     match = _augmenting_match(matched_count, neighbors)
-
-    responses = [[0] * len(b) for b in code.buckets]
-    parts: list = []
-    combos: list = []
-    for u in range(matched_count):
-        ell0 = match[u]
-        responses[ell0][position_of[ell0][req[u]]] = 1
-        parts.append({ell0 + 1})
-        combos.append(((ell0 + 1, 1),))
+    parts = [alone[match[u]][req[u]] for u in range(matched_count)]
 
     unused = sorted(set(range(k)) - set(match.values()))
-    next_sum = k  # 0-based index of the next unused sum bucket
+    sums_taken = 0
     for pos, ell0 in zip(range(matched_count, k), unused):
         i = req[pos]
-        if i in position_of[ell0]:
-            responses[ell0][position_of[ell0][i]] = 1
-            parts.append({ell0 + 1})
-            combos.append(((ell0 + 1, 1),))
-            continue
-        b = (i - 1) % block + 1
-        a = (i - b) // block
-        terms = [t * block + b for t in range(copies) if t != a]
-        for term in terms:
-            responses[ell0][position_of[ell0][term]] = 1
-        responses[next_sum][b - 1] = 1
-        parts.append({ell0 + 1, next_sum + 1})
-        combos.append(((ell0 + 1, (p - 1) % p), (next_sum + 1, 1)))
-        next_sum += 1
-
-    for leftover in range(next_sum, m):
-        parts[-1].add(leftover + 1)
-        combos[-1] = combos[-1] + ((leftover + 1, 1),)
-
-    return RecoveryPlan(
-        request=req,
-        sets=tuple(frozenset(part) for part in parts),
-        responses=tuple(tuple(r) for r in responses),
-        combos=tuple(combos),
-    )
+        if i in alone[ell0]:
+            parts.append(alone[ell0][i])
+        else:
+            parts.append(paired[ell0][i][sums_taken])
+            sums_taken += 1
+    return plan_from_parts(code, req, parts)
 
 
 def uniform_code(n: int, k: int, field: PrimeField = GF2) -> CodeSpec:
@@ -455,16 +454,26 @@ def canonical_recovery_sets(v: GoodVector, n: int, i: int) -> list:
 
 
 def _goodvec_tables(v: GoodVector, code: CodeSpec) -> tuple:
-    """The canonical recovery sets of every symbol (symbol i at index i - 1)
-    and the supported batch size `max_batch_k(v.t).exact`; made once per
-    (code, v), after checking the code against the construction, and kept in
-    `code.cache`."""
+    """The canonical recovery sets of every symbol (symbol i at index i - 1),
+    each as the plan part that serves i from it, and the supported batch size
+    `max_batch_k(v.t).exact`; made once per (code, v), after checking the
+    code against the construction, and kept in `code.cache`."""
     tables = code.cache.setdefault("goodvec", {})
     hit = tables.get(v)
     if hit is None:
         if not codes_equal(good_vector_code(v, code.field), code):
             raise ValueError("code does not match the good-vector construction for this vector")
-        families = tuple(tuple(canonical_recovery_sets(v, code.n, i)) for i in range(1, code.n + 1))
+        p, sizes = code.field.p, code.bucket_sizes
+
+        def part(bucket_set: frozenset, spec: tuple) -> tuple:
+            answers = sorted((ell - 1, unit_vector(s, sizes[ell - 1])) for ell, s, _ in spec)
+            combo = sorted((ell, sign % p) for ell, _, sign in spec)
+            return bucket_set, tuple(answers), tuple(combo)
+
+        families = tuple(
+            tuple(part(*cand) for cand in canonical_recovery_sets(v, code.n, i))
+            for i in range(1, code.n + 1)
+        )
         hit = tables[v] = (families, max_batch_k(v.t).exact)
     return hit
 
@@ -483,7 +492,6 @@ def goodvec_certified_plan(
     k = len(req)
     if k > bound:
         raise ValueError(f"k = {k} exceeds the supported batch size {bound} for t = {v.t}")
-    p = code.field.p
 
     groups = sorted(
         ((req.count(i), i) for i in sorted(set(req))),
@@ -495,45 +503,21 @@ def goodvec_certified_plan(
         family = families[i - 1]
         chosen[i].append(family[0])
         needed = mult - 1
-        for cand_set, spec in family[1:]:
+        for part in family[1:]:
             if needed == 0:
                 break
-            if cand_set & used:
+            if part[0] & used:
                 continue
-            used |= cand_set
-            chosen[i].append((cand_set, spec))
+            used |= part[0]
+            chosen[i].append(part)
             needed -= 1
         if needed:
             raise AssertionError(
                 f"greedy ran out of disjoint recovery sets for symbol {i} (k = {k})"
             )
 
-    responses = [[0] * len(b) for b in code.buckets]
-    parts = []
-    combos = []
-    queues = {i: list(sets) for i, sets in chosen.items()}
-    for i in req:
-        cand_set, spec = queues[i].pop(0)
-        part = set(cand_set)
-        combo = []
-        for bucket, col_idx, sign in spec:
-            responses[bucket - 1][col_idx] = 1
-            combo.append((bucket, sign % p))
-        parts.append(part)
-        combos.append(tuple(combo))
-
-    covered = set().union(*parts)
-    for leftover in range(1, code.m + 1):
-        if leftover not in covered:
-            parts[-1].add(leftover)
-            combos[-1] = combos[-1] + ((leftover, 1),)
-
-    return RecoveryPlan(
-        request=req,
-        sets=tuple(frozenset(part) for part in parts),
-        responses=tuple(tuple(r) for r in responses),
-        combos=tuple(combos),
-    )
+    queues = {i: iter(parts) for i, parts in chosen.items()}
+    return plan_from_parts(code, req, [next(queues[i]) for i in req])
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def normalize(self, value: int) -> int:
-        return value % self.p
-
     def normalize_vector(self, vec: Sequence[int]) -> tuple:
         return tuple(v % self.p for v in vec)
 
@@ -81,11 +78,6 @@ class PrimeField:
 
 
 GF2 = PrimeField(2)
-
-
-def ff_inverse(a: int, field: PrimeField) -> int:
-    """Inverse of `a` in `field`; raises ValueError for a = 0."""
-    return field.inv(a)
 
 
 def vector_to_mask(vec: Sequence[int]) -> int:
@@ -157,12 +149,6 @@ class Echelon:
                     for j, v in row_combo.items():
                         combo[j] = (combo.get(j, 0) + c * v) % p
         return work
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        """True iff vec lies in the span of the inserted vectors."""
-        if self.field.p == 2:
-            return self._reduce2(vector_to_mask(vec)) & self.coords == 0
-        return not any(self._reduce_generic(vec))
 
     def contains_unit(self, i: int) -> bool:
         """Membership test for the i-th (0-based) unit vector."""

@@ -12,7 +12,8 @@ Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable and safe to share between workers.  A
 CodeSpec's `cache` holds state derived from it alone, built on first use and
 freed with the code: the column table that `encode` and `certify_plan` read
-(`column_table`), the span engine of `verify`, the per-parameter tables of
+(`column_table`), the all-zero responses that `verify.plan_from_parts`
+starts each plan from, the span engine of `verify`, the per-parameter tables of
 the cyclic and good-vector planners (each made after checking the code
 against its construction) and the planner context `sim` resolves from each
 provenance.  Nothing in it refers back to the code.
@@ -22,14 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .field import Echelon, PrimeField, vector_to_mask
 
 CODE_FORMAT = "bacforge-code-v1"
-
-Column = tuple  # length-n tuple of residues
-Bucket = tuple  # tuple of Columns
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,6 @@ class CodeSpec:
     @property
     def bucket_sizes(self) -> tuple:
         return tuple(len(b) for b in self.buckets)
-
-    def bucket(self, ell: int) -> Bucket:
-        """Bucket by 1-based index."""
-        if not 1 <= ell <= self.m:
-            raise ValueError(f"bucket index {ell} out of range [1, {self.m}]")
-        return self.buckets[ell - 1]
 
 
 @dataclass(frozen=True)
@@ -128,20 +120,6 @@ def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
             tuple([sum([xv[d] * v for d, v in col]) % p for col in bucket]) for bucket in table
         ]
     return Codeword(tuple(values))
-
-
-def bucket_set_recovers(code: CodeSpec, bucket_indices: Iterable[int], i: int) -> bool:
-    """True iff the unit vector e_i lies in the joint column span of the
-    given buckets (linear-response recoverability).  Indices are 1-based."""
-    if not 1 <= i <= code.n:
-        raise ValueError(f"symbol index {i} out of range [1, {code.n}]")
-    ech = Echelon(code.field, code.n)
-    for ell in sorted(set(bucket_indices)):
-        if not 1 <= ell <= code.m:
-            raise ValueError(f"bucket index {ell} out of range [1, {code.m}]")
-        for col in code.buckets[ell - 1]:
-            ech.add(col)
-    return ech.contains_unit(i - 1)
 
 
 def cap_and_reduce(code: CodeSpec) -> CodeSpec:

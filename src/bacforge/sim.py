@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .affine import greedy_plan, rebuild_from_provenance
+from . import affine
 from .construct import (
     CyclicParams,
     GoodVector,
@@ -141,7 +141,9 @@ def _resolve_context(code: CodeSpec, prov: dict) -> object:
         return good_vector(prov["v"], prov["t"])
     if prov["q"] * prov["q"] != code.n:
         raise ValueError("code does not match its affine provenance")
-    apc = rebuild_from_provenance(prov)
+    if prov["rng"] != affine.RNG_ID:
+        raise ValueError(f"unsupported rng {prov['rng']!r}, expected {affine.RNG_ID}")
+    apc = affine.random_bac(prov["q"], prov["s"], prov["p1"], prov["p2"], prov["seed"])
     if not codes_equal(apc.code, code):
         raise ValueError("code does not match its affine provenance")
     return apc
@@ -153,7 +155,7 @@ def _certified_plan(code: CodeSpec, request, provenance) -> RecoveryPlan:
         return cyclic_certified_plan(context, code, request)
     if isinstance(context, GoodVector):
         return goodvec_certified_plan(context, code, request)
-    plan = greedy_plan(context, request)
+    plan = affine.greedy_plan(context, request)
     if plan is None:
         raise ValueError(f"greedy planner found no plan for request {tuple(request)}")
     return plan

@@ -19,12 +19,18 @@ set never completes a plan that the minimal set could not, and the plans are
 those of trying every subset in the same order.  The code's `SpanEngine`
 builds the minimal sets one size at a time, reading the symbols a subset
 spans off one incremental `Echelon` per subset; it also reduces each part's
-bucket subset once and solves each (subset, symbol, regime) part once, so
-assembling a plan is lookups.  The engine lives in the code's own `cache`
-and is freed with the code.  `certify_plan` checks a plan as a coefficient
-identity over the field (XOR of packed columns over GF(2)), independently of
-how it was found; every plan returned by the search is certified before
-being handed out.
+bucket subset once and solves each (subset, symbol, regime) part once.  The
+engine lives in the code's own `cache` and is freed with the code.
+
+Every planner, this search and the construction planners alike, describes a
+plan as one part per request (bucket set, nonzero answers, combo) and hands
+the parts to `plan_from_parts`, the one place that assembles a
+`RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
+the field (XOR of packed columns over GF(2)), independently of how it was
+found.  Plans are certified where they are handed out: `find_plan` certifies
+its own, `sim.serve_batch` certifies every plan it serves and
+`affine.trial_verify` every greedy plan it counts; the construction planners
+return uncertified plans.
 """
 
 from __future__ import annotations
@@ -148,7 +154,6 @@ class SpanEngine:
             self.columns = tuple(tuple(vector_to_mask(col) for col in b) for b in buckets)
         else:
             self.columns = buckets
-        self.zero_responses = tuple((0,) * len(b) for b in buckets)
         self._bases: dict = {0: Echelon(field, n)}  # mask -> Echelon
         self._linear: dict = {}  # mask * n + i0 -> bool
         self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
@@ -385,17 +390,41 @@ def engine_for(code: CodeSpec) -> SpanEngine:
     return engine
 
 
-def _certify_tables(code: CodeSpec) -> tuple:
-    """The code's bucket sizes, its 1-based bucket indices and its column
-    table (`model.column_table`), kept in `code.cache`."""
-    tables = code.cache.get("certify-tables")
+def _plan_tables(code: CodeSpec) -> tuple:
+    """The code's bucket sizes, its 1-based bucket indices, its column table
+    (`model.column_table`) and its all-zero responses, kept in `code.cache`."""
+    tables = code.cache.get("plan-tables")
     if tables is None:
-        tables = code.cache["certify-tables"] = (
+        tables = code.cache["plan-tables"] = (
             code.bucket_sizes,
             frozenset(range(1, code.m + 1)),
             column_table(code),
+            tuple((0,) * len(b) for b in code.buckets),
         )
     return tables
+
+
+def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
+    """The plan that serves request j with part j, a (1-based bucket set,
+    ((bucket0, response), ...) for its nonzero answers, combo in ascending
+    bucket order) triple as `SpanEngine.part` makes it.  Every other bucket
+    answers zero, and the buckets in no part join the last part with
+    coefficient 1."""
+    _, bucket_ids, _, zeros = _plan_tables(code)
+    responses = list(zeros)
+    sets, combos = [], []
+    for bucket_set, vectors, combo in parts:
+        sets.append(bucket_set)
+        combos.append(combo)
+        for ell0, vector in vectors:
+            responses[ell0] = vector
+    leftover = bucket_ids.difference(*sets)
+    if leftover:
+        sets[-1] = sets[-1] | leftover
+        combos[-1] = tuple(sorted(combos[-1] + tuple((ell, 1) for ell in leftover)))
+    return RecoveryPlan(
+        request=req, sets=tuple(sets), responses=tuple(responses), combos=tuple(combos)
+    )
 
 
 def certify_plan(
@@ -414,7 +443,7 @@ def certify_plan(
     req = normalize_request(request, code.n)
     m = code.m
     p = code.field.p
-    sizes, bucket_ids, columns = _certify_tables(code)
+    sizes, bucket_ids, columns, _ = _plan_tables(code)
     if len(plan.responses) != m:
         raise ValueError(f"plan has {len(plan.responses)} responses, code has {m} buckets")
     if tuple(map(len, plan.responses)) != sizes:
@@ -478,24 +507,6 @@ def certify_plan(
     return True
 
 
-def _plan_from_parts(
-    engine: SpanEngine, req: tuple, parts: list, model: ResponseModel
-) -> RecoveryPlan:
-    """Assemble the plan for the chosen parts (bucket bitmasks) from the
-    engine's solved parts."""
-    solved = [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
-    responses = list(engine.zero_responses)
-    for _, vectors, _ in solved:
-        for ell0, vector in vectors:
-            responses[ell0] = vector
-    return RecoveryPlan(
-        request=req,
-        sets=tuple(bucket_set for bucket_set, _, _ in solved),
-        responses=tuple(responses),
-        combos=tuple(combo for _, _, combo in solved),
-    )
-
-
 def find_plan(
     code: CodeSpec,
     request: Sequence[int],
@@ -545,31 +556,34 @@ def find_plan(
 
     if not search(0, (1 << code.m) - 1):
         return None
-    plan = _plan_from_parts(engine, req, parts, model)
+    plan = plan_from_parts(
+        code, req, [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
+    )
     if not certify_plan(code, req, plan, model):
         raise AssertionError(f"internal: found plan failed certification for {req}")
     return plan
 
 
-def _reject_empty_buckets(code: CodeSpec) -> None:
+def _sweep(code, k, model, kind, jobs) -> VerificationReport:
+    """Search a plan for every request of the sweep, in `jobs` worker
+    processes if more than one."""
+    model = ResponseModel.parse(model)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > code.m:
+        raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
     for ell0, bucket in enumerate(code.buckets):
         if not bucket:
             raise ValueError(
                 f"bucket {ell0 + 1} is empty; final codes must store something "
                 "in every node"
             )
-
-
-def _sweep(code, requests, model, kind, k, jobs) -> VerificationReport:
     start = time.monotonic()
-    requests = list(requests)
-    failures = []
+    requests = list((all_batch_requests if kind == "bac" else pir_requests)(code.n, k))
     if jobs and jobs > 1:
         failures = _parallel_failures(code, requests, model, jobs)
     else:
-        for req in requests:
-            if find_plan(code, req, model) is None:
-                failures.append((req, "no-partition"))
+        failures = _failures(code, model, requests)
     failures.sort()
     return VerificationReport(
         kind=kind,
@@ -581,6 +595,10 @@ def _sweep(code, requests, model, kind, k, jobs) -> VerificationReport:
     )
 
 
+def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
+    return [(req, "no-partition") for req in requests if find_plan(code, req, model) is None]
+
+
 def verify_bac(
     code: CodeSpec,
     k: int,
@@ -589,13 +607,7 @@ def verify_bac(
 ) -> VerificationReport:
     """Exhaustively check the k-batch property over all C(n+k-1, k) request
     multisets (lexicographic order)."""
-    model = ResponseModel.parse(model)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > code.m:
-        raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    _reject_empty_buckets(code)
-    return _sweep(code, all_batch_requests(code.n, k), model, "bac", k, jobs)
+    return _sweep(code, k, model, "bac", jobs)
 
 
 def verify_pir(
@@ -605,13 +617,7 @@ def verify_pir(
     jobs: int = 1,
 ) -> VerificationReport:
     """Check the k-PIR property: only the n identical-index requests."""
-    model = ResponseModel.parse(model)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > code.m:
-        raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    _reject_empty_buckets(code)
-    return _sweep(code, pir_requests(code.n, k), model, "pir", k, jobs)
+    return _sweep(code, k, model, "pir", jobs)
 
 
 def check_subset_spanning(code: CodeSpec, k: int) -> bool:
@@ -640,12 +646,8 @@ def _worker_init(code: CodeSpec, model_value: str) -> None:
     _WORKER_MODEL = ResponseModel(model_value)
 
 
-def _worker_chunk(chunk):
-    fails = []
-    for req in chunk:
-        if find_plan(_WORKER_CODE, req, _WORKER_MODEL) is None:
-            fails.append((req, "no-partition"))
-    return fails
+def _worker_failures(chunk) -> list:
+    return _failures(_WORKER_CODE, _WORKER_MODEL, chunk)
 
 
 def _parallel_failures(code, requests, model, jobs):
@@ -655,8 +657,4 @@ def _parallel_failures(code, requests, model, jobs):
     chunks = [requests[i::n_chunks] for i in range(n_chunks)]
     ctx = mp.get_context()
     with ctx.Pool(jobs, initializer=_worker_init, initargs=(code, model.value)) as pool:
-        out = pool.map(_worker_chunk, chunks)
-    failures = []
-    for part in out:
-        failures.extend(part)
-    return failures
+        return [fail for part in pool.map(_worker_failures, chunks) for fail in part]

@@ -14,7 +14,7 @@ import itertools
 
 from bacforge.field import dot
 from bacforge.model import Codeword
-from bacforge.verify import ResponseModel, SpanEngine, _plan_from_parts, normalize_request
+from bacforge.verify import ResponseModel, SpanEngine, normalize_request, plan_from_parts
 
 
 def _extend(span, g, p: int) -> frozenset:
@@ -146,7 +146,8 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
 
     if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
         return None
-    return _plan_from_parts(engine, req, parts, model)
+    solved = [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
+    return plan_from_parts(code, req, solved)
 
 
 def reference_span_solve(target, generators, field):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -13,6 +14,8 @@ from bacforge import (
     total_length,
     trial_verify,
 )
+from bacforge.model import code_from_json, code_to_json
+from bacforge.sim import planner_context
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -164,19 +167,50 @@ def test_trial_verify_reports():
     assert rep3.successes + len(rep3.failures) == 200
 
 
-def test_trial_verify_sharding_is_order_independent():
-    apc = random_bac(13, 2, 1.0, 1.0, seed=424242)
-    serial = trial_verify(apc, 2, 60, seed=3)
-    sharded = trial_verify(apc, 2, 60, seed=3, jobs=2)
-    assert serial.to_json_dict() == sharded.to_json_dict()
+def test_trial_verify_certifies_greedy_plans(monkeypatch):
+    apc = random_bac(5, 1, 1.0, 1.0, seed=21)
+    real_greedy_plan = aff.greedy_plan
+
+    def corrupted(apc, req, strict_appendix=False):
+        plan = real_greedy_plan(apc, req, strict_appendix=strict_appendix)
+        responses = list(plan.responses)
+        ell0 = next(ell0 for ell0, resp in enumerate(responses) if any(resp))
+        responses[ell0] = (0,) * len(responses[ell0])  # drop an answer the plan needs
+        return dataclasses.replace(plan, responses=tuple(responses))
+
+    monkeypatch.setattr(aff, "greedy_plan", corrupted)
+    with pytest.raises(AssertionError, match="failed certification"):
+        trial_verify(apc, 1, 5, seed=3)
+
+
+def test_parity_slots_locate_each_parity_column():
+    apc = random_bac(7, 2, 0.6, 0.5, seed=17)
+    slots = [slot for slot in apc.parity_slots if slot is not None]
+    parity_columns = [
+        (bucket, pos)
+        for bucket in range(apc.info_buckets + 1, apc.m + 1)
+        for pos in range(len(apc.code.buckets[bucket - 1]))
+    ]
+    assert sorted(slots) == parity_columns
+    for idx, slot in enumerate(apc.parity_slots):
+        pts = apc.point_sets[idx]
+        assert (slot is not None) == (idx in apc.selected and bool(pts))
+        if slot is not None:
+            bucket, pos = slot
+            column = apc.code.buckets[bucket - 1][pos]
+            assert {i + 1 for i, v in enumerate(column) if v} == pts
 
 
 def test_provenance_round_trip():
     apc = random_bac(5, 2, 0.5, 0.25, seed=123)
     prov = apc.provenance()
     assert prov["family"] == "affine" and prov["rng"] == aff.RNG_ID
-    rebuilt = aff.rebuild_from_provenance(prov)
-    assert rebuilt.code == apc.code
+    code, _ = code_from_json(code_to_json(apc.code))  # as loaded from a file
+    rebuilt = planner_context(code, prov)
+    assert rebuilt.code == apc.code and rebuilt.provenance() == prov
+    for bad in ({"q": 5.9}, {"seed": "7"}, {"rng": "other-rng"}):
+        with pytest.raises(ValueError):
+            planner_context(code, {**prov, **bad})
 
 
 def test_selection_concentration_smoke():

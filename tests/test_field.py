@@ -7,7 +7,6 @@ from bacforge.field import (
     GF2,
     Echelon,
     PrimeField,
-    ff_inverse,
     is_prime,
     rank,
     span_solve,
@@ -43,14 +42,17 @@ def test_is_prime_matches_trial_division():
 
 
 def test_ff_inverse_examples():
-    assert ff_inverse(1, PrimeField(2)) == 1
-    assert ff_inverse(2, PrimeField(5)) == 3
-    assert ff_inverse(4, PrimeField(7)) == 2
+    assert PrimeField(2).inv(1) == 1
+    assert PrimeField(5).inv(2) == 3
+    assert PrimeField(7).inv(4) == 2
+    assert PrimeField(7).inv(-3) == 2  # residues are reduced first
 
 
 def test_ff_inverse_zero_not_invertible():
     with pytest.raises(ValueError):
-        ff_inverse(0, PrimeField(5))
+        PrimeField(5).inv(0)
+    with pytest.raises(ValueError):
+        PrimeField(5).inv(10)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])

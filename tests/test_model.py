@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bacforge import (
     CodeSpec,
     GF2,
-    bucket_set_recovers,
     cap_and_reduce,
     code_from_json,
     code_to_json,
@@ -15,6 +14,7 @@ from bacforge import (
     total_length,
 )
 from bacforge.field import PrimeField
+from bacforge.verify import ResponseModel, engine_for
 from conftest import col
 from oracles import naive_recovers, reference_encode
 
@@ -70,14 +70,17 @@ def test_total_length(c2_code, c1_code):
     assert total_length(empty) == 0
 
 
+def recovers(code, buckets, i) -> bool:
+    """Linear recoverability of symbol i from the given buckets (1-based),
+    through the code's span engine."""
+    mask = sum(1 << (ell - 1) for ell in set(buckets))
+    return engine_for(code).recovers(mask, i - 1, ResponseModel.LINEAR)
+
+
 def test_bucket_set_recovers(c2_code, gv1_code):
-    assert bucket_set_recovers(c2_code, {4, 5}, 1)
-    assert not bucket_set_recovers(c2_code, {4}, 1)
-    assert bucket_set_recovers(gv1_code, {2, 4}, 1)
-    with pytest.raises(ValueError):
-        bucket_set_recovers(c2_code, {4, 5}, 5)
-    with pytest.raises(ValueError):
-        bucket_set_recovers(c2_code, {6}, 1)
+    assert recovers(c2_code, {4, 5}, 1)
+    assert not recovers(c2_code, {4}, 1)
+    assert recovers(gv1_code, {2, 4}, 1)
 
 
 def test_cap_and_reduce_drops_dependent_column():
@@ -146,9 +149,7 @@ def test_cap_and_reduce_preserves_recoverability(code):
     for r in range(1, code.m + 1):
         for subset in itertools.combinations(range(1, code.m + 1), r):
             for i in range(1, code.n + 1):
-                assert bucket_set_recovers(code, subset, i) == bucket_set_recovers(
-                    reduced, subset, i
-                )
+                assert recovers(code, subset, i) == recovers(reduced, subset, i)
 
 
 @given(random_code(max_n=2, max_m=2, max_cols=2))
@@ -159,10 +160,10 @@ def test_bucket_set_recovers_matches_naive_and_monotone(code):
     for r in range(1, code.m + 1):
         for subset in itertools.combinations(range(1, code.m + 1), r):
             for i in range(1, code.n + 1):
-                got = bucket_set_recovers(code, subset, i)
+                got = recovers(code, subset, i)
                 assert got == naive_recovers(code, subset, i)
                 if got:
-                    assert bucket_set_recovers(code, range(1, code.m + 1), i)
+                    assert recovers(code, range(1, code.m + 1), i)
 
 
 def test_json_round_trip_is_byte_stable(c2_code):

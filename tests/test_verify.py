@@ -194,6 +194,15 @@ def test_parallel_sweep_matches_serial(c2_code):
     assert serial.to_json_dict() == parallel.to_json_dict()
 
 
+def test_parallel_sweep_matches_serial_on_a_failing_code(c2_code):
+    truncated = CodeSpec(GF2, 4, c2_code.buckets[:4])
+    serial = verify_bac(truncated, 4, LIN, jobs=1)
+    parallel = verify_bac(truncated, 4, LIN, jobs=2)
+    assert len(serial.failures) > 1
+    assert parallel.failures == serial.failures  # the witnesses, in order
+    assert parallel.to_json_dict() == serial.to_json_dict()
+
+
 def test_check_subset_spanning(c2_code):
     assert check_subset_spanning(c2_code, 4)
     full = CodeSpec(GF2, 3, ((col(1, n=3), col(2, n=3), col(3, n=3)),))
