@@ -11,26 +11,23 @@ answers.  Two response regimes are supported:
                  classic batch-code regime), so its response vector must be a
                  unit vector.
 
-`find_plan` is an exact decision procedure: backtracking over the minimal
-recovery sets of each requested symbol (bucket bitmasks no proper subset of
-which recovers it), in increasing cardinality, with the last request taking
-every leftover bucket.  Recoverability is monotone, so a superset of a minimal
-set never completes a plan that the minimal set could not, and the plans are
-those of trying every subset in the same order.  The code's `SpanEngine`
-builds the minimal sets one size at a time, reading the symbols a subset
-spans off one incremental `Echelon` per subset; it also reduces each part's
-bucket subset once and solves each (subset, symbol, regime) part once.  The
-engine lives in the code's own `cache` and is freed with the code.
+`find_plan` decides a request exactly, by a backtracking search over the
+minimal recovery sets of each requested symbol (`_search`).  The code's
+`SpanEngine` builds those sets one size at a time and reduces, solves and
+certifies each (subset, symbol, regime) part once; it lives in the code's own
+`cache` and is freed with the code.
 
 Every planner, this search and the construction planners alike, describes a
 plan as one part per request (bucket set, nonzero answers, combo) and hands
 the parts to `plan_from_parts`, the one place that assembles a
 `RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
-the field (XOR of packed columns over GF(2)), independently of how it was
-found.  Plans are certified where they are handed out: `find_plan` certifies
-its own, `sim.serve_batch` certifies every plan it serves and
-`affine.trial_verify` every greedy plan it counts; the construction planners
-return uncertified plans.
+the field, independently of how it was found.  Plans are certified where
+they are handed out: `find_plan` certifies each whole plan, `sim.serve_batch`
+every plan it serves and `affine.trial_verify` every greedy plan it counts;
+the construction planners return uncertified plans.  The sweeps of
+`verify_bac` and `verify_pir` hand out no plans: they run the same search and
+certify parts, each once (`SpanEngine.certified`), which is exact for the
+plans `find_plan` would return (see `_failures`).
 """
 
 from __future__ import annotations
@@ -41,13 +38,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, unit_vector, vector_to_mask
+from .field import Echelon, unit_vector
 from .model import CodeSpec, column_table
 
 
 class ResponseModel(Enum):
     LINEAR = "linear"
     PROJECTION = "projection"
+
+    # members are singletons, so identity hashes them faster than Enum's hash
+    # of the name, and a sweep looks the engine's caches up by member
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text) -> "ResponseModel":
@@ -138,31 +139,30 @@ class SpanEngine:
     GF(2)), grown from the cached basis of its longest cached prefix (its
     lowest buckets).  Every (subset, symbol, regime) part of a plan is solved
     once: `part` caches it, with its tuples interned, so plan assembly is
-    lookups.  `minimal_sets` lists, size by size, the minimal recovery sets
-    the search draws its parts from.  The engine holds only the code's field,
-    n and buckets and lives in the code's own cache (see `engine_for`), so it
-    is freed together with the code.  It grows its minimal-set levels in
-    place, so it is for one thread at a time.
+    lookups, and `certified` checks it once.  `minimal_sets` lists, size by
+    size, the minimal recovery sets the search draws its parts from.  The
+    engine holds the code's field, n, buckets and column table but not the
+    code, and lives in the code's own cache (see `engine_for`), so it is
+    freed together with the code.  It grows its minimal-set levels in place,
+    so it is for one thread at a time.
     """
 
-    def __init__(self, field, n: int, buckets: tuple):
-        self.field = field
-        self.n = n
-        self.buckets = buckets
-        # the columns as `Echelon.add` takes them: packed ints over GF(2)
-        if field.p == 2:
-            self.columns = tuple(tuple(vector_to_mask(col) for col in b) for b in buckets)
-        else:
-            self.columns = buckets
-        self._bases: dict = {0: Echelon(field, n)}  # mask -> Echelon
+    def __init__(self, code: CodeSpec):
+        self.field = field = code.field
+        self.n = code.n
+        # `certified` reads the column table, `Echelon.add` the same ints over GF(2)
+        self.table = column_table(code)
+        self.columns = self.table if field.p == 2 else code.buckets
+        self._bases: dict = {0: Echelon(field, self.n)}  # mask -> Echelon
         self._linear: dict = {}  # mask * n + i0 -> bool
         self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
+        self._certified: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> bool
         self._interned: dict = {}
         # minimal recovery sets: per regime, level s holds per symbol the
         # minimal masks of s buckets; `_open` has the symbols that may still
         # have minimal sets above the last level built
-        self._levels: dict = {model: [((),) * n] for model in ResponseModel}
-        self._open: dict = {model: (1 << n) - 1 for model in ResponseModel}
+        self._levels: dict = {model: [((),) * self.n] for model in ResponseModel}
+        self._open: dict = {model: (1 << self.n) - 1 for model in ResponseModel}
         self._level_spans: dict = {0: 0}  # last linear level: mask -> spanned symbols
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
@@ -194,7 +194,9 @@ class SpanEngine:
             *_, ech = self._prefix_bases(mask)
         return ech
 
-    def recovers_linear(self, mask: int, i0: int) -> bool:
+    def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
+        if model is not ResponseModel.LINEAR:
+            return self.part(mask, i0, model) is not None
         key = mask * self.n + i0
         hit = self._linear.get(key)
         if hit is None:
@@ -207,11 +209,6 @@ class SpanEngine:
             hit = self._linear[key] = ech.contains_unit(i0)
         return hit
 
-    def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
-        if model is ResponseModel.LINEAR:
-            return self.recovers_linear(mask, i0)
-        return self.part(mask, i0, model) is not None
-
     def minimal_sets(self, i0: int, model: ResponseModel, size: int) -> tuple:
         """The bucket bitmasks of `size` buckets that recover symbol i0 under
         `model` while no proper subset does, ordered by their ascending
@@ -221,7 +218,7 @@ class SpanEngine:
         none, and nothing more is built."""
         levels = self._levels[model]
         while len(levels) <= size:
-            if not (self._open[model] >> i0) & 1 or len(levels) > len(self.buckets):
+            if not (self._open[model] >> i0) & 1 or len(levels) > len(self.columns):
                 return ()
             if model is ResponseModel.LINEAR:
                 self._grow_linear(len(levels))
@@ -316,6 +313,36 @@ class SpanEngine:
                 cache[key] = self._solve_projection(mask, i0)
         return cache[key]
 
+    def certified(self, mask: int, i0: int, model: ResponseModel) -> bool:
+        """Whether `part(mask, i0, model)` passes `certify_plan`'s checks on
+        its own, against the code's column table; computed once per key.  A
+        linear part is checked as the subset's lowest-index solve, without
+        building it."""
+        cache = self._certified[model]
+        key = mask * self.n + i0
+        hit = cache.get(key)
+        if hit is None:
+            p, table = self.field.p, self.table
+            if model is ResponseModel.LINEAR:
+                # the subset as one bucket whose answer is the solve over its columns
+                coeffs = self._basis(mask).solve(unit_vector(i0, self.n))
+                columns = [col for ell0 in bucket_indices(mask) for col in table[ell0]]
+                hit = coeffs is not None and _sums_to_unit(p, ((1, 1),), (coeffs,), (columns,), i0)
+            elif (part := self.part(mask, i0, model)) is None:
+                hit = False
+            else:
+                bucket_set, vectors, combo = part
+                answers = dict(vectors)
+                responses = [answers.get(ell0, ()) for ell0 in range(len(table))]
+                hit = (
+                    bucket_set == {ell0 + 1 for ell0 in bucket_indices(mask)}
+                    and {ell0 + 1 for ell0 in answers} | {ell for ell, _ in combo} <= bucket_set
+                    and all(_unit_or_zero(p, vector) for vector in answers.values())
+                    and _sums_to_unit(p, combo, responses, table, i0)
+                )
+            cache[key] = hit
+        return hit
+
     def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
         """Any combination of each bucket's columns: the lowest-index solve
         over the subset's cached basis; every bucket's combo coefficient is 1."""
@@ -323,24 +350,30 @@ class SpanEngine:
         if coeffs is None:
             return None
         order = bucket_indices(mask)
-        owners = [(ell0, s) for ell0 in order for s in range(len(self.buckets[ell0]))]
+        owners = [(ell0, s) for ell0 in order for s in range(len(self.columns[ell0]))]
         return self._intern_part(order, zip(owners, coeffs), {})
 
     def _solve_projection(self, mask: int, i0: int) -> Optional[tuple]:
         """At most one stored column per bucket, returned verbatim: a
         deterministic DFS over the buckets ascending, skip-first, with an early
         exit once the chosen columns span e_i; the user combines the chosen
-        columns with their lowest-index solve."""
-        if not self.recovers_linear(mask, i0):
-            # projection responses are a restriction of linear ones
-            return None
+        columns with their lowest-index solve.  A node whose chosen and
+        remaining columns miss e_i (at the root: the subset does not span it)
+        cannot succeed and is cut, so the first solution is the full DFS's."""
         order = bucket_indices(mask)
         columns = self.columns
+        reach = [Echelon(self.field, self.n)]  # reach[idx]: span of order[idx:]
+        for ell0 in reversed(order):
+            reach.append(self._with_bucket(reach[-1], ell0))
+        reach.reverse()
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):
             if ech.contains_unit(i0):
                 return chosen, ech.solve(unit_vector(i0, self.n))
-            if idx == len(order):
+            joint = reach[idx].copy()
+            for ell0, s in chosen:
+                joint.add(columns[ell0][s])
+            if not joint.contains_unit(i0):
                 return None
             res = dfs(idx + 1, ech, chosen)
             if res is not None:
@@ -375,7 +408,7 @@ class SpanEngine:
         vectors: dict = {}
         for (ell0, s), value in picks:
             if value:
-                vectors.setdefault(ell0, [0] * len(self.buckets[ell0]))[s] = value
+                vectors.setdefault(ell0, [0] * len(self.columns[ell0]))[s] = value
         responses = tuple(intern((ell0, intern(tuple(v)))) for ell0, v in vectors.items())
         combo = tuple(intern((ell0 + 1, coefficients.get(ell0, 1))) for ell0 in order)
         bucket_set = intern(frozenset(ell0 + 1 for ell0 in order))
@@ -386,7 +419,7 @@ def engine_for(code: CodeSpec) -> SpanEngine:
     """The code's span engine, made on first use and kept in `code.cache`."""
     engine = code.cache.get("span-engine")
     if engine is None:
-        engine = code.cache["span-engine"] = SpanEngine(code.field, code.n, code.buckets)
+        engine = code.cache["span-engine"] = SpanEngine(code)
     return engine
 
 
@@ -474,37 +507,44 @@ def certify_plan(
         return False
 
     # (c) projection regime: nonzero responses must be unit vectors
-    if model is ResponseModel.PROJECTION:
-        for resp in plan.responses:
-            nz = [v % p for v in resp if v % p]
-            if nz and nz != [1]:
-                return False
+    if model is ResponseModel.PROJECTION and not all(_unit_or_zero(p, r) for r in plan.responses):
+        return False
 
-    # (b) coefficient identity per request, over the generator columns:
-    # XOR of packed columns over GF(2), one reduction per coordinate otherwise
+    # (b) coefficient identity per request, over the generator columns
     for combo, i in zip(plan.combos, req):
-        acc = 0 if p == 2 else {}  # F_p: coordinate -> unreduced sum
-        for ell, coeff in combo:
-            resp = plan.responses[ell - 1]
-            if not any(resp):
-                continue
-            for r, col in zip(resp, columns[ell - 1]):
-                w = (coeff * r) % p
-                if not w:
-                    continue
-                if p == 2:
-                    acc ^= col
-                else:
-                    for d, v in col:
-                        acc[d] = acc.get(d, 0) + w * v
-        if p == 2:
-            if acc != 1 << (i - 1):
-                return False
-        else:
-            acc[i - 1] = acc.get(i - 1, 0) - 1
-            if any(a % p for a in acc.values()):
-                return False
+        if not _sums_to_unit(p, combo, plan.responses, columns, i - 1):
+            return False
     return True
+
+
+def _unit_or_zero(p: int, vector) -> bool:
+    """Whether a response is zero or a unit vector over F_p."""
+    return [v % p for v in vector if v % p] in ([], [1])
+
+
+def _sums_to_unit(p: int, combo, responses, columns, i0: int) -> bool:
+    """The coefficient identity: whether the answers the combo's
+    (bucket, coefficient) pairs weigh, each answer applied to its bucket's
+    columns, sum to e_i0 over F_p.  Bucket ell answers responses[ell - 1]
+    and stores columns[ell - 1], as `model.column_table` holds them: XOR of
+    packed columns over GF(2), one reduction per coordinate otherwise."""
+    acc = 0 if p == 2 else {i0: -1}  # F_p: coordinate -> unreduced sum
+    for ell, coeff in combo:
+        resp = responses[ell - 1]
+        if not any(resp):
+            continue
+        for r, col in zip(resp, columns[ell - 1]):
+            w = (coeff * r) % p
+            if not w:
+                continue
+            if p == 2:
+                acc ^= col
+            else:
+                for d, v in col:
+                    acc[d] = acc.get(d, 0) + w * v
+    if p == 2:
+        return acc == 1 << i0
+    return not any(a % p for a in acc.values())
 
 
 def find_plan(
@@ -512,56 +552,47 @@ def find_plan(
     request: Sequence[int],
     model: ResponseModel = ResponseModel.LINEAR,
 ) -> Optional[RecoveryPlan]:
-    """Exact search for a recovery plan, or None if no partition works.
-
-    Requests are processed in sorted order.  Each request but the last takes
-    a minimal recovery set (`SpanEngine.minimal_sets`) from the remaining
-    buckets, in increasing cardinality and lexicographic within a
-    cardinality; the final request absorbs all leftover buckets, and the
-    search backtracks on failure.  Deterministic given the code.
-
-    The plans are those of trying every recovering subset in the same order:
-    recoverability is monotone and leftover buckets join the last part, so a
-    completion for a superset of a minimal set A is also one for A, and A
-    comes first.  A non-minimal set is thus never the first to succeed.
-    """
+    """Exact search for a recovery plan (`_search`), or None if no
+    partition works.  The plan is certified before it is returned."""
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
-    k = len(req)
-    if k > code.m:
-        raise ValueError(f"cannot partition {code.m} buckets into {k} non-empty parts")
+    if len(req) > code.m:
+        raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
     engine = engine_for(code)
-    parts: list = []  # bucket bitmasks
-
-    def search(pos: int, left: int) -> bool:
-        # left: the bitmask of the buckets still free
-        i0 = req[pos] - 1
-        if pos == k - 1:
-            if engine.recovers(left, i0, model):
-                parts.append(left)
-                return True
-            return False
-        # recoverability is monotone, so an infeasible union prunes the branch
-        if not engine.recovers(left, i0, model):
-            return False
-        max_size = left.bit_count() - (k - pos - 1)
-        for size in range(1, max_size + 1):
-            for mask in engine.minimal_sets(i0, model, size):
-                if mask & left == mask:
-                    parts.append(mask)
-                    if search(pos + 1, left ^ mask):
-                        return True
-                    parts.pop()
-        return False
-
-    if not search(0, (1 << code.m) - 1):
+    masks = _search(engine, req, model, (1 << code.m) - 1)
+    if masks is None:
         return None
     plan = plan_from_parts(
-        code, req, [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
+        code, req, [engine.part(mask, i - 1, model) for mask, i in zip(masks, req)]
     )
     if not certify_plan(code, req, plan, model):
         raise AssertionError(f"internal: found plan failed certification for {req}")
     return plan
+
+
+def _search(engine: SpanEngine, req: tuple, model: ResponseModel, left: int) -> Optional[list]:
+    """The part bitmasks, one per request of the sorted `req`, of the first
+    plan on the buckets in the bitmask `left`, uncertified; None if there is
+    none.  Each request but the last takes a minimal recovery set
+    (`SpanEngine.minimal_sets`) of the free buckets, by increasing size and
+    lexicographically within a size, and the last takes every leftover
+    bucket.  These are the plans of trying every recovering subset in that
+    order: recoverability is monotone and leftover buckets join the last
+    part, so a completion for a superset of a minimal set A is one for A,
+    and A comes first."""
+    i0 = req[0] - 1
+    # recoverability is monotone, so an infeasible union prunes the branch
+    if not engine.recovers(left, i0, model):
+        return None
+    if len(req) == 1:
+        return [left]
+    for size in range(1, left.bit_count() - len(req) + 2):
+        for mask in engine.minimal_sets(i0, model, size):
+            if mask & left == mask:
+                rest = _search(engine, req[1:], model, left ^ mask)
+                if rest is not None:
+                    return [mask, *rest]
+    return None
 
 
 def _sweep(code, k, model, kind, jobs) -> VerificationReport:
@@ -578,9 +609,11 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
                 f"bucket {ell0 + 1} is empty; final codes must store something "
                 "in every node"
             )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     requests = list((all_batch_requests if kind == "bac" else pir_requests)(code.n, k))
-    if jobs and jobs > 1:
+    if jobs > 1:
         failures = _parallel_failures(code, requests, model, jobs)
     else:
         failures = _failures(code, model, requests)
@@ -596,7 +629,29 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
 
 
 def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
-    return [(req, "no-partition") for req in requests if find_plan(code, req, model) is None]
+    """(request, "no-partition") for each sorted request the search cannot
+    serve.  A served request is certified without building its plan: its
+    part masks must partition [m] into k parts, and each part must pass
+    `SpanEngine.certified`.  That is exact: parts sit on disjoint buckets,
+    and request j's identity and unit responses depend only on part j's
+    responses and combo, so a plan certifies iff its parts partition [m]
+    and each part certifies on its own.  A claimed plan that does not
+    certify is an internal error."""
+    engine = engine_for(code)
+    everything = (1 << code.m) - 1
+    failures = []
+    for req in requests:
+        masks = _search(engine, req, model, everything)
+        if masks is None:
+            failures.append((req, "no-partition"))
+            continue
+        union, certified = 0, len(masks) == len(req)
+        for mask, i in zip(masks, req):
+            certified = certified and not union & mask and engine.certified(mask, i - 1, model)
+            union |= mask
+        if not certified or union != everything:
+            raise AssertionError(f"internal: found plan failed certification for {req}")
+    return failures
 
 
 def verify_bac(

@@ -120,7 +120,7 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
     k = len(req)
-    engine = SpanEngine(code.field, code.n, code.buckets)
+    engine = SpanEngine(code)
     parts: list = []
 
     def search(pos: int, remaining: tuple, left: int) -> bool:

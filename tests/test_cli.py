@@ -65,6 +65,17 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     assert run(["verify", str(out), "--k", "9", "--jobs", "1"]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    out = tmp_path / "c2.json"
+    run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", str(out)])
+    capsys.readouterr()
+    assert run(["verify", str(out), "--k", "4", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
 VALID_CODE = {"format": "bacforge-code-v1", "p": 2, "n": 1, "buckets": [[[1]]]}
 
 

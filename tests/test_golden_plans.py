@@ -9,7 +9,10 @@ does the same for a construction planner (cyclic, good-vector, greedy
 affine) on seeded requests, with each combo sorted by bucket inside the
 hash; those digests were recorded before the planners were moved onto
 `plan_from_parts`, when the good-vector planner still emitted its combos
-out of bucket order.
+out of bucket order.  Each `GOLDEN_SWEEP` case hashes the JSON report of
+one exhaustive `verify_bac` sweep (verdict, count and every witness in
+order); those digests were recorded while every sweep still assembled and
+certified each request's whole plan through `find_plan`.
 """
 
 import hashlib
@@ -34,6 +37,8 @@ from bacforge import (
     greedy_plan,
     max_batch_k,
     random_bac,
+    uniform_code,
+    verify_bac,
 )
 from bacforge.field import PrimeField
 from bacforge.verify import all_batch_requests
@@ -212,3 +217,33 @@ def test_every_planner_emits_certified_ascending_combos():
             buckets = [ell for ell, _ in combo]
             assert buckets == sorted(set(buckets)), (req, combo)
     assert served > 1000
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sweeps: verdicts and witness lists
+
+GOLDEN_SWEEP = {
+    "c2-k4-linear": "b352a456490def2caad1b9d3a823ff607228cce0df4cb880332d0ee263333235",
+    "c1-k4-projection": "b352a456490def2caad1b9d3a823ff607228cce0df4cb880332d0ee263333235",
+    "uniform-20-4-k4-projection": "3c56e54bd11e9cef08a90d7c8a5ca09be77d64752b73a523e5629a13a4762ec9",
+    "cyclic-12-6-8-f3-k6-linear": "e8ec75c33fedbf18481583304392b2c7e16194eab07084005a9dadddc513be67",
+    "affine-q7-k2-linear": "b2c702e38bd5deb1ac439f2653427fcdaf669f05cd6d0ef6f142ad3f8c19ad0d",
+}
+
+# name -> (code, k, model, number of failing requests)
+SWEEP_CASES = {
+    "c2-k4-linear": (lambda: cyclic_shift_code(4, 4, 5), 4, LIN, 0),
+    "c1-k4-projection": (_c1_code, 4, PROJ, 0),
+    "uniform-20-4-k4-projection": (lambda: uniform_code(20, 4), 4, PROJ, 50),
+    "cyclic-12-6-8-f3-k6-linear": (lambda: cyclic_shift_code(12, 6, 8, PrimeField(3)), 6, LIN, 0),
+    "affine-q7-k2-linear": (lambda: random_bac(7, 2, 1.0, 1.0, 11).code, 2, LIN, 315),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
+def test_golden_sweep_digest(name):
+    build, k, model, failures = SWEEP_CASES[name]
+    report = verify_bac(build(), k, model)
+    assert len(report.failures) == failures
+    text = json.dumps(report.to_json_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SWEEP[name]

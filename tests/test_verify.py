@@ -1,9 +1,10 @@
 import itertools
 import pickle
+import time
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bacforge import (
     CodeSpec,
@@ -25,7 +26,7 @@ from bacforge import (
     verify_bac,
     verify_pir,
 )
-from bacforge.field import PrimeField
+from bacforge.field import Echelon, PrimeField
 from bacforge.verify import SpanEngine, all_batch_requests, bucket_indices, normalize_request
 from conftest import col
 from oracles import naive_has_plan, naive_recovered, naive_recovers, reference_find_plan
@@ -203,6 +204,51 @@ def test_parallel_sweep_matches_serial_on_a_failing_code(c2_code):
     assert parallel.to_json_dict() == serial.to_json_dict()
 
 
+def test_verify_rejects_jobs_below_one(c2_code):
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_bac(c2_code, 4, LIN, jobs=jobs)
+
+
+def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
+    code = good_vector_code(t4_vector)  # a cold engine
+    start = time.perf_counter()
+    report = verify_bac(code, 7, LIN, jobs=1)
+    elapsed = time.perf_counter() - start
+    assert report.passed and report.checked == 245157
+    assert elapsed < 20.0, f"serial k=7 sweep took {elapsed:.1f} s"
+
+
+def _wrong_solve(monkeypatch):
+    """Make `Echelon.solve` drop the first nonzero coefficient it returns."""
+    solve = Echelon.solve
+
+    def wrong(self, vec):
+        coeffs = solve(self, vec)
+        if coeffs is None or not any(coeffs):
+            return coeffs
+        first = next(j for j, c in enumerate(coeffs) if c)
+        return coeffs[:first] + (0,) + coeffs[first + 1 :]
+
+    monkeypatch.setattr(Echelon, "solve", wrong)
+
+
+@pytest.mark.parametrize("model", [LIN, PROJ])
+def test_sweep_refuses_a_wrong_solve(monkeypatch, model):
+    code = cyclic_shift_code(4, 4, 5)  # a fresh code: nothing certified yet
+    _wrong_solve(monkeypatch)
+    with pytest.raises(AssertionError, match="internal"):
+        verify_bac(code, 4, model)
+
+
+@pytest.mark.parametrize("model", [LIN, PROJ])
+def test_sweep_refuses_a_last_part_that_does_not_recover(monkeypatch, c2_code, model):
+    truncated = CodeSpec(GF2, 4, c2_code.buckets[:4])  # fails on (1, 1, 1, 1)
+    monkeypatch.setattr(SpanEngine, "recovers", lambda self, mask, i0, model: True)
+    with pytest.raises(AssertionError, match="internal"):
+        verify_bac(truncated, 4, model)
+
+
 def test_check_subset_spanning(c2_code):
     assert check_subset_spanning(c2_code, 4)
     full = CodeSpec(GF2, 3, ((col(1, n=3), col(2, n=3), col(3, n=3)),))
@@ -344,13 +390,40 @@ def test_find_plan_matches_reference_search(code, data):
         assert (plan is not None) == naive_has_plan(code, request, projection)
 
 
+@st.composite
+def stored_code(draw):
+    """Codes with 2..5 buckets of 1..2 columns over F_2, F_3 or F_5, n <= 3:
+    no empty buckets, as the sweeps require."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5))
+    column = st.tuples(*[st.integers(0, p - 1)] * n)
+    buckets = draw(
+        st.lists(st.lists(column, min_size=1, max_size=2).map(tuple), min_size=m, max_size=m)
+    )
+    return CodeSpec(PrimeField(p), n, tuple(buckets))
+
+
+@given(stored_code(), st.integers(1, 3))
+@example(CodeSpec(GF2, 2, (((1, 0),), ((1, 0),), ((0, 1),))), 2)  # fails on (2, 2)
+@settings(max_examples=60, deadline=None)
+def test_sweep_verdicts_match_find_plan_and_the_oracle(code, k):
+    k = min(k, code.m)
+    for model, projection in ((LIN, False), (PROJ, True)):
+        failed = {req for req, _ in verify_bac(code, k, model).failures}
+        fresh = CodeSpec(code.field, code.n, code.buckets)
+        for req in all_batch_requests(code.n, k):
+            assert (req in failed) == (find_plan(fresh, req, model) is None), (req, model)
+            assert (req in failed) != naive_has_plan(code, req, projection), (req, model)
+
+
 @given(small_code(), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_minimal_sets_are_the_brute_force_antichain(code, descending):
     m = code.m
     subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), size)]
     for model, projection in ((LIN, False), (PROJ, True)):
-        engine = SpanEngine(code.field, code.n, code.buckets)
+        engine = SpanEngine(code)
         recovered = {s: naive_recovered(code, s, projection) for s in subsets}
         symbols = range(1, code.n + 1)
         # the levels are built lazily; the order of the queries must not matter
