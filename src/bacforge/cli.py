@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 from fractions import Fraction
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--mode", choices=["linear", "projection"], default="linear")
     v.add_argument("--pir-only", action="store_true")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    v.add_argument("--jobs", type=int, default=1)
 
     b = sub.add_parser("bounds", help="length bounds for one tuple or a table")
     b.add_argument("table", nargs="?", choices=["table"])
@@ -199,7 +198,8 @@ def _cmd_verify(args) -> int:
     print(json.dumps(report.to_json_dict()))
     _eprint(
         f"{report.kind} k={args.k} mode={model.value}: {report.status} "
-        f"({report.checked} requests, {report.elapsed_s:.2f}s)"
+        f"({report.checked} requests, {report.representatives} orbit representatives "
+        f"under shift {report.shift}, {report.elapsed_s:.2f}s)"
     )
     return 0 if report.passed else 1
 

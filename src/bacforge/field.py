@@ -99,11 +99,14 @@ class Echelon:
     (`independent` maps its index j to the insertion index); `solve` reads a
     target's coefficients from it.  Over GF(2) a row is one packed int: bits
     below `length` are the vector, bit length + j the coefficient of
-    independent vector j, and reduction is XOR.  Otherwise a row is a list of
-    residues and its combination a dict {j: coefficient}.
+    independent vector j, and reduction is XOR; `pivmask` has the pivot bits
+    and `by_pivot` maps each pivot bit to its row, so a reduction touches
+    only the rows whose pivot bit the vector has.  Otherwise a row is a list
+    of residues and its combination a dict {j: coefficient}.
     """
 
-    __slots__ = ("field", "length", "coords", "pivots", "rows", "combos", "independent", "inserted")
+    __slots__ = ("field", "length", "coords", "pivots", "rows", "combos", "independent", "inserted",
+                 "pivmask", "by_pivot")
 
     def __init__(self, field: PrimeField, length: int):
         self.field = field
@@ -114,6 +117,8 @@ class Echelon:
         self.combos: list = []  # per row {j: coefficient}; unused for p=2
         self.independent: list[int] = []  # insertion index of each independent vector
         self.inserted = 0  # vectors inserted so far
+        self.pivmask = 0  # p=2: the pivot bits
+        self.by_pivot: dict = {}  # p=2: pivot bit -> its row
 
     @property
     def rank(self) -> int:
@@ -127,12 +132,17 @@ class Echelon:
         out.combos = list(self.combos)
         out.independent = list(self.independent)
         out.inserted = self.inserted
+        out.pivmask = self.pivmask
+        out.by_pivot = self.by_pivot.copy()
         return out
 
     def _reduce2(self, mask: int) -> int:
-        for piv, row in zip(self.pivots, self.rows):
-            if (mask >> piv) & 1:
-                mask ^= row
+        # each row has one pivot bit, so XOR the rows of the pivot bits mask has
+        hits, by_pivot = mask & self.pivmask, self.by_pivot
+        while hits:
+            low = hits & -hits
+            mask ^= by_pivot[low]
+            hits ^= low
         return mask
 
     def _reduce_generic(self, vec: Sequence[int], combo: Optional[dict] = None) -> list:
@@ -219,11 +229,16 @@ class Echelon:
             vector = new_row & self.coords
             if vector == 0:
                 return False
-            piv = (vector & -vector).bit_length() - 1
-            # keep rows fully reduced above the new pivot
+            low = vector & -vector
+            piv = low.bit_length() - 1
+            # keep rows fully reduced above the new pivot; a row's lowest
+            # bit is its pivot
             for idx, row in enumerate(self.rows):
-                if (row >> piv) & 1:
-                    self.rows[idx] = row ^ new_row
+                if row & low:
+                    self.rows[idx] = row = row ^ new_row
+                    self.by_pivot[row & -row] = row
+            self.by_pivot[low] = new_row
+            self.pivmask |= low
             combo = None
         else:
             p = self.field.p

@@ -27,12 +27,15 @@ every plan it serves and `affine.trial_verify` every greedy plan it counts;
 the construction planners return uncertified plans.  The sweeps of
 `verify_bac` and `verify_pir` hand out no plans: they run the same search and
 certify parts, each once (`SpanEngine.certified`), which is exact for the
-plans `find_plan` would return (see `_failures`).
+plans `find_plan` would return (see `_failures`).  Orbits enter there: a
+sweep searches only the least request of each orbit under the code's symbol
+shift (`symbol_shift`), and a failing one stands for its orbit (`_sweep`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -106,6 +109,8 @@ class VerificationReport:
     checked: int
     failures: tuple  # of (request, reason)
     elapsed_s: float
+    shift: int  # the symbol shift d of the code (n: none)
+    representatives: int  # the orbit representatives decided
 
     @property
     def status(self) -> str:
@@ -595,9 +600,66 @@ def _search(engine: SpanEngine, req: tuple, model: ResponseModel, left: int) -> 
     return None
 
 
+def symbol_shift(code: CodeSpec) -> int:
+    """The smallest d < n dividing n such that rotating every column's
+    coordinates by d (coordinate i to i + d mod n) maps the code's multiset
+    of buckets, each a multiset of columns, onto itself; n, the identity, if
+    there is none.  The shifts that map the code onto itself form a subgroup
+    of Z_n, generated by its smallest member, which divides n."""
+    n, full = code.n, (1 << code.n) - 1
+    if code.field.p == 2:
+        columns, rotate = column_table(code), lambda col, d: (col << d | col >> (n - d)) & full
+    else:
+        columns, rotate = code.buckets, lambda col, d: col[n - d :] + col[: n - d]
+
+    def shape(d):
+        return sorted(sorted(rotate(col, d) for col in bucket) for bucket in columns)
+
+    own = shape(0)
+    return next((d for d in range(1, n) if n % d == 0 and shape(d) == own), n)
+
+
+def orbit_representatives(n: int, k: int, d: int):
+    """The least member of each orbit of the k-multisets over [1, n] under
+    the symbol shift i -> i + d (mod n), d dividing n, in lexicographic
+    order.  A least member's smallest symbol a is at most d, and none of its
+    symbols is congruent mod d to a symbol below a, or a shift would carry it
+    there; only those candidates are generated.  A candidate is least when
+    no shift carrying one of its symbols x congruent to a onto a makes it
+    smaller: that shift maps its symbols from x on to the front."""
+    for a in range(1, d + 1):
+        symbols = [x for x in range(a, n + 1) if (x - 1) % d >= a - 1]
+        for rest in itertools.combinations_with_replacement(symbols, k - 1):
+            req = (a, *rest)
+            for j in range(1, k):
+                x = req[j]
+                if x != req[j - 1] and (x - a) % d == 0:
+                    s = x - a
+                    if tuple(y - s for y in req[j:]) + tuple(y - s + n for y in req[:j]) < req:
+                        break
+            else:
+                yield req
+
+
+def orbit(req: tuple, n: int, d: int) -> set:
+    """Every distinct image of a sorted request under the shifts by d."""
+    return {tuple(sorted((i + s - 1) % n + 1 for i in req)) for s in range(0, n, d)}
+
+
 def _sweep(code, k, model, kind, jobs) -> VerificationReport:
-    """Search a plan for every request of the sweep, in `jobs` worker
-    processes if more than one."""
+    """Decide every request of the sweep, one request per orbit of the code's
+    symbol shift (`symbol_shift`), in `jobs` worker processes if more than
+    one.
+
+    A coordinate permutation sigma that maps the code onto itself, with
+    bucket permutation pi (bucket ell's columns rotated are bucket pi(ell)'s),
+    maps a certified plan for R onto one for sigma(R): part j moves to the
+    buckets pi(part j), each bucket's response and combo coefficient move
+    with it, and the identity of request i, rotated, is that of sigma(i);
+    unit responses stay unit.  sigma^-1 maps plans back, so R is served iff
+    sigma(R) is.  Only the least member of each orbit
+    (`orbit_representatives`; the PIR requests (i,)*k for i <= d) is
+    searched, and each failing one stands for its whole orbit."""
     model = ResponseModel.parse(model)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -612,19 +674,29 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
-    requests = list((all_batch_requests if kind == "bac" else pir_requests)(code.n, k))
-    if jobs > 1:
-        failures = _parallel_failures(code, requests, model, jobs)
+    n, shift = code.n, symbol_shift(code)
+    if kind == "bac":
+        checked, reps = math.comb(n + k - 1, k), orbit_representatives(n, k, shift)
     else:
-        failures = _failures(code, model, requests)
+        checked, reps = n, pir_requests(shift, k)
+    # zip stops at the end of reps before it advances the tally
+    tally = itertools.count()
+    reps = (rep for rep, _ in zip(reps, tally))
+    if jobs > 1:
+        failures = _parallel_failures(code, list(reps), model, jobs)
+    else:
+        failures = _failures(code, model, reps)
+    failures = [(req, reason) for rep, reason in failures for req in orbit(rep, n, shift)]
     failures.sort()
     return VerificationReport(
         kind=kind,
         k=k,
         model=model,
-        checked=len(requests),
+        checked=checked,
         failures=tuple(failures),
         elapsed_s=time.monotonic() - start,
+        shift=shift,
+        representatives=next(tally),
     )
 
 
@@ -687,7 +759,7 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parallel sweep plumbing: the multiset enumeration is sharded across worker
+# parallel sweep plumbing: the orbit representatives are sharded across worker
 # processes; each worker holds the immutable code and its own memo
 
 
