@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, is_prime, unit_vector
 from .model import CodeSpec
-from .verify import RecoveryPlan, certify_plan, normalize_request, plan_from_parts
+from .verify import RecoveryPlan, certify_plan, make_part, normalize_request, plan_from_parts
 
 RNG_ID = "numpy-pcg64-seedseq-v1"
 
@@ -239,21 +239,6 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
     )
 
 
-def _summed_part(sizes: tuple, slots) -> tuple:
-    """The plan part in which each bucket holding one of the 1-based (bucket,
-    position) `slots` answers the sum of those positions and the user adds
-    up the answers (every coefficient is 1 over GF(2))."""
-    vectors: dict = {}
-    for bucket, pos in slots:
-        vectors.setdefault(bucket, [0] * sizes[bucket - 1])[pos] = 1
-    buckets = sorted(vectors)
-    return (
-        frozenset(buckets),
-        tuple((bucket - 1, tuple(vectors[bucket])) for bucket in buckets),
-        tuple((bucket, 1) for bucket in buckets),
-    )
-
-
 def greedy_plan(
     apc: AffinePlaneCode,
     request: Sequence[int],
@@ -272,10 +257,12 @@ def greedy_plan(
     plane, sizes = apc.plane, code.bucket_sizes
     used: set = set()
     parts: list = []
+    # each bucket answers the sum of its slots, and the user adds the answers up
     for i in req:
         part = None
-        if not strict_appendix and apc.info_bucket_of(i) not in used:
-            part = _summed_part(sizes, [apc.info_position(i)])
+        own = apc.info_position(i)
+        if not strict_appendix and own[0] not in used:
+            part = make_part(sizes, {own[0]: 1}, [(own, 1)])
         else:
             others = set(req) - {i}
             for line_idx in plane.through[i - 1]:
@@ -284,7 +271,7 @@ def greedy_plan(
                     continue
                 slots = [slot] + [apc.info_position(pt) for pt in pts if pt != i]
                 if all(bucket not in used for bucket, _ in slots):
-                    part = _summed_part(sizes, slots)
+                    part = make_part(sizes, {b: 1 for b, _ in slots}, [(s, 1) for s in slots])
                     break
         if part is None:
             return None

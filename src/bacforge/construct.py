@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, PrimeField, unit_vector
 from .model import CodeSpec, codes_equal
-from .verify import RecoveryPlan, normalize_request, plan_from_parts
+from .verify import RecoveryPlan, make_part, normalize_request, plan_from_parts
 
 
 def _wrap(x: int, n: int) -> int:
@@ -184,30 +184,20 @@ def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:
             raise ValueError("code does not match the cyclic construction for these parameters")
         n, k, m, block = params.n, params.k, params.m, params.block
         copies = k // (m - k)
-        minus_one = code.field.p - 1
+        minus_one, sizes = code.field.p - 1, code.bucket_sizes
         alone, paired = [], []
         for ell in range(1, k + 1):
             stored = [i for i in range(1, n + 1) if i not in params.omitted(ell)]
             position_of = {i: s for s, i in enumerate(stored)}
-
-            def answer(symbols) -> tuple:
-                """Bucket ell answers the sum of its stored `symbols`."""
-                vector = [0] * len(stored)
-                for i in symbols:
-                    vector[position_of[i]] = 1
-                return ell - 1, tuple(vector)
-
-            alone.append({i: (frozenset({ell}), (answer((i,)),), ((ell, 1),)) for i in stored})
+            alone.append({i: make_part(sizes, {ell: 1}, [((ell, s), 1)]) for s, i in enumerate(stored)})
             pairs = {}
             for i in params.omitted(ell):
                 b = (i - 1) % block + 1
-                mates = answer([t * block + b for t in range(copies) if t * block + b != i])
+                # bucket ell answers the sum of the symbol's stored block-mates
+                mates = [t * block + b for t in range(copies) if t * block + b != i]
+                mates = [((ell, position_of[mate]), 1) for mate in mates]
                 pairs[i] = tuple(
-                    (
-                        frozenset({ell, ell_sum}),
-                        (mates, (ell_sum - 1, unit_vector(b - 1, block))),
-                        ((ell, minus_one), (ell_sum, 1)),
-                    )
+                    make_part(sizes, {ell: minus_one, ell_sum: 1}, mates + [((ell_sum, b - 1), 1)])
                     for ell_sum in range(k + 1, m + 1)
                 )
             paired.append(pairs)
@@ -464,14 +454,11 @@ def _goodvec_tables(v: GoodVector, code: CodeSpec) -> tuple:
         if not codes_equal(good_vector_code(v, code.field), code):
             raise ValueError("code does not match the good-vector construction for this vector")
         p, sizes = code.field.p, code.bucket_sizes
-
-        def part(bucket_set: frozenset, spec: tuple) -> tuple:
-            answers = sorted((ell - 1, unit_vector(s, sizes[ell - 1])) for ell, s, _ in spec)
-            combo = sorted((ell, sign % p) for ell, _, sign in spec)
-            return bucket_set, tuple(answers), tuple(combo)
-
         families = tuple(
-            tuple(part(*cand) for cand in canonical_recovery_sets(v, code.n, i))
+            tuple(
+                make_part(sizes, {b: sign % p for b, _, sign in spec}, [((b, s), 1) for b, s, _ in spec])
+                for _, spec in canonical_recovery_sets(v, code.n, i)
+            )
             for i in range(1, code.n + 1)
         )
         hit = tables[v] = (families, max_batch_k(v.t).exact)

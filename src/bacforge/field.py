@@ -8,7 +8,9 @@ row, bit i = coordinate i, with the row's combination of inserted vectors in
 the bits above), which is what makes the exhaustive verifiers fast enough in
 pure Python.  Correctness is defined by the generic path; the packed path is
 an equivalent specialization.  `Echelon` is the one elimination core:
-membership, rank and linear solves all go through it.
+membership, rank and linear solves all go through it.  It keeps its rows in
+one store for every field, a dict from pivot bit to row; the rows are fully
+reduced (each is zero at every other pivot), so they apply in any order.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -93,55 +95,51 @@ class Echelon:
     """Incremental reduced row-echelon basis of the vectors inserted so far,
     over F_p, that also records how each row combines those vectors.
 
-    Rows are fully reduced, with pivots at strictly increasing coordinates,
-    so a membership test is one reduction pass.  The combination is kept over
-    the inserted vectors that enlarged the span when they were inserted
-    (`independent` maps its index j to the insertion index); `solve` reads a
-    target's coefficients from it.  Over GF(2) a row is one packed int: bits
-    below `length` are the vector, bit length + j the coefficient of
-    independent vector j, and reduction is XOR; `pivmask` has the pivot bits
-    and `by_pivot` maps each pivot bit to its row, so a reduction touches
-    only the rows whose pivot bit the vector has.  Otherwise a row is a list
-    of residues and its combination a dict {j: coefficient}.
+    The rows live in one dict, `rows`, keyed by pivot bit: row `1 << c` has
+    its pivot at coordinate c, entry 1 there, zeros below it and zeros at
+    every other pivot (the rows are fully reduced); `pivmask` is the OR of
+    the keys.  So reducing a vector subtracts, for each pivot, the target's
+    own entry there times that pivot's row, in any order, and a membership
+    test is one reduction pass.  The combination is kept over the inserted
+    vectors that enlarged the span when they were inserted (`independent`
+    maps its index j to the insertion index); `solve` reads a target's
+    coefficients from it.  Over GF(2) a row is one packed int: bits below
+    `length` are the vector, bit length + j the coefficient of independent
+    vector j, and reduction is XOR of the rows whose pivot bit the vector
+    has.  Otherwise a row is a (pivot, residues, combination) triple, the
+    combination a dict {j: coefficient}.
     """
 
-    __slots__ = ("field", "length", "coords", "pivots", "rows", "combos", "independent", "inserted",
-                 "pivmask", "by_pivot")
+    __slots__ = ("field", "length", "coords", "rows", "pivmask", "independent", "inserted")
 
     def __init__(self, field: PrimeField, length: int):
         self.field = field
         self.length = length
         self.coords = (1 << length) - 1  # p=2: the vector bits of a packed row
-        self.pivots: list[int] = []  # pivot coordinate of each row, ascending
-        self.rows: list = []  # packed ints for p=2, lists otherwise
-        self.combos: list = []  # per row {j: coefficient}; unused for p=2
+        self.rows: dict = {}  # pivot bit -> packed int for p=2, triple otherwise
+        self.pivmask = 0  # the pivot bits
         self.independent: list[int] = []  # insertion index of each independent vector
         self.inserted = 0  # vectors inserted so far
-        self.pivmask = 0  # p=2: the pivot bits
-        self.by_pivot: dict = {}  # p=2: pivot bit -> its row
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     def copy(self) -> "Echelon":
         """An independent copy (rows are replaced on update, never mutated)."""
         out = Echelon(self.field, self.length)
-        out.pivots = list(self.pivots)
-        out.rows = list(self.rows)
-        out.combos = list(self.combos)
+        out.rows = self.rows.copy()
+        out.pivmask = self.pivmask
         out.independent = list(self.independent)
         out.inserted = self.inserted
-        out.pivmask = self.pivmask
-        out.by_pivot = self.by_pivot.copy()
         return out
 
     def _reduce2(self, mask: int) -> int:
         # each row has one pivot bit, so XOR the rows of the pivot bits mask has
-        hits, by_pivot = mask & self.pivmask, self.by_pivot
+        hits, rows = mask & self.pivmask, self.rows
         while hits:
             low = hits & -hits
-            mask ^= by_pivot[low]
+            mask ^= rows[low]
             hits ^= low
         return mask
 
@@ -150,11 +148,10 @@ class Echelon:
         combination of independent vectors that was subtracted."""
         p = self.field.p
         work = [v % p for v in vec]
-        for piv, row, row_combo in zip(self.pivots, self.rows, self.combos):
+        for piv, row, row_combo in self.rows.values():
             c = work[piv]
             if c:
-                for j in range(piv, self.length):
-                    work[j] = (work[j] - c * row[j]) % p
+                work = [(w - c * r) % p for w, r in zip(work, row)]
                 if combo is not None:
                     for j, v in row_combo.items():
                         combo[j] = (combo.get(j, 0) + c * v) % p
@@ -175,13 +172,13 @@ class Echelon:
         out = 0
         if self.field.p == 2:
             coords = self.coords
-            for piv, row in zip(self.pivots, self.rows):
-                if row & coords == 1 << piv:
-                    out |= 1 << piv
+            for low, row in self.rows.items():
+                if row & coords == low:
+                    out |= low
             return out
-        for piv, row in zip(self.pivots, self.rows):
+        for low, (piv, row, _) in self.rows.items():
             if not any(row[piv + 1 :]):
-                out |= 1 << piv
+                out |= low
         return out
 
     def solve(self, vec: Sequence[int]) -> Optional[tuple]:
@@ -221,7 +218,8 @@ class Echelon:
             packed = vector_to_mask(vec)
         index = self.inserted
         self.inserted += 1
-        if len(self.pivots) == self.length:  # full rank: nothing enlarges the span
+        rows = self.rows
+        if len(rows) == self.length:  # full rank: nothing enlarges the span
             return False
         j_new = len(self.independent)
         if self.field.p == 2:
@@ -230,16 +228,10 @@ class Echelon:
             if vector == 0:
                 return False
             low = vector & -vector
-            piv = low.bit_length() - 1
-            # keep rows fully reduced above the new pivot; a row's lowest
-            # bit is its pivot
-            for idx, row in enumerate(self.rows):
+            # keep the other rows zero at the new pivot
+            for key, row in rows.items():
                 if row & low:
-                    self.rows[idx] = row = row ^ new_row
-                    self.by_pivot[row & -row] = row
-            self.by_pivot[low] = new_row
-            self.pivmask |= low
-            combo = None
+                    rows[key] = row ^ new_row
         else:
             p = self.field.p
             subtracted: dict = {}
@@ -247,26 +239,23 @@ class Echelon:
             piv = next((j for j, v in enumerate(work) if v), None)
             if piv is None:
                 return False
+            low = 1 << piv
             c_inv = self.field.inv(work[piv])
-            new_row = [(v * c_inv) % p for v in work]
+            residues = [(v * c_inv) % p for v in work]
             # vec - sum(subtracted rows) = work, scaled to a unit pivot
             combo = {j: (-v * c_inv) % p for j, v in subtracted.items() if v}
             combo[j_new] = c_inv
-            for idx, row in enumerate(self.rows):
+            new_row = (piv, residues, combo)
+            for key, (row_piv, row, row_combo) in rows.items():
                 c = row[piv]
                 if c:
-                    self.rows[idx] = [(rv - c * wv) % p for rv, wv in zip(row, new_row)]
-                    row_combo = dict(self.combos[idx])
+                    row_combo = dict(row_combo)
                     for j, v in combo.items():
                         row_combo[j] = (row_combo.get(j, 0) - c * v) % p
-                    self.combos[idx] = row_combo
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < piv:
-            pos += 1
-        self.pivots.insert(pos, piv)
-        self.rows.insert(pos, new_row)
-        if combo is not None:
-            self.combos.insert(pos, combo)
+                    row = [(rv - c * wv) % p for rv, wv in zip(row, residues)]
+                    rows[key] = (row_piv, row, row_combo)
+        rows[low] = new_row
+        self.pivmask |= low
         self.independent.append(index)
         return True
 

@@ -17,9 +17,9 @@ minimal recovery sets of each requested symbol (`_search`).  The code's
 certifies each (subset, symbol, regime) part once; it lives in the code's own
 `cache` and is freed with the code.
 
-Every planner, this search and the construction planners alike, describes a
-plan as one part per request (bucket set, nonzero answers, combo) and hands
-the parts to `plan_from_parts`, the one place that assembles a
+Every planner, this search and the construction planners alike, builds a
+plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
+combo) and hands them to `plan_from_parts`, the one place that assembles a
 `RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
 the field, independently of how it was found.  Plans are certified where
 they are handed out: `find_plan` certifies each whole plan, `sim.serve_batch`
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -64,8 +65,10 @@ class ResponseModel(Enum):
 
 
 def normalize_request(indices: Iterable[int], n: int) -> tuple:
-    """Sort a request multiset and range-check it against [1, n]."""
-    req = tuple(sorted(int(i) for i in indices))
+    """Sort a request multiset and range-check it against [1, n].  Indices
+    must be integers, as in Python indexing (`operator.index`): a float or a
+    string raises TypeError rather than being truncated or parsed."""
+    req = tuple(sorted(map(operator.index, indices)))
     if not req:
         raise ValueError("empty batch request")
     for i in req:
@@ -143,18 +146,19 @@ class SpanEngine:
     buckets' columns inserted in ascending bucket order, packed once over
     GF(2)), grown from the cached basis of its longest cached prefix (its
     lowest buckets).  Every (subset, symbol, regime) part of a plan is solved
-    once: `part` caches it, with its tuples interned, so plan assembly is
-    lookups, and `certified` checks it once.  `minimal_sets` lists, size by
-    size, the minimal recovery sets the search draws its parts from.  The
-    engine holds the code's field, n, buckets and column table but not the
-    code, and lives in the code's own cache (see `engine_for`), so it is
-    freed together with the code.  It grows its minimal-set levels in place,
+    once: `part` caches it, so plan assembly is lookups, and `certified`
+    checks it once.  `minimal_sets` lists, size by size, the minimal
+    recovery sets the search draws its parts from.  The engine holds the
+    code's field, n, buckets and column table but not the code, and lives in
+    the code's own cache (see `engine_for`), so it is freed together with
+    the code.  It grows its minimal-set levels in place,
     so it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec):
         self.field = field = code.field
         self.n = code.n
+        self.sizes = code.bucket_sizes
         # `certified` reads the column table, `Echelon.add` the same ints over GF(2)
         self.table = column_table(code)
         self.columns = self.table if field.p == 2 else code.buckets
@@ -162,7 +166,6 @@ class SpanEngine:
         self._linear: dict = {}  # mask * n + i0 -> bool
         self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
         self._certified: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> bool
-        self._interned: dict = {}
         # minimal recovery sets: per regime, level s holds per symbol the
         # minimal masks of s buckets; `_open` has the symbols that may still
         # have minimal sets above the last level built
@@ -354,9 +357,9 @@ class SpanEngine:
         coeffs = self._basis(mask).solve(unit_vector(i0, self.n))
         if coeffs is None:
             return None
-        order = bucket_indices(mask)
-        owners = [(ell0, s) for ell0 in order for s in range(len(self.columns[ell0]))]
-        return self._intern_part(order, zip(owners, coeffs), {})
+        buckets = [ell0 + 1 for ell0 in bucket_indices(mask)]
+        owners = [(ell, s) for ell in buckets for s in range(self.sizes[ell - 1])]
+        return make_part(self.sizes, dict.fromkeys(buckets, 1), zip(owners, coeffs))
 
     def _solve_projection(self, mask: int, i0: int) -> Optional[tuple]:
         """At most one stored column per bucket, returned verbatim: a
@@ -397,27 +400,9 @@ class SpanEngine:
         if found is None:
             return None
         choice, coeffs = found
-        used = [(pick, c) for pick, c in zip(choice, coeffs) if c]
-        combo_coeffs = {ell0: c for (ell0, _), c in used}
-        return self._intern_part(order, [(pick, 1) for pick, _ in used], combo_coeffs)
-
-    def _intern_part(self, order: list, picks, coefficients: dict) -> tuple:
-        """A part from its (bucket0, column) -> response value picks and the
-        combo coefficient of each bucket (1 where absent).  Parts of one code
-        share most of their pieces, so every tuple is interned."""
-        table = self._interned
-
-        def intern(obj):
-            return table.setdefault(obj, obj)
-
-        vectors: dict = {}
-        for (ell0, s), value in picks:
-            if value:
-                vectors.setdefault(ell0, [0] * len(self.columns[ell0]))[s] = value
-        responses = tuple(intern((ell0, intern(tuple(v)))) for ell0, v in vectors.items())
-        combo = tuple(intern((ell0 + 1, coefficients.get(ell0, 1))) for ell0 in order)
-        bucket_set = intern(frozenset(ell0 + 1 for ell0 in order))
-        return intern((bucket_set, intern(responses), intern(combo)))
+        used = [((ell0 + 1, s), c) for (ell0, s), c in zip(choice, coeffs) if c]
+        combo = dict.fromkeys((ell0 + 1 for ell0 in order), 1) | {ell: c for (ell, _), c in used}
+        return make_part(self.sizes, combo, [(pick, 1) for pick, _ in used])
 
 
 def engine_for(code: CodeSpec) -> SpanEngine:
@@ -442,12 +427,37 @@ def _plan_tables(code: CodeSpec) -> tuple:
     return tables
 
 
+def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
+    """The plan part in which the buckets of `combo`, {bucket: coefficient}
+    (1-based), serve one request: bucket ell answers the response vector
+    whose entries the `picks`, ((bucket, position), value) pairs at distinct
+    positions, set (zero elsewhere; `sizes` gives each bucket's length), and
+    the user weighs each answer by the bucket's coefficient.  The part is the
+    triple
+        (1-based bucket set,
+         ((bucket0, response), ...) for the nonzero answers only,
+         ((bucket, coefficient), ...)),
+    both tuples in ascending bucket order; every planner builds its parts
+    here and `plan_from_parts` assembles them."""
+    vectors: dict = {}
+    for (ell, s), value in picks:
+        if value:
+            vector = vectors.get(ell)
+            if vector is None:
+                vector = vectors[ell] = [0] * sizes[ell - 1]
+            vector[s] = value
+    order = sorted(combo)
+    return (
+        frozenset(order),
+        tuple([(ell - 1, tuple(vectors[ell])) for ell in order if ell in vectors]),
+        tuple([(ell, combo[ell]) for ell in order]),
+    )
+
+
 def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
-    """The plan that serves request j with part j, a (1-based bucket set,
-    ((bucket0, response), ...) for its nonzero answers, combo in ascending
-    bucket order) triple as `SpanEngine.part` makes it.  Every other bucket
-    answers zero, and the buckets in no part join the last part with
-    coefficient 1."""
+    """The plan that serves request j with part j, as `make_part` builds
+    it.  Every other bucket answers zero, and the buckets in no part join the
+    last part with coefficient 1."""
     _, bucket_ids, _, zeros = _plan_tables(code)
     responses = list(zeros)
     sets, combos = [], []
@@ -606,14 +616,10 @@ def symbol_shift(code: CodeSpec) -> int:
     of buckets, each a multiset of columns, onto itself; n, the identity, if
     there is none.  The shifts that map the code onto itself form a subgroup
     of Z_n, generated by its smallest member, which divides n."""
-    n, full = code.n, (1 << code.n) - 1
-    if code.field.p == 2:
-        columns, rotate = column_table(code), lambda col, d: (col << d | col >> (n - d)) & full
-    else:
-        columns, rotate = code.buckets, lambda col, d: col[n - d :] + col[: n - d]
+    n = code.n
 
     def shape(d):
-        return sorted(sorted(rotate(col, d) for col in bucket) for bucket in columns)
+        return sorted(sorted(col[-d:] + col[:-d] for col in bucket) for bucket in code.buckets)
 
     own = shape(0)
     return next((d for d in range(1, n) if n % d == 0 and shape(d) == own), n)
@@ -751,6 +757,8 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     """True iff every (m-k+1)-subset of buckets jointly spans every unit
     vector, i.e. has full joint rank n.  Any verified k-PIR code has this
     property."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
     everything = (1 << code.n) - 1

@@ -182,9 +182,9 @@ def test_packed_add_matches_vector_add(n, data):
     by_vector, packed = Echelon(GF2, n), Echelon(GF2, n)
     for vec in vectors:
         assert by_vector.add(vec) == packed.add(vector_to_mask(vec))
-    assert (by_vector.pivots, by_vector.rows, by_vector.independent, by_vector.inserted) == (
-        packed.pivots,
+    assert (by_vector.rows, by_vector.pivmask, by_vector.independent, by_vector.inserted) == (
         packed.rows,
+        packed.pivmask,
         packed.independent,
         packed.inserted,
     )
@@ -192,3 +192,26 @@ def test_packed_add_matches_vector_add(n, data):
         packed.add(1 << n)  # longer than the vectors
     with pytest.raises(ValueError):
         Echelon(PrimeField(3), n).add(1)  # packed ints are GF(2) only
+
+
+@given(small_field, st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_rows_are_keyed_by_pivot_and_fully_reduced(p, n, data):
+    """The invariant that lets a reduction apply the rows in any order."""
+    ech = Echelon(PrimeField(p), n)
+    vectors = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=8))
+    for vec in vectors:
+        ech.add(vec)
+        pivmask = 0
+        for key, row in ech.rows.items():
+            pivmask |= key
+            if p == 2:
+                entries = [(row >> j) & 1 for j in range(n)]
+            else:
+                piv, entries, _ = row
+                assert key == 1 << piv
+            piv = key.bit_length() - 1
+            assert key == 1 << piv and entries[piv] == 1
+            assert not any(entries[:piv])
+            assert not any(entries[j] for j in range(n) if j != piv and (ech.pivmask >> j) & 1)
+        assert ech.pivmask == pivmask

@@ -41,7 +41,8 @@ from bacforge import (
     verify_bac,
 )
 from bacforge.field import PrimeField
-from bacforge.verify import all_batch_requests
+from bacforge.verify import all_batch_requests, plan_from_parts
+from bacforge import affine as affine_module, construct as construct_module, verify as verify_module
 from conftest import col
 
 LIN = ResponseModel.LINEAR
@@ -206,17 +207,38 @@ def _all_plans():
             yield code, req, plan, LIN
 
 
-def test_every_planner_emits_certified_ascending_combos():
-    served = 0
+def test_every_planner_emits_certified_ascending_combos(monkeypatch):
+    """Each plan certifies, and each part it was assembled from is in
+    `make_part`'s form: responses for nonzero answers only, in ascending
+    bucket order, and a combo over exactly the bucket set, ascending."""
+    handed_over = []
+
+    def spy(code, req, parts):
+        handed_over.append(parts)
+        return plan_from_parts(code, req, parts)
+
+    for module in (verify_module, construct_module, affine_module):
+        monkeypatch.setattr(module, "plan_from_parts", spy)
+    served, regimes = 0, set()
     for code, req, plan, model in _all_plans():
         if plan is None:
             continue
         served += 1
+        regimes.add(model)
         assert certify_plan(code, req, plan, model)
         for combo in plan.combos:
             buckets = [ell for ell, _ in combo]
             assert buckets == sorted(set(buckets)), (req, combo)
+        parts = handed_over.pop()
+        assert not handed_over and len(parts) == len(req)
+        for bucket_set, answers, combo in parts:
+            assert isinstance(bucket_set, frozenset) and bucket_set <= set(range(1, code.m + 1))
+            answered = [ell0 + 1 for ell0, _ in answers]
+            assert answered == sorted(set(answered)) and set(answered) <= bucket_set, (req, parts)
+            assert all(any(v % code.field.p for v in vector) for _, vector in answers), (req, parts)
+            assert [ell for ell, _ in combo] == sorted(bucket_set), (req, parts)
     assert served > 1000
+    assert regimes == {LIN, PROJ}  # the engine's parts in both regimes
 
 
 # ---------------------------------------------------------------------------

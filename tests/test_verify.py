@@ -3,6 +3,7 @@ import pickle
 import time
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -255,6 +256,9 @@ def test_check_subset_spanning(c2_code):
     assert check_subset_spanning(full, 1)
     split = CodeSpec(GF2, 2, ((col(1, n=2),), (col(2, n=2),)))
     assert not check_subset_spanning(split, 2)
+    for k in (0, -3):  # no subset has more than m buckets
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            check_subset_spanning(c2_code, k)
     # oracle for the pair checks on the 13-symbol code
     for pair in itertools.combinations(range(1, 6), 2):
         for i in range(1, 5):
@@ -267,10 +271,20 @@ def test_pir_pass_implies_subset_spanning(c2_code, gv1_code, t4_code):
         assert check_subset_spanning(code, k)
 
 
-def test_normalize_request():
+def test_normalize_request(c2_code):
     assert normalize_request((3, 1, 2, 1), 4) == (1, 1, 2, 3)
+    assert normalize_request((np.int64(3), np.uint8(1)), 4) == (1, 3)
     with pytest.raises(ValueError):
         normalize_request((5,), 4)
+    # indices are integers, as in Python indexing: nothing is truncated or parsed
+    plan = find_plan(c2_code, (1, 2, 3, 4))
+    for request in ((1.9, 2.2, "3", 4), (1.7, 2, 3, 4), (1, 2, 3, "4")):
+        with pytest.raises(TypeError):
+            find_plan(c2_code, request)
+        with pytest.raises(TypeError):
+            certify_plan(c2_code, request, plan)
+        with pytest.raises(TypeError):
+            serve_batch(c2_code, (0,) * c2_code.n, request, plan=plan)
 
 
 def test_all_batch_requests_count():
