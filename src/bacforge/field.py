@@ -296,9 +296,3 @@ def unit_vector(i: int, length: int) -> tuple:
     if not 0 <= i < length:
         raise ValueError(f"unit index {i} out of range for length {length}")
     return tuple(1 if j == i else 0 for j in range(length))
-
-
-def dot(a: Sequence[int], b: Sequence[int], field: PrimeField) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"dot of lengths {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(a, b)) % field.p

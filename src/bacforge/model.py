@@ -11,17 +11,18 @@ changing recoverability.
 Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable and safe to share between workers.  A
 CodeSpec's `cache` holds state derived from it alone, built on first use and
-freed with the code: the column table that `encode` and `certify_plan` read
-(`column_table`), the all-zero responses that `verify.plan_from_parts`
-starts each plan from, the span engine of `verify`, the per-parameter tables of
-the cyclic and good-vector planners (each made after checking the code
-against its construction) and the planner context `sim` resolves from each
-provenance.  Nothing in it refers back to the code.
+freed with the code: the column table that `encode`, `sim.serve_batch` and
+`certify_plan` read (`column_table`), the all-zero responses that
+`verify.plan_from_parts` starts each plan from, the span engine of `verify`,
+the per-parameter tables of the cyclic and good-vector planners (each made
+after checking the code against its construction) and the planner context
+`sim` resolves from each provenance.  Nothing in it refers back to the code.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
@@ -86,10 +87,10 @@ def total_length(code: CodeSpec) -> int:
 
 
 def column_table(code: CodeSpec) -> tuple:
-    """Per bucket, its columns as `encode` and `certify_plan` read them:
-    packed ints over GF(2) (bit d = coordinate d), otherwise sparse
-    ((coordinate, value), ...) tuples of the nonzero entries.  Built once and
-    kept in `code.cache`."""
+    """Per bucket, its columns as `encode`, `sim.serve_batch` and
+    `certify_plan` read them: packed ints over GF(2) (bit d = coordinate d),
+    otherwise sparse ((coordinate, value), ...) tuples of the nonzero
+    entries.  Built once and kept in `code.cache`."""
     table = code.cache.get("columns")
     if table is None:
         if code.field.p == 2:
@@ -103,19 +104,26 @@ def column_table(code: CodeSpec) -> tuple:
     return table
 
 
+def data_vector(code: CodeSpec, x: Sequence[int]) -> tuple:
+    """A data vector reduced mod p.  Its entries must be integers, as in
+    Python indexing (`operator.index`): a float or a string raises TypeError."""
+    if len(x) != code.n:
+        raise ValueError(f"data length {len(x)} != n = {code.n}")
+    p = code.field.p
+    return tuple([operator.index(v) % p for v in x])
+
+
 def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
     """Encode a data vector: bucket entry s is <x, column s>, read off the
     code's column table (a parity of the AND over GF(2), a sparse sum
     otherwise)."""
-    if len(x) != code.n:
-        raise ValueError(f"data length {len(x)} != n = {code.n}")
+    xv = data_vector(code, x)
     p = code.field.p
     table = column_table(code)
     if p == 2:
-        xmask = vector_to_mask(x)
+        xmask = vector_to_mask(xv)
         values = [tuple([(xmask & col).bit_count() & 1 for col in bucket]) for bucket in table]
     else:
-        xv = code.field.normalize_vector(x)
         values = [
             tuple([sum([xv[d] * v for d, v in col]) % p for col in bucket]) for bucket in table
         ]

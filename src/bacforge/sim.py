@@ -1,11 +1,16 @@
-"""End-to-end storage semantics: encode a data vector across simulated nodes,
-serve a batch request under a recovery plan, and account for per-node load.
+"""End-to-end storage semantics: serve a batch request, under a recovery
+plan, against data encoded across simulated nodes, and account for per-node
+load.
 
-Each node computes exactly one field element per served batch -- the inner
-product of its stored bucket with its response vector -- and the aggregator
-combines the answers with the plan's coefficients.  `symbols_read` counts the
-nonzero entries of a response vector, i.e. the fan-in of the node's local
-computation; under the projection regime it is at most 1 by definition.
+Each node computes exactly one field element per served batch: the
+combination, weighted by its response vector, of the stored symbols <x, g>
+whose response entries are nonzero mod p.  It computes each symbol it reads
+from the code's column table (`model.column_table`), so no codeword is
+materialised per batch.  The aggregator combines the answers with the plan's
+coefficients.  `symbols_read` counts the symbols a node reads, i.e. the
+fan-in of its local computation; under the projection regime it is at most 1
+by definition.  Every plan is certified once before it is served, so its
+sets partition the buckets and each node answers exactly once.
 
 Nodes are in-process actors, not network processes; a single batch serves
 nodes in bucket order so reports are deterministic.
@@ -25,8 +30,9 @@ from .construct import (
     good_vector,
     goodvec_certified_plan,
 )
-from .field import dot
-from .model import CodeSpec, _json_int, _json_list, codes_equal, encode, total_length
+from .field import vector_to_mask
+from .model import CodeSpec, codes_equal, column_table, data_vector, total_length
+from .model import _json_int, _json_list
 from .verify import (
     RecoveryPlan,
     ResponseModel,
@@ -34,15 +40,6 @@ from .verify import (
     find_plan,
     normalize_request,
 )
-
-
-@dataclass
-class NodeState:
-    """Mutable per-node tallies across served batches."""
-
-    bucket_values: tuple
-    response_count: int = 0
-    symbols_read: int = 0
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,10 @@ def _provenance_key(provenance) -> tuple:
         raise ValueError(f"provenance must be an object, got {provenance!r}")
     family = provenance.get("family")
     if not isinstance(family, str) or family not in _PROVENANCE_FIELDS:
-        raise ValueError(f"no certified planner for family {family!r}")
+        raise ValueError(
+            f"no certified planner for family {family!r}; "
+            f"the families with one are {', '.join(_PROVENANCE_FIELDS)}"
+        )
     fields = _PROVENANCE_FIELDS[family]
     names = {name for name, _ in fields}
     missing = names - set(provenance)
@@ -170,67 +170,65 @@ def serve_batch(
     plan: Optional[RecoveryPlan] = None,
     provenance: Optional[dict] = None,
 ) -> SimReport:
-    """Serve one batch request against encoded data.
-
-    planner "exhaustive" runs the exact search; "certified" dispatches to the
-    construction-specific planner named by `provenance`.  A pre-built plan
-    may be supplied directly (it is certified before use).  Every recovered
-    value is checked against the true symbol -- exact field arithmetic, no
-    tolerance."""
+    """Serve one batch request against encoded data, whose entries must be
+    integers (`model.data_vector`).  planner "exhaustive" runs the exact
+    search; "certified" dispatches to the construction-specific planner named
+    by `provenance`.  A pre-built plan may be supplied directly.  Each plan is
+    certified once before it is served (`find_plan` certifies the plans it
+    returns), and every recovered value is checked against the true symbol --
+    exact field arithmetic, no tolerance."""
     model = ResponseModel.parse(model)
-    if len(data) != code.n:
-        raise ValueError(f"data length {len(data)} != n = {code.n}")
+    data_t = data_vector(code, data)
     req = normalize_request(request, code.n)
-    if plan is not None:
-        planner_name = "explicit"
-    elif planner == "exhaustive":
+    if plan is None and planner == "exhaustive":
         planner_name = "exhaustive"
         plan = find_plan(code, req, model)
         if plan is None:
             raise ValueError(f"no recovery plan exists for request {req}")
-    elif planner == "certified":
-        planner_name = "certified"
-        plan = _certified_plan(code, req, provenance)
     else:
-        raise ValueError(f"unknown planner {planner!r}")
-    if not certify_plan(code, req, plan, model):
-        raise ValueError("plan failed certification")
+        if plan is not None:
+            planner_name = "explicit"
+        elif planner == "certified":
+            planner_name = "certified"
+            plan = _certified_plan(code, req, provenance)
+        else:
+            raise ValueError(f"unknown planner {planner!r}")
+        if not certify_plan(code, req, plan, model):
+            raise ValueError("plan failed certification")
 
-    fieldobj = code.field
-    data_t = fieldobj.normalize_vector(data)
-    word = encode(code, data_t)
-    nodes = [NodeState(bucket_values=values) for values in word.values]
-
-    responses = []
-    for node, resp in zip(nodes, plan.responses):
-        value = 0  # a zero response vector reads nothing
-        if any(resp):
-            value = dot(node.bucket_values, resp, fieldobj)
-            node.symbols_read = sum(1 for r in resp if r % fieldobj.p)
-        node.response_count += 1
-        if node.response_count != 1:
-            raise AssertionError("node answered more than once in a single batch")
-        responses.append(value)
+    p = code.field.p
+    xmask = vector_to_mask(data_t) if p == 2 else 0
+    responses, reads = [], []
+    for resp, columns in zip(plan.responses, column_table(code)):
+        value = count = 0
+        for r, col in zip(resp, columns):
+            if r % p:
+                count += 1
+                if p == 2:
+                    value += (xmask & col).bit_count()
+                else:
+                    value += r * sum([data_t[d] * v for d, v in col])
+        responses.append(value % p)
+        reads.append(count)
 
     recovered = []
     for j, i in enumerate(req):
         acc = 0
         for ell, coeff in plan.combos[j]:
-            acc = (acc + coeff * responses[ell - 1]) % fieldobj.p
+            acc = (acc + coeff * responses[ell - 1]) % p
         if acc != data_t[i - 1]:
-            raise AssertionError(
-                f"recovered {acc} for symbol {i} but data holds {data_t[i - 1]}"
-            )
+            raise AssertionError(f"recovered {acc} for symbol {i} but data holds {data_t[i - 1]}")
         recovered.append(acc)
 
+    # certify_plan checked that the sets partition [m]: each node answers once
     return SimReport(
         request=req,
         model=model,
         planner=planner_name,
         recovered=tuple(recovered),
         node_responses=tuple(responses),
-        symbols_read=tuple(node.symbols_read for node in nodes),
-        response_counts=tuple(node.response_count for node in nodes),
+        symbols_read=tuple(reads),
+        response_counts=(1,) * code.m,
     )
 
 

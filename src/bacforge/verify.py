@@ -21,10 +21,10 @@ Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
 combo) and hands them to `plan_from_parts`, the one place that assembles a
 `RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
-the field, independently of how it was found.  Plans are certified where
-they are handed out: `find_plan` certifies each whole plan, `sim.serve_batch`
-every plan it serves and `affine.trial_verify` every greedy plan it counts;
-the construction planners return uncertified plans.  The sweeps of
+the field, independently of how it was found.  Each plan handed out is
+certified once: `find_plan` certifies each whole plan, `sim.serve_batch`
+every other plan it serves and `affine.trial_verify` every greedy plan it
+counts; the construction planners return uncertified plans.  The sweeps of
 `verify_bac` and `verify_pir` hand out no plans: they run the same search and
 certify parts, each once (`SpanEngine.certified`), which is exact for the
 plans `find_plan` would return (see `_failures`).  Orbits enter there: a

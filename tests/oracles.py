@@ -5,14 +5,14 @@ Three references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `span_solve` must
 return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, and `reference_encode`, the dense
-inner products `encode` must agree with.
+inner products (`dot`) `encode` and the answers of `serve_batch`'s nodes must
+agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from bacforge.field import dot
 from bacforge.model import Codeword
 from bacforge.verify import ResponseModel, SpanEngine, normalize_request, plan_from_parts
 
@@ -219,6 +219,13 @@ def reference_span_solve(target, generators, field):
     for col, row_idx in pivot_of_col.items():
         coeffs[col] = rows[row_idx][r]
     return tuple(coeffs)
+
+
+def dot(a, b, field) -> int:
+    """The inner product of two vectors over the field."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of lengths {len(a)} and {len(b)}")
+    return sum(x * y for x, y in zip(a, b)) % field.p
 
 
 def reference_encode(code, x):

@@ -216,6 +216,22 @@ def test_simulate_certified_planner(tmp_path, capsys):
     assert rep["recovered"] == [1, 1, 0, 0]
 
 
+def test_simulate_certified_planner_names_the_families_that_have_one(tmp_path, capsys):
+    # the uniform code is served by the exhaustive planner only
+    out = tmp_path / "u.json"
+    assert run(["construct", "uniform", "--n", "20", "--k", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", str(out), "--data", ",".join(["1"] * 20), "--request", "3,3,9,20"]
+    assert run([*argv, "--planner", "certified"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no certified planner for family 'uniform'; "
+        "the families with one are cyclic, goodvec, affine\n"
+    )
+    assert run([*argv, "--planner", "exhaustive"]) == 0
+
+
 def test_random_trials_command(tmp_path, capsys):
     out = tmp_path / "affine.json"
     assert (

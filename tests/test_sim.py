@@ -1,14 +1,22 @@
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bacforge.affine as affine_mod
+import bacforge.sim as sim_mod
+import bacforge.verify as verify_mod
 from bacforge import (
+    CodeSpec,
     ResponseModel,
     certify_plan,
     code_from_json,
     code_to_json,
     compare_models,
+    cyclic_shift_code,
+    encode,
     find_plan,
     greedy_plan,
     load_stats,
@@ -16,6 +24,8 @@ from bacforge import (
     serve_batch,
     total_length,
 )
+from bacforge.field import PrimeField
+from oracles import dot, reference_encode
 
 LIN = ResponseModel.LINEAR
 PROJ = ResponseModel.PROJECTION
@@ -57,6 +67,22 @@ def test_serve_batch_errors(c2_code):
         serve_batch(c2_code, (1, 0, 1, 1), (1,), planner="mystery")
     with pytest.raises(ValueError):
         serve_batch(c2_code, (1, 0, 1, 1), (1,), planner="certified", provenance=None)
+    # data entries must be integers, as request indices must
+    f3_code = cyclic_shift_code(12, 6, 8, PrimeField(3))
+    for code, data, req in (
+        (f3_code, [1.5] + [1] * 11, (1, 2, 3, 4, 5, 6)),
+        (c2_code, (1.0, 0, 1, 1), (1, 2, 3, 4)),
+        (c2_code, ("1", 0, 1, 1), (1, 2, 3, 4)),
+    ):
+        with pytest.raises(TypeError):
+            serve_batch(code, data, req)
+        with pytest.raises(TypeError):
+            encode(code, data)
+    # numpy integers are integers
+    data = np.array([1, 0, 1, 1], dtype=np.int64)
+    req = (1, 1, 1, 1)
+    assert serve_batch(c2_code, data, req) == serve_batch(c2_code, (1, 0, 1, 1), req)
+    assert encode(c2_code, data) == encode(c2_code, (1, 0, 1, 1))
 
 
 def test_serve_batch_certified_cyclic(c2_code):
@@ -141,3 +167,83 @@ def test_compare_models(c2_code, c1_code):
 def test_compare_models_requires_same_n(c2_code, gv1_code):
     with pytest.raises(ValueError):
         compare_models(c2_code, gv1_code, [(1,)])
+
+
+def _certified_families(c2_code, gv1_code):
+    """(code, provenance, requests the certified planner serves) per family."""
+    apc = random_bac(5, 2, 0.6, 0.7, 7)
+    affine_reqs = [
+        req for req in itertools.combinations_with_replacement(range(1, apc.code.n + 1), 2)
+        if greedy_plan(apc, req) is not None
+    ][:20]
+    return [
+        (c2_code, {"family": "cyclic", "n": 4, "k": 4, "m": 5},
+         list(itertools.combinations_with_replacement(range(1, 5), 4))),
+        (gv1_code, {"family": "goodvec", "t": 1, "v": [1, 1]},
+         list(itertools.combinations_with_replacement(range(1, 6), 3))),
+        (apc.code, apc.provenance(), affine_reqs),
+    ]
+
+
+@pytest.mark.parametrize("planner", ["exhaustive", "certified", "explicit"])
+def test_serve_batch_certifies_each_plan_once(monkeypatch, c2_code, gv1_code, planner):
+    calls = []
+    real_certify = verify_mod.certify_plan
+
+    def spy(*args, **kwargs):
+        calls.append(real_certify(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(verify_mod, "certify_plan", spy)
+    monkeypatch.setattr(sim_mod, "certify_plan", spy)
+    served = 0
+    for code, prov, requests in _certified_families(c2_code, gv1_code):
+        data = tuple(i % 2 for i in range(code.n))
+        for req in requests:
+            plan = find_plan(code, req) if planner == "explicit" else None
+            calls.clear()
+            rep = serve_batch(code, data, req, planner=planner, plan=plan, provenance=prov)
+            # certified exactly once, and the plan passed
+            assert calls == [True]
+            assert rep.recovered == tuple(data[i - 1] for i in rep.request)
+            served += 1
+    assert served > 50
+
+
+@st.composite
+def explicit_batches(draw):
+    """A small code over F_2, F_3 or F_5, a request it serves in one of the
+    two response regimes, the plan `find_plan` finds with every response
+    entry shifted by -p, 0 or +p (unreduced and negative entries that still
+    certify), and data with negative and unreduced entries."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    model = draw(st.sampled_from([LIN, PROJ]))
+    n = draw(st.integers(1, 4))
+    unit = st.integers(0, n - 1).map(lambda d: tuple(int(e == d) for e in range(n)))
+    column = st.one_of(unit, st.tuples(*[st.integers(0, p - 1)] * n))
+    bucket = st.lists(column, min_size=1, max_size=3).map(tuple)
+    buckets = draw(st.lists(bucket, min_size=1, max_size=5))
+    code = CodeSpec(PrimeField(p), n, tuple(buckets))
+    k = draw(st.integers(1, min(code.m, 3)))
+    req = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    plan = find_plan(code, req, model)
+    assume(plan is not None)
+    shift = st.integers(-1, 1)
+    responses = tuple(tuple(r + p * draw(shift) for r in resp) for resp in plan.responses)
+    data = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n))
+    return code, model, req, dataclasses.replace(plan, responses=responses), data
+
+
+@given(explicit_batches())
+@settings(max_examples=200, deadline=None)
+def test_node_answers_match_dense_reference(case):
+    code, model, req, plan, data = case
+    p = code.field.p
+    word = reference_encode(code, data)
+    rep = serve_batch(code, data, req, model=model, plan=plan)
+    assert rep.node_responses == tuple(
+        dot(values, resp, code.field) for values, resp in zip(word.values, plan.responses)
+    )
+    assert rep.symbols_read == tuple(sum(1 for r in resp if r % p) for resp in plan.responses)
+    assert rep.recovered == tuple(data[i - 1] % p for i in rep.request)
+    assert rep.response_counts == (1,) * code.m
