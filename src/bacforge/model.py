@@ -214,7 +214,11 @@ def _json_list(value, what: str) -> list:
 
 
 def code_from_json(text: str) -> tuple[CodeSpec, Optional[dict]]:
-    return code_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("code JSON is nested too deeply") from None
+    return code_from_dict(data)
 
 
 def load_code(path: str) -> tuple[CodeSpec, Optional[dict]]:

@@ -234,48 +234,37 @@ def serve_batch(
 
 @dataclass(frozen=True)
 class LoadStats:
+    """Per-node reads and fan-in over served batches.  Every node answers
+    once per batch (see `serve_batch`), so the batch count is each node's
+    number of responses."""
+
     batches: int
-    per_node_responses: tuple
-    max_load: int
-    mean_load: float
     symbols_read_totals: tuple
     symbols_read_hist: dict
 
     def to_json_dict(self) -> dict:
         return {
             "batches": self.batches,
-            "per_node_responses": list(self.per_node_responses),
-            "max_load": self.max_load,
-            "mean_load": self.mean_load,
             "symbols_read_totals": list(self.symbols_read_totals),
             "symbols_read_hist": {str(k): v for k, v in sorted(self.symbols_read_hist.items())},
         }
 
 
 def load_stats(reports: Iterable[SimReport]) -> LoadStats:
-    """Aggregate per-node response totals and fan-in across served batches."""
+    """Aggregate per-node symbols read and fan-in across served batches."""
     reports = list(reports)
     if not reports:
-        return LoadStats(0, (), 0, 0.0, (), {})
-    m = len(reports[0].response_counts)
-    loads = [0] * m
+        return LoadStats(0, (), {})
+    m = len(reports[0].symbols_read)
     read_totals = [0] * m
     hist: dict = {}
     for rep in reports:
-        if len(rep.response_counts) != m:
+        if len(rep.symbols_read) != m:
             raise ValueError("reports come from codes with different bucket counts")
-        for ell in range(m):
-            loads[ell] += rep.response_counts[ell]
-            read_totals[ell] += rep.symbols_read[ell]
-            hist[rep.symbols_read[ell]] = hist.get(rep.symbols_read[ell], 0) + 1
-    return LoadStats(
-        batches=len(reports),
-        per_node_responses=tuple(loads),
-        max_load=max(loads),
-        mean_load=sum(loads) / m,
-        symbols_read_totals=tuple(read_totals),
-        symbols_read_hist=hist,
-    )
+        for ell, reads in enumerate(rep.symbols_read):
+            read_totals[ell] += reads
+            hist[reads] = hist.get(reads, 0) + 1
+    return LoadStats(len(reports), tuple(read_totals), hist)
 
 
 @dataclass(frozen=True)

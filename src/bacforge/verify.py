@@ -13,9 +13,10 @@ answers.  Two response regimes are supported:
 
 `find_plan` decides a request exactly, by a backtracking search over the
 minimal recovery sets of each requested symbol (`_search`).  The code's
-`SpanEngine` builds those sets one size at a time and reduces, solves and
-certifies each (subset, symbol, regime) part once; it lives in the code's own
-`cache` and is freed with the code.
+`SpanEngine` builds those sets one size at a time, solves and certifies each
+(subset, symbol, regime) part once, and reads every linear answer from the
+basis of the subset's shortest prefix that spans the symbol (`_reach`); it
+lives in the code's own `cache` and is freed with the code.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
@@ -141,18 +142,17 @@ def bucket_indices(mask: int) -> list:
 class SpanEngine:
     """Per-code caches of joint-span queries over bucket subsets.
 
-    A subset is an int bitmask over the 0-based bucket indices.  Its joint
-    column span is reduced once into a coefficient-tracking `Echelon` (the
-    buckets' columns inserted in ascending bucket order, packed once over
-    GF(2)), grown from the cached basis of its longest cached prefix (its
-    lowest buckets).  Every (subset, symbol, regime) part of a plan is solved
-    once: `part` caches it, so plan assembly is lookups, and `certified`
-    checks it once.  `minimal_sets` lists, size by size, the minimal
-    recovery sets the search draws its parts from.  The engine holds the
-    code's field, n, buckets and column table but not the code, and lives in
-    the code's own cache (see `engine_for`), so it is freed together with
-    the code.  It grows its minimal-set levels in place,
-    so it is for one thread at a time.
+    A subset is an int bitmask over the 0-based bucket indices.  Whether it
+    recovers a symbol in the linear regime, its part and the part's
+    certificate all read one memo, `_reach`: the coefficient-tracking
+    `Echelon` of its shortest prefix (lowest buckets) that spans the symbol.
+    Every (subset, symbol, regime) part of a plan is solved once: `part`
+    caches it, so plan assembly is lookups, and `certified` checks it once.
+    `minimal_sets` lists, size by size, the minimal recovery sets the search
+    draws its parts from.  The engine holds the code's field, n, buckets and
+    column table but not the code, and lives in the code's own cache (see
+    `engine_for`), so it is freed together with the code.  It grows its
+    minimal-set levels in place, so it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec):
@@ -162,8 +162,8 @@ class SpanEngine:
         # `certified` reads the column table, `Echelon.add` the same ints over GF(2)
         self.table = column_table(code)
         self.columns = self.table if field.p == 2 else code.buckets
-        self._bases: dict = {0: Echelon(field, self.n)}  # mask -> Echelon
-        self._linear: dict = {}  # mask * n + i0 -> bool
+        self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
+        self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
         self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
         self._certified: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> bool
         # minimal recovery sets: per regime, level s holds per symbol the
@@ -196,26 +196,25 @@ class SpanEngine:
             ech = grown
             yield ech
 
-    def _basis(self, mask: int) -> Echelon:
-        ech = self._bases.get(mask)
-        if ech is None:
-            *_, ech = self._prefix_bases(mask)
-        return ech
+    def _reach(self, mask: int, i0: int) -> Optional[Echelon]:
+        """The basis of the shortest prefix of `mask` (`_prefix_bases`) whose
+        span holds e_i0, or None; found once per (mask, symbol).  Its solve is
+        the whole mask's, padded with zeros, over any F_p: the columns that
+        enlarged the span when inserted form a basis, so e_i0 has exactly one
+        combination of them, and the prefix holds every column it uses (its
+        independent columns are the mask's first ones and span e_i0)."""
+        key = mask * self.n + i0
+        reach = self._reaches.get(key, False)  # False: not looked for yet
+        if reach is False:
+            reach = self._reaches[key] = next(
+                (ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None
+            )
+        return reach
 
     def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
-        if model is not ResponseModel.LINEAR:
-            return self.part(mask, i0, model) is not None
-        key = mask * self.n + i0
-        hit = self._linear.get(key)
-        if hit is None:
-            ech = self._bases.get(mask)
-            if ech is None:
-                # a prefix of full rank spans e_i0, and so does all of mask
-                for ech in self._prefix_bases(mask):
-                    if ech.rank == self.n:
-                        break
-            hit = self._linear[key] = ech.contains_unit(i0)
-        return hit
+        if model is ResponseModel.LINEAR:
+            return self._reach(mask, i0) is not None
+        return self.part(mask, i0, model) is not None
 
     def minimal_sets(self, i0: int, model: ResponseModel, size: int) -> tuple:
         """The bucket bitmasks of `size` buckets that recover symbol i0 under
@@ -332,9 +331,11 @@ class SpanEngine:
         if hit is None:
             p, table = self.field.p, self.table
             if model is ResponseModel.LINEAR:
-                # the subset as one bucket whose answer is the solve over its columns
-                coeffs = self._basis(mask).solve(unit_vector(i0, self.n))
+                # the subset as one bucket whose answer is the solve over its
+                # columns (those of the prefix; zip drops the rest)
+                reach = self._reach(mask, i0)
                 columns = [col for ell0 in bucket_indices(mask) for col in table[ell0]]
+                coeffs = reach and reach.solve(unit_vector(i0, self.n))
                 hit = coeffs is not None and _sums_to_unit(p, ((1, 1),), (coeffs,), (columns,), i0)
             elif (part := self.part(mask, i0, model)) is None:
                 hit = False
@@ -353,11 +354,13 @@ class SpanEngine:
 
     def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
         """Any combination of each bucket's columns: the lowest-index solve
-        over the subset's cached basis; every bucket's combo coefficient is 1."""
-        coeffs = self._basis(mask).solve(unit_vector(i0, self.n))
-        if coeffs is None:
+        over `_reach`; every bucket's combo coefficient is 1."""
+        reach = self._reach(mask, i0)
+        if reach is None:
             return None
+        coeffs = reach.solve(unit_vector(i0, self.n))
         buckets = [ell0 + 1 for ell0 in bucket_indices(mask)]
+        # zip stops at the prefix's columns, the first of the owners
         owners = [(ell, s) for ell in buckets for s in range(self.sizes[ell - 1])]
         return make_part(self.sizes, dict.fromkeys(buckets, 1), zip(owners, coeffs))
 
@@ -689,7 +692,7 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
     tally = itertools.count()
     reps = (rep for rep, _ in zip(reps, tally))
     if jobs > 1:
-        failures = _parallel_failures(code, list(reps), model, jobs)
+        failures = _parallel_failures(code, reps, model, jobs)
     else:
         failures = _failures(code, model, reps)
     failures = [(req, reason) for rep, reason in failures for req in orbit(rep, n, shift)]
@@ -767,29 +770,30 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parallel sweep plumbing: the orbit representatives are sharded across worker
-# processes; each worker holds the immutable code and its own memo
+# parallel sweep plumbing: the orbit representatives are streamed to worker
+# processes in batches; each worker holds the immutable code and its own memo
 
 
-_WORKER_CODE: Optional[CodeSpec] = None
-_WORKER_MODEL: Optional[ResponseModel] = None
+_WORKER: tuple = ()  # (code, model) in a worker process
+_BATCH = 2048  # representatives per task
 
 
 def _worker_init(code: CodeSpec, model_value: str) -> None:
-    global _WORKER_CODE, _WORKER_MODEL
-    _WORKER_CODE = code
-    _WORKER_MODEL = ResponseModel(model_value)
+    global _WORKER
+    _WORKER = (code, ResponseModel(model_value))
 
 
-def _worker_failures(chunk) -> list:
-    return _failures(_WORKER_CODE, _WORKER_MODEL, chunk)
+def _worker_failures(batch) -> list:
+    return _failures(*_WORKER, batch)
 
 
 def _parallel_failures(code, requests, model, jobs):
+    """The failures of `requests`, an iterator, decided by `jobs` workers.
+    `imap` draws it batch by batch, and has drawn all of it when its results
+    end."""
     import multiprocessing as mp
 
-    n_chunks = max(1, min(len(requests), jobs * 4))
-    chunks = [requests[i::n_chunks] for i in range(n_chunks)]
+    batches = iter(lambda: list(itertools.islice(requests, _BATCH)), [])
     ctx = mp.get_context()
     with ctx.Pool(jobs, initializer=_worker_init, initargs=(code, model.value)) as pool:
-        return [fail for part in pool.map(_worker_failures, chunks) for fail in part]
+        return [fail for part in pool.imap(_worker_failures, batches) for fail in part]

@@ -1,20 +1,28 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Three references are the exception: `reference_span_solve`, a plain
+Four references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `span_solve` must
 return, `reference_find_plan`, the earlier search over every subset that pins
-the exact plans `find_plan` must return, and `reference_encode`, the dense
-inner products (`dot`) `encode` and the answers of `serve_batch`'s nodes must
-agree with.
+the exact plans `find_plan` must return, `reference_linear_part`, the solve
+over every column of a bucket subset that pins the engine's linear parts, and
+`reference_encode`, the dense inner products (`dot`) `encode` and the answers
+of `serve_batch`'s nodes must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from bacforge.field import Echelon
 from bacforge.model import Codeword
-from bacforge.verify import ResponseModel, SpanEngine, normalize_request, plan_from_parts
+from bacforge.verify import (
+    ResponseModel,
+    SpanEngine,
+    make_part,
+    normalize_request,
+    plan_from_parts,
+)
 
 
 def _extend(span, g, p: int) -> frozenset:
@@ -148,6 +156,23 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
         return None
     solved = [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
     return plan_from_parts(code, req, solved)
+
+
+def reference_linear_part(code, mask: int, i0: int):
+    """The linear part in which the buckets of the bitmask `mask` serve
+    symbol i0 (0-based), or None, as `SpanEngine.part` builds it but solved
+    over one fresh `Echelon` of every column of the mask, in ascending bucket
+    order, rather than over a prefix of the mask."""
+    buckets = [ell0 + 1 for ell0 in range(code.m) if (mask >> ell0) & 1]
+    ech, owners = Echelon(code.field, code.n), []
+    for ell in buckets:
+        for s, column in enumerate(code.buckets[ell - 1]):
+            ech.add(column)
+            owners.append((ell, s))
+    coeffs = ech.solve(_unit(i0, code.n))
+    if coeffs is None:
+        return None
+    return make_part(code.bucket_sizes, dict.fromkeys(buckets, 1), zip(owners, coeffs))
 
 
 def reference_span_solve(target, generators, field):

@@ -103,6 +103,25 @@ def test_malformed_code_json_exits_2(tmp_path, capsys, change):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "text",
+    [DEEP, json.dumps(VALID_CODE)[:-1] + ', "provenance": ' + DEEP + "}"],
+    ids=["whole-file", "provenance"],
+)
+def test_deeply_nested_code_json_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ["--k", "1"] if command == "verify" else ["--data", "1", "--request", "1"]
+    assert run([command, str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: code JSON is nested too deeply\n"
+
+
 def test_unknown_flags_rejected(capsys):
     assert run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--frobnicate"]) == 2
     assert run(["nonsense"]) == 2

@@ -24,6 +24,7 @@ from bacforge import (
     verify_bac,
     verify_pir,
 )
+from bacforge import verify
 from bacforge.cli import _build_parser, run
 from bacforge.field import PrimeField
 from bacforge.model import code_to_json
@@ -182,12 +183,16 @@ def test_orbit_counts_stay_out_of_the_json():
     assert (pir.shift, pir.representatives, pir.checked) == (4, 4, 20)
 
 
-def test_parallel_orbit_sweep_matches_serial():
+def test_parallel_orbit_sweep_matches_serial(monkeypatch):
     code = uniform_code(20, 4)
     serial = verify_bac(code, 4, PROJ, jobs=1)
     parallel = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
     assert parallel.failures == serial.failures and len(serial.failures) == 50
     assert parallel.representatives == serial.representatives == 1771
+    # streamed in many batches, the last one short, the tally still counts all
+    monkeypatch.setattr(verify, "_BATCH", 100)
+    batched = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
+    assert batched.failures == serial.failures and batched.representatives == 1771
 
 
 # ---------------------------------------------------------------------------

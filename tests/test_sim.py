@@ -144,13 +144,16 @@ def test_load_stats_sweep(gv1_code):
         reports.append(serve_batch(gv1_code, data, req, plan=plan))
     stats = load_stats(reports)
     assert stats.batches == 35
-    assert stats.per_node_responses == (35, 35, 35, 35, 35)
-    assert stats.max_load == 35 and stats.mean_load == 35.0
+    # each node answers once per batch, so the batch count is its load
+    assert all(rep.response_counts == (1, 1, 1, 1, 1) for rep in reports)
+    assert stats.symbols_read_totals == tuple(map(sum, zip(*(r.symbols_read for r in reports))))
+    assert sum(stats.symbols_read_hist.values()) == 35 * 5
+    assert set(stats.to_json_dict()) == {"batches", "symbols_read_totals", "symbols_read_hist"}
 
 
 def test_load_stats_empty():
     stats = load_stats([])
-    assert stats.batches == 0 and stats.max_load == 0
+    assert stats.batches == 0 and stats.symbols_read_totals == () and stats.symbols_read_hist == {}
 
 
 def test_compare_models(c2_code, c1_code):

@@ -30,7 +30,13 @@ from bacforge import (
 from bacforge.field import Echelon, PrimeField
 from bacforge.verify import SpanEngine, all_batch_requests, bucket_indices, normalize_request
 from conftest import col
-from oracles import naive_has_plan, naive_recovered, naive_recovers, reference_find_plan
+from oracles import (
+    naive_has_plan,
+    naive_recovered,
+    naive_recovers,
+    reference_find_plan,
+    reference_linear_part,
+)
 
 LIN = ResponseModel.LINEAR
 PROJ = ResponseModel.PROJECTION
@@ -218,6 +224,8 @@ def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
     elapsed = time.perf_counter() - start
     assert report.passed and report.checked == 245157
     assert elapsed < 20.0, f"serial k=7 sweep took {elapsed:.1f} s"
+    # only prefixes are cached, and only up to the first that spans a symbol
+    assert len(code.cache["span-engine"]._bases) < 2000
 
 
 def _wrong_solve(monkeypatch):
@@ -402,6 +410,23 @@ def test_find_plan_matches_reference_search(code, data):
         # the same plan, not just the same decision, as trying every subset
         assert plan == reference_find_plan(code, request, model)
         assert (plan is not None) == naive_has_plan(code, request, projection)
+
+
+@given(small_code(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_linear_answers_match_the_whole_mask_reference(code, data):
+    """In the linear regime `recovers`, `part` and `certified` read the basis
+    of the shortest prefix of the mask that spans the symbol; each answer
+    equals the one of the solve over all of the mask's columns, whatever the
+    engine was asked before."""
+    engine = SpanEngine(code)
+    query = st.tuples(st.integers(0, (1 << code.m) - 1), st.integers(0, code.n - 1))
+    for mask, i0 in data.draw(st.lists(query, min_size=1, max_size=30)):
+        expected = reference_linear_part(code, mask, i0)
+        spans = naive_recovers(code, [ell0 + 1 for ell0 in bucket_indices(mask)], i0 + 1)
+        assert engine.recovers(mask, i0, LIN) == (expected is not None) == spans
+        assert engine.part(mask, i0, LIN) == expected, (mask, i0)
+        assert engine.certified(mask, i0, LIN) == (expected is not None)
 
 
 @st.composite
