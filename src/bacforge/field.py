@@ -158,12 +158,12 @@ class Echelon:
         return work
 
     def contains_unit(self, i: int) -> bool:
-        """Membership test for the i-th (0-based) unit vector."""
-        if self.field.p == 2:
-            return self._reduce2(1 << i) & self.coords == 0
-        vec = [0] * self.length
-        vec[i] = 1
-        return not any(self._reduce_generic(vec))
+        """Membership test for the i-th (0-based) unit vector: the rows are
+        fully reduced, so e_i is in the span exactly when pivot i's row is e_i."""
+        row = self.rows.get(1 << i)
+        if row is None:
+            return False
+        return row & self.coords == 1 << i if self.field.p == 2 else not any(row[1][i + 1 :])
 
     def spanned_units(self) -> int:
         """Bitmask of the coordinates i whose unit vector e_i lies in the span,

@@ -212,9 +212,11 @@ class SpanEngine:
         return reach
 
     def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
-        if model is ResponseModel.LINEAR:
-            return self._reach(mask, i0) is not None
-        return self.part(mask, i0, model) is not None
+        if model is not ResponseModel.LINEAR:
+            return self.part(mask, i0, model) is not None
+        # `_reach`'s memo read in place: the search asks at every node
+        reach = self._reaches.get(mask * self.n + i0, False)
+        return (self._reach(mask, i0) if reach is False else reach) is not None
 
     def minimal_sets(self, i0: int, model: ResponseModel, size: int) -> tuple:
         """The bucket bitmasks of `size` buckets that recover symbol i0 under
@@ -335,7 +337,7 @@ class SpanEngine:
                 # columns (those of the prefix; zip drops the rest)
                 reach = self._reach(mask, i0)
                 columns = [col for ell0 in bucket_indices(mask) for col in table[ell0]]
-                coeffs = reach and reach.solve(unit_vector(i0, self.n))
+                coeffs = None if reach is None else reach.solve(unit_vector(i0, self.n))
                 hit = coeffs is not None and _sums_to_unit(p, ((1, 1),), (coeffs,), (columns,), i0)
             elif (part := self.part(mask, i0, model)) is None:
                 hit = False
@@ -775,7 +777,7 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
 
 
 _WORKER: tuple = ()  # (code, model) in a worker process
-_BATCH = 2048  # representatives per task
+_BATCH = 128  # representatives per task: several tasks per worker on small sweeps
 
 
 def _worker_init(code: CodeSpec, model_value: str) -> None:

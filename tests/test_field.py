@@ -172,7 +172,9 @@ def test_spanned_units_matches_contains_unit(p, n, data):
     for vec in data.draw(st.lists(vector, max_size=8)):
         ech.add(vec)
         units = ech.spanned_units()
-        assert [bool((units >> i) & 1) for i in range(n)] == [ech.contains_unit(i) for i in range(n)]
+        solvable = [ech.solve(unit_vector(i, n)) is not None for i in range(n)]
+        assert [bool((units >> i) & 1) for i in range(n)] == solvable
+        assert [ech.contains_unit(i) for i in range(n)] == solvable
 
 
 @given(st.integers(1, 8), st.data())

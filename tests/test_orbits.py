@@ -189,8 +189,9 @@ def test_parallel_orbit_sweep_matches_serial(monkeypatch):
     parallel = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
     assert parallel.failures == serial.failures and len(serial.failures) == 50
     assert parallel.representatives == serial.representatives == 1771
-    # streamed in many batches, the last one short, the tally still counts all
-    monkeypatch.setattr(verify, "_BATCH", 100)
+    # 1771 = 13 * 128 + 107: many batches, the last one short; the tally still
+    # counts all, and one representative per task changes nothing either
+    monkeypatch.setattr(verify, "_BATCH", 1)
     batched = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
     assert batched.failures == serial.failures and batched.representatives == 1771
 
