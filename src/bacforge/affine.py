@@ -48,15 +48,9 @@ class AffinePlane:
         return self.q * self.q
 
 
-_PLANES: dict = {}
-
-
 def affine_plane(q: int) -> AffinePlane:
     if not is_prime(q):
         raise ValueError(f"plane order {q} must be prime")
-    cached = _PLANES.get(q)
-    if cached is not None:
-        return cached
     verticals = tuple(
         tuple(a * q + b + 1 for b in range(q)) for a in range(q)
     )
@@ -69,14 +63,12 @@ def affine_plane(q: int) -> AffinePlane:
             lines.append(Line(slope, intercept, pts))
             for pt in pts:
                 through[pt - 1].append(idx)
-    plane = AffinePlane(
+    return AffinePlane(
         q=q,
         verticals=verticals,
         lines=tuple(lines),
         through=tuple(tuple(t) for t in through),
     )
-    _PLANES[q] = plane
-    return plane
 
 
 def slope_label(slope: int, q: int) -> int:

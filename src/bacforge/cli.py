@@ -333,6 +333,11 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         _eprint(f"error: {exc}")
         return 2
+    except RecursionError:
+        # the plan search recurses once per request, the projection solve
+        # once per bucket
+        _eprint("error: too many requests or buckets for the recursive plan search")
+        return 2
 
 
 def main() -> None:

@@ -2,15 +2,16 @@
 (rank, span membership, linear solves) the rest of the package is built on.
 
 Vectors are plain tuples of residues in [0, p).  Everything is exact integer
-arithmetic; there is no floating point anywhere in this module.  For p = 2 the
-elimination routines switch to a bit-packed representation (one Python int per
-row, bit i = coordinate i, with the row's combination of inserted vectors in
-the bits above), which is what makes the exhaustive verifiers fast enough in
-pure Python.  Correctness is defined by the generic path; the packed path is
-an equivalent specialization.  `Echelon` is the one elimination core:
-membership, rank and linear solves all go through it.  It keeps its rows in
-one store for every field, a dict from pivot bit to row; the rows are fully
-reduced (each is zero at every other pivot), so they apply in any order.
+arithmetic; there is no floating point anywhere in this module.  `Echelon` is
+the one elimination core: membership, rank and linear solves all go through
+it.  It keeps its rows in one store and one layout for every field, a dict
+from pivot bit to row, each row the vector followed by its combination of the
+inserted vectors; the rows are fully reduced (each is zero at every other
+pivot), so they apply in any order.  For p = 2 a row is packed into one Python
+int (bit i = coordinate i, the combination in the bits above), which is what
+makes the exhaustive verifiers fast enough in pure Python; otherwise it is a
+list of residues.  Correctness is defined by the generic path; the packed
+path is an equivalent specialization.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -103,11 +104,14 @@ class Echelon:
     test is one reduction pass.  The combination is kept over the inserted
     vectors that enlarged the span when they were inserted (`independent`
     maps its index j to the insertion index); `solve` reads a target's
-    coefficients from it.  Over GF(2) a row is one packed int: bits below
-    `length` are the vector, bit length + j the coefficient of independent
-    vector j, and reduction is XOR of the rows whose pivot bit the vector
-    has.  Otherwise a row is a (pivot, residues, combination) triple, the
-    combination a dict {j: coefficient}.
+    coefficients from it.  Every row is the vector followed by that
+    combination: entry (or bit) i < `length` is coordinate i, entry
+    length + j the coefficient of independent vector j.  Over GF(2) a row is
+    one packed int and reduction is XOR of the rows whose pivot bit the
+    vector has; otherwise a row is a (pivot, residues) pair with 2 * `length`
+    residues.  `add` reduces the new vector followed by e_j for its index j,
+    and `solve` reduces the target followed by zeros: what is subtracted
+    from it is the negation of its combination.
     """
 
     __slots__ = ("field", "length", "coords", "rows", "pivmask", "independent", "inserted")
@@ -116,7 +120,7 @@ class Echelon:
         self.field = field
         self.length = length
         self.coords = (1 << length) - 1  # p=2: the vector bits of a packed row
-        self.rows: dict = {}  # pivot bit -> packed int for p=2, triple otherwise
+        self.rows: dict = {}  # pivot bit -> packed int for p=2, (pivot, residues) otherwise
         self.pivmask = 0  # the pivot bits
         self.independent: list[int] = []  # insertion index of each independent vector
         self.inserted = 0  # vectors inserted so far
@@ -143,18 +147,13 @@ class Echelon:
             hits ^= low
         return mask
 
-    def _reduce_generic(self, vec: Sequence[int], combo: Optional[dict] = None) -> list:
-        """Reduce vec against the rows; if `combo` is given, add into it the
-        combination of independent vectors that was subtracted."""
+    def _reduce_generic(self, work: list) -> list:
+        """Reduce a row-shaped list of 2 * `length` residues against the rows."""
         p = self.field.p
-        work = [v % p for v in vec]
-        for piv, row, row_combo in self.rows.values():
+        for piv, row in self.rows.values():
             c = work[piv]
             if c:
                 work = [(w - c * r) % p for w, r in zip(work, row)]
-                if combo is not None:
-                    for j, v in row_combo.items():
-                        combo[j] = (combo.get(j, 0) + c * v) % p
         return work
 
     def contains_unit(self, i: int) -> bool:
@@ -163,7 +162,9 @@ class Echelon:
         row = self.rows.get(1 << i)
         if row is None:
             return False
-        return row & self.coords == 1 << i if self.field.p == 2 else not any(row[1][i + 1 :])
+        if self.field.p == 2:
+            return row & self.coords == 1 << i
+        return not any(row[1][i + 1 : self.length])
 
     def spanned_units(self) -> int:
         """Bitmask of the coordinates i whose unit vector e_i lies in the span,
@@ -176,8 +177,9 @@ class Echelon:
                 if row & coords == low:
                     out |= low
             return out
-        for low, (piv, row, _) in self.rows.items():
-            if not any(row[piv + 1 :]):
+        length = self.length
+        for low, (piv, row) in self.rows.items():
+            if not any(row[piv + 1 : length]):
                 out |= low
         return out
 
@@ -197,11 +199,12 @@ class Echelon:
                 if (bits >> j) & 1:
                     out[src] = 1
             return tuple(out)
-        combo: dict = {}
-        if any(self._reduce_generic(vec, combo)):
+        p, length = self.field.p, self.length
+        work = self._reduce_generic([v % p for v in vec] + [0] * length)
+        if any(work[:length]):
             return None
-        for j, c in combo.items():
-            out[self.independent[j]] = c
+        for j, src in enumerate(self.independent):
+            out[src] = -work[length + j] % p
         return tuple(out)
 
     def add(self, vec) -> bool:
@@ -233,27 +236,21 @@ class Echelon:
                 if row & low:
                     rows[key] = row ^ new_row
         else:
-            p = self.field.p
-            subtracted: dict = {}
-            work = self._reduce_generic(vec, subtracted)
-            piv = next((j for j, v in enumerate(work) if v), None)
+            p, length = self.field.p, self.length
+            work = [v % p for v in vec] + [0] * length
+            work[length + j_new] = 1
+            work = self._reduce_generic(work)
+            piv = next((j for j, v in enumerate(work[:length]) if v), None)
             if piv is None:
                 return False
             low = 1 << piv
             c_inv = self.field.inv(work[piv])
             residues = [(v * c_inv) % p for v in work]
-            # vec - sum(subtracted rows) = work, scaled to a unit pivot
-            combo = {j: (-v * c_inv) % p for j, v in subtracted.items() if v}
-            combo[j_new] = c_inv
-            new_row = (piv, residues, combo)
-            for key, (row_piv, row, row_combo) in rows.items():
+            new_row = (piv, residues)
+            for key, (row_piv, row) in rows.items():
                 c = row[piv]
                 if c:
-                    row_combo = dict(row_combo)
-                    for j, v in combo.items():
-                        row_combo[j] = (row_combo.get(j, 0) - c * v) % p
-                    row = [(rv - c * wv) % p for rv, wv in zip(row, residues)]
-                    rows[key] = (row_piv, row, row_combo)
+                    rows[key] = (row_piv, [(rv - c * wv) % p for rv, wv in zip(row, residues)])
         rows[low] = new_row
         self.pivmask |= low
         self.independent.append(index)

@@ -13,10 +13,11 @@ answers.  Two response regimes are supported:
 
 `find_plan` decides a request exactly, by a backtracking search over the
 minimal recovery sets of each requested symbol (`_search`).  The code's
-`SpanEngine` builds those sets one size at a time, solves and certifies each
-(subset, symbol, regime) part once, and reads every linear answer from the
-basis of the subset's shortest prefix that spans the symbol (`_reach`); it
-lives in the code's own `cache` and is freed with the code.
+`SpanEngine` builds those sets one size at a time with one level builder for
+both regimes (`SpanEngine._grow`), solves and certifies each (subset, symbol,
+regime) part once, and reads every linear answer from the basis of the
+subset's shortest prefix that spans the symbol (`_reach`); it lives in the
+code's own `cache` and is freed with the code.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
@@ -149,10 +150,12 @@ class SpanEngine:
     Every (subset, symbol, regime) part of a plan is solved once: `part`
     caches it, so plan assembly is lookups, and `certified` checks it once.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
-    draws its parts from.  The engine holds the code's field, n, buckets and
-    column table but not the code, and lives in the code's own cache (see
-    `engine_for`), so it is freed together with the code.  It grows its
-    minimal-set levels in place, so it is for one thread at a time.
+    draws its parts from; one builder, `_grow`, makes each level in either
+    regime from the symbols that the subsets of the level below serve.  The
+    engine holds the code's field, n, buckets and column table but not the
+    code, and lives in the code's own cache (see `engine_for`), so it is
+    freed together with the code.  It grows its minimal-set levels in place,
+    so it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec):
@@ -171,7 +174,8 @@ class SpanEngine:
         # have minimal sets above the last level built
         self._levels: dict = {model: [((),) * self.n] for model in ResponseModel}
         self._open: dict = {model: (1 << self.n) - 1 for model in ResponseModel}
-        self._level_spans: dict = {0: 0}  # last linear level: mask -> spanned symbols
+        # per regime, the last level built: mask -> served symbols (`_grow`)
+        self._served: dict = {model: {0: 0} for model in ResponseModel}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
         """A copy of `ech` with bucket ell0's columns inserted."""
@@ -229,10 +233,7 @@ class SpanEngine:
         while len(levels) <= size:
             if not (self._open[model] >> i0) & 1 or len(levels) > len(self.columns):
                 return ()
-            if model is ResponseModel.LINEAR:
-                self._grow_linear(len(levels))
-            else:
-                self._grow_projection(len(levels))
+            self._grow(model, len(levels))
         return levels[size][i0]
 
     def _subsets(self, size: int, done):
@@ -253,60 +254,44 @@ class SpanEngine:
 
         return extend(0, 0, 0, self._bases[0])
 
-    def _grow_linear(self, size: int) -> None:
-        """Level `size` of the linear minimal sets: a subset is minimal for
-        the symbols it spans that none of its (size-1)-subsets spans.  Only
-        the spans of the previous level are kept, and only of the subsets
-        that miss an open symbol; a subset that spans every open symbol is
-        not extended, as nothing above it is minimal for one."""
-        open_, below = self._open[ResponseModel.LINEAR], self._level_spans
+    def _grow(self, model: ResponseModel, size: int) -> None:
+        """Level `size` of the minimal sets under `model`.  A subset serves a
+        symbol when it spans it and, in the projection regime, `part` finds
+        an answer too; both are monotone, so a subset is minimal for the
+        symbols it serves that none of its (size-1)-subsets serves, and
+        `part` is asked only about those.  Only the served symbols of the
+        previous level are kept, and only of the subsets that miss an open
+        symbol.  In the linear regime a subset that spans every open symbol
+        is not extended, as nothing above it is minimal for one."""
+        linear = model is ResponseModel.LINEAR
+        open_, below = self._open[model], self._served[model]
         found: list = [[] for _ in range(self.n)]
-        spans: dict = {}
+        served_at: dict = {}
         still_open = 0
-        for mask, symbols in self._subsets(size, lambda _, symbols: symbols & open_ == open_):
-            new = symbols & open_
+
+        def spans_all(_, symbols: int) -> bool:
+            return linear and symbols & open_ == open_
+
+        for mask, symbols in self._subsets(size, spans_all):
+            served = new = symbols & open_
             rest = mask
             while new and rest:
                 low = rest & -rest
-                # a subset missing from `below` spans every open symbol
+                # a subset missing from `below` serves every open symbol
                 new &= ~below.get(mask ^ low, open_)
                 rest ^= low
             for i0 in bucket_indices(new):
-                found[i0].append(mask)
-            missing = open_ & ~symbols
-            if missing:
-                still_open |= missing
-                spans[mask] = symbols
-        self._level_spans = spans
-        self._open[ResponseModel.LINEAR] = still_open
-        self._levels[ResponseModel.LINEAR].append(tuple(map(tuple, found)))
-
-    def _grow_projection(self, size: int) -> None:
-        """Level `size` of the projection minimal sets: among the subsets
-        that span e_i, those that `part` can serve and that contain no
-        smaller projection-minimal set of i."""
-        model = ResponseModel.PROJECTION
-        open_, levels = self._open[model], self._levels[model]
-        smaller = [[mask for level in levels for mask in level[i0]] for i0 in range(self.n)]
-
-        def served(mask: int, i0: int) -> bool:
-            return any(mask & known == known for known in smaller[i0])
-
-        def done(mask: int, _) -> bool:
-            return all(served(mask, i0) for i0 in bucket_indices(open_))
-
-        found: list = [[] for _ in range(self.n)]
-        still_open = 0
-        for mask, symbols in self._subsets(size, done):
-            for i0 in bucket_indices(open_):
-                if served(mask, i0):
-                    continue
-                if (symbols >> i0) & 1 and self.part(mask, i0, model) is not None:
+                if linear or self.part(mask, i0, model) is not None:
                     found[i0].append(mask)
                 else:
-                    still_open |= 1 << i0
+                    served ^= 1 << i0
+            missing = open_ & ~served
+            if missing:
+                still_open |= missing
+                served_at[mask] = served
+        self._served[model] = served_at
         self._open[model] = still_open
-        levels.append(tuple(map(tuple, found)))
+        self._levels[model].append(tuple(map(tuple, found)))
 
     def part(self, mask: int, i0: int, model: ResponseModel) -> Optional[tuple]:
         """How the buckets in `mask` serve symbol i0, or None if they cannot:

@@ -122,6 +122,28 @@ def test_deeply_nested_code_json_exits_2(tmp_path, capsys, command, text):
     assert captured.err == "error: code JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "1100"],
+        ["--k", "2", "--mode", "projection"],
+        ["--data", "1", "--request", "1,1", "--mode", "projection"],
+    ],
+    ids=["verify-deep-search", "verify-projection-solve", "simulate-projection-solve"],
+)
+def test_recursion_past_the_interpreter_limit_exits_2(tmp_path, capsys, argv):
+    """1,100 requests make the plan search, and 1,100 buckets the projection
+    solve, recurse deeper than the interpreter allows."""
+    path = tmp_path / "r.json"
+    assert run(["construct", "replication", "--n", "1", "--k", "1100", "--out", str(path)]) == 0
+    capsys.readouterr()
+    command = "simulate" if "--data" in argv else "verify"
+    assert run([command, str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: too many requests or buckets for the recursive plan search\n"
+
+
 def test_unknown_flags_rejected(capsys):
     assert run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--frobnicate"]) == 2
     assert run(["nonsense"]) == 2

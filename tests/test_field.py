@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 
 import pytest
@@ -210,10 +212,29 @@ def test_echelon_rows_are_keyed_by_pivot_and_fully_reduced(p, n, data):
             if p == 2:
                 entries = [(row >> j) & 1 for j in range(n)]
             else:
-                piv, entries, _ = row
-                assert key == 1 << piv
+                piv, residues = row
+                assert key == 1 << piv and len(residues) == 2 * n
+                entries = residues[:n]
             piv = key.bit_length() - 1
             assert key == 1 << piv and entries[piv] == 1
             assert not any(entries[:piv])
             assert not any(entries[j] for j in range(n) if j != piv and (ech.pivmask >> j) & 1)
         assert ech.pivmask == pivmask
+
+
+@given(small_field, st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_copy_is_independent(p, n, data):
+    """Adding to a copy leaves the original's rows, rank and solves as they
+    were: rows are replaced on update, never mutated, which the prefix
+    bases `SpanEngine` caches and extends by copying rely on."""
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    ech = Echelon(PrimeField(p), n)
+    for vec in data.draw(st.lists(vector, max_size=4)):
+        ech.add(vec)
+    targets = list(itertools.product(range(p), repeat=n))
+    before = (copy.deepcopy(ech.rows), ech.rank, [ech.solve(t) for t in targets])
+    grown = ech.copy()
+    for vec in data.draw(st.lists(vector, min_size=1, max_size=4)):
+        grown.add(vec)
+    assert (ech.rows, ech.rank, [ech.solve(t) for t in targets]) == before

@@ -1,5 +1,7 @@
 import itertools
+import os
 import pickle
+import resource
 import time
 import weakref
 
@@ -222,10 +224,20 @@ def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
     start = time.perf_counter()
     report = verify_bac(code, 7, LIN, jobs=1)
     elapsed = time.perf_counter() - start
+    bases = len(code.cache["span-engine"]._bases)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:  # a CI job's summary page shows the sweep's cost
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        with open(summary, "a", encoding="utf-8") as fh:
+            print(
+                f"serial t=4 k=7 sweep: {report.status}, {elapsed:.2f} s, "
+                f"test process peak RSS {rss:.1f} MB, {bases} cached bases",
+                file=fh,
+            )
     assert report.passed and report.checked == 245157
     assert elapsed < 20.0, f"serial k=7 sweep took {elapsed:.1f} s"
     # only prefixes are cached, and only up to the first that spans a symbol
-    assert len(code.cache["span-engine"]._bases) < 2000
+    assert bases < 2000
 
 
 def _wrong_solve(monkeypatch):
