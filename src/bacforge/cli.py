@@ -50,15 +50,23 @@ def _range(text: str) -> range:
         raise ValueError(f"expected a range like 2..8, got {text!r}")
 
 
+# the families built from integer flags alone: builder, and its flags in
+# call and provenance order
+_INT_FAMILIES = {
+    "replication": (construct_mod.trivial_replication, ("n", "k")),
+    "single": (construct_mod.single_request_code, ("n", "m")),
+    "parity": (construct_mod.parity_code_k2, ("m",)),
+    "cyclic": (construct_mod.cyclic_shift_code, ("n", "k", "m")),
+    "uniform": (construct_mod.uniform_code, ("n", "k")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bacforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="generate a code from a named family")
-    c.add_argument(
-        "family",
-        choices=["replication", "single", "parity", "cyclic", "uniform", "goodvec", "affine"],
-    )
+    c.add_argument("family", choices=[*_INT_FAMILIES, "goodvec", "affine"])
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)
     c.add_argument("--m", type=int)
@@ -129,26 +137,12 @@ def _cmd_construct(args) -> int:
 
     fieldobj = PrimeField(args.field)
     fam = args.family
-    if fam == "replication":
-        _require(args, ["n", "k"])
-        code = construct_mod.trivial_replication(args.n, args.k, fieldobj)
-        prov = {"family": "replication", "n": args.n, "k": args.k}
-    elif fam == "single":
-        _require(args, ["n", "m"])
-        code = construct_mod.single_request_code(args.n, args.m, fieldobj)
-        prov = {"family": "single", "n": args.n, "m": args.m}
-    elif fam == "parity":
-        _require(args, ["m"])
-        code = construct_mod.parity_code_k2(args.m, fieldobj)
-        prov = {"family": "parity", "m": args.m}
-    elif fam == "cyclic":
-        _require(args, ["n", "k", "m"])
-        code = construct_mod.cyclic_shift_code(args.n, args.k, args.m, fieldobj)
-        prov = {"family": "cyclic", "n": args.n, "k": args.k, "m": args.m}
-    elif fam == "uniform":
-        _require(args, ["n", "k"])
-        code = construct_mod.uniform_code(args.n, args.k, fieldobj)
-        prov = {"family": "uniform", "n": args.n, "k": args.k}
+    if fam in _INT_FAMILIES:
+        builder, flags = _INT_FAMILIES[fam]
+        _require(args, flags)
+        values = {flag: getattr(args, flag) for flag in flags}
+        code = builder(*values.values(), fieldobj)
+        prov = {"family": fam, **values}
     elif fam == "goodvec":
         if args.v:
             v = construct_mod.good_vector(_int_list(args.v), args.t)
@@ -163,7 +157,7 @@ def _cmd_construct(args) -> int:
             raise ValueError("the affine construction is binary; use --field 2")
         p1, p2 = args.p1, args.p2
         if p1 is None or p2 is None:
-            defaults = affine_mod.default_params(args.q, args.k or 1, args.s)
+            defaults = affine_mod.default_params(args.q, 1 if args.k is None else args.k, args.s)
             p1 = p1 if p1 is not None else defaults.p1
             p2 = p2 if p2 is not None else defaults.p2
             _eprint(

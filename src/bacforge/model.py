@@ -13,10 +13,10 @@ CodeSpec and Codeword are immutable and safe to share between workers.  A
 CodeSpec's `cache` holds state derived from it alone, built on first use and
 freed with the code: the column table that `encode`, `sim.serve_batch` and
 `certify_plan` read (`column_table`), the all-zero responses that
-`verify.plan_from_parts` starts each plan from, the span engine of `verify`,
-the per-parameter tables of the cyclic and good-vector planners (each made
-after checking the code against its construction) and the planner context
-`sim` resolves from each provenance.  Nothing in it refers back to the code.
+`verify.plan_from_parts` starts each plan from, one span engine of `verify`
+per response regime, the per-parameter tables of the cyclic and good-vector
+planners (each made after checking the code against its construction) and
+the planner context `sim` resolves from each provenance.  Nothing in it refers back to the code.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ answers.  Two response regimes are supported:
                  unit vector.
 
 `find_plan` decides a request exactly, by a backtracking search over the
-minimal recovery sets of each requested symbol (`_search`).  The code's
-`SpanEngine` builds those sets one size at a time with one level builder for
-both regimes (`SpanEngine._grow`), solves and certifies each (subset, symbol,
-regime) part once, and reads every linear answer from the basis of the
-subset's shortest prefix that spans the symbol (`_reach`); it lives in the
-code's own `cache` and is freed with the code.
+minimal recovery sets of each requested symbol (`_search`).  A code has one
+`SpanEngine` per response regime (`engine_for`), kept in the code's own
+`cache` and freed with the code.  It builds those sets one size at a time
+(`SpanEngine._grow`), solves each (subset, symbol) part once, and reads every
+linear answer from the basis of the subset's shortest prefix that spans the
+symbol (`_reach`).  Each answer is certified once, where it is made: `_reach`
+checks its solve and, in the projection regime, `part` the part it solved.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
@@ -28,7 +29,7 @@ certified once: `find_plan` certifies each whole plan, `sim.serve_batch`
 every other plan it serves and `affine.trial_verify` every greedy plan it
 counts; the construction planners return uncertified plans.  The sweeps of
 `verify_bac` and `verify_pir` hand out no plans: they run the same search and
-certify parts, each once (`SpanEngine.certified`), which is exact for the
+read each part's certificate (`SpanEngine.certified`), which is exact for the
 plans `find_plan` would return (see `_failures`).  Orbits enter there: a
 sweep searches only the least request of each orbit under the code's symbol
 shift (`symbol_shift`), and a failing one stands for its orbit (`_sweep`).
@@ -51,10 +52,6 @@ from .model import CodeSpec, column_table
 class ResponseModel(Enum):
     LINEAR = "linear"
     PROJECTION = "projection"
-
-    # members are singletons, so identity hashes them faster than Enum's hash
-    # of the name, and a sweep looks the engine's caches up by member
-    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text) -> "ResponseModel":
@@ -141,41 +138,44 @@ def bucket_indices(mask: int) -> list:
 
 
 class SpanEngine:
-    """Per-code caches of joint-span queries over bucket subsets.
+    """Per-code caches of joint-span queries over bucket subsets, for one
+    response regime.
 
-    A subset is an int bitmask over the 0-based bucket indices.  Whether it
-    recovers a symbol in the linear regime, its part and the part's
-    certificate all read one memo, `_reach`: the coefficient-tracking
-    `Echelon` of its shortest prefix (lowest buckets) that spans the symbol.
-    Every (subset, symbol, regime) part of a plan is solved once: `part`
-    caches it, so plan assembly is lookups, and `certified` checks it once.
+    A subset is an int bitmask over the 0-based bucket indices.  In the
+    linear regime whether it recovers a symbol and its part both read one
+    memo, `_reach`: the coefficient-tracking `Echelon` of its shortest prefix
+    (lowest buckets) that spans the symbol.  Every (subset, symbol) part of a
+    plan is solved once: `part` caches it, so plan assembly is lookups.  Each
+    answer is certified once, where it is made, against the code's column
+    table: `_reach` checks its solve, and in the projection regime `part`
+    checks the part it solved; one that fails is an internal error.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
-    draws its parts from; one builder, `_grow`, makes each level in either
-    regime from the symbols that the subsets of the level below serve.  The
-    engine holds the code's field, n, buckets and column table but not the
-    code, and lives in the code's own cache (see `engine_for`), so it is
-    freed together with the code.  It grows its minimal-set levels in place,
-    so it is for one thread at a time.
+    draws its parts from; `_grow` makes each level from the symbols that the
+    subsets of the level below serve.  The engine holds the code's field, n,
+    buckets and column table but not the code, and lives in the code's own
+    cache, one per regime (see `engine_for`), so it is freed together with
+    the code.  It grows its minimal-set levels in place, so it is for one
+    thread at a time.
     """
 
-    def __init__(self, code: CodeSpec):
+    def __init__(self, code: CodeSpec, model: ResponseModel):
         self.field = field = code.field
         self.n = code.n
         self.sizes = code.bucket_sizes
-        # `certified` reads the column table, `Echelon.add` the same ints over GF(2)
+        self.linear = model is ResponseModel.LINEAR
+        # the certificates read the column table, `Echelon.add` the same ints over GF(2)
         self.table = column_table(code)
         self.columns = self.table if field.p == 2 else code.buckets
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
         self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
-        self._parts: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> part
-        self._certified: dict = {model: {} for model in ResponseModel}  # mask * n + i0 -> bool
-        # minimal recovery sets: per regime, level s holds per symbol the
-        # minimal masks of s buckets; `_open` has the symbols that may still
-        # have minimal sets above the last level built
-        self._levels: dict = {model: [((),) * self.n] for model in ResponseModel}
-        self._open: dict = {model: (1 << self.n) - 1 for model in ResponseModel}
-        # per regime, the last level built: mask -> served symbols (`_grow`)
-        self._served: dict = {model: {0: 0} for model in ResponseModel}
+        self._parts: dict = {}  # mask * n + i0 -> part
+        # minimal recovery sets: level s holds per symbol the minimal masks of
+        # s buckets; `_open` has the symbols that may still have minimal sets
+        # above the last level built
+        self._levels: list = [((),) * self.n]
+        self._open = (1 << self.n) - 1
+        # the last level built: mask -> served symbols (`_grow`)
+        self._served: dict = {0: 0}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
         """A copy of `ech` with bucket ell0's columns inserted."""
@@ -206,34 +206,43 @@ class SpanEngine:
         the whole mask's, padded with zeros, over any F_p: the columns that
         enlarged the span when inserted form a basis, so e_i0 has exactly one
         combination of them, and the prefix holds every column it uses (its
-        independent columns are the mask's first ones and span e_i0)."""
+        independent columns are the mask's first ones and span e_i0).  The
+        solve is certified when the prefix is found: the subset as one bucket
+        whose answer is the solve over its columns (those of the prefix; zip
+        drops the rest) must give e_i0."""
         key = mask * self.n + i0
         reach = self._reaches.get(key, False)  # False: not looked for yet
         if reach is False:
-            reach = self._reaches[key] = next(
-                (ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None
-            )
+            reach = next((ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None)
+            if reach is not None:
+                columns = [col for ell0 in bucket_indices(mask) for col in self.table[ell0]]
+                coeffs = reach.solve(unit_vector(i0, self.n))
+                if coeffs is None or not _sums_to_unit(
+                    self.field.p, ((1, 1),), (coeffs,), (columns,), i0
+                ):
+                    raise AssertionError(f"internal: solve failed certification for {(mask, i0)}")
+            self._reaches[key] = reach
         return reach
 
-    def recovers(self, mask: int, i0: int, model: ResponseModel) -> bool:
-        if model is not ResponseModel.LINEAR:
-            return self.part(mask, i0, model) is not None
+    def recovers(self, mask: int, i0: int) -> bool:
+        if not self.linear:
+            return self.part(mask, i0) is not None
         # `_reach`'s memo read in place: the search asks at every node
         reach = self._reaches.get(mask * self.n + i0, False)
         return (self._reach(mask, i0) if reach is False else reach) is not None
 
-    def minimal_sets(self, i0: int, model: ResponseModel, size: int) -> tuple:
-        """The bucket bitmasks of `size` buckets that recover symbol i0 under
-        `model` while no proper subset does, ordered by their ascending
-        bucket-index tuples (`itertools.combinations` order).  Sizes are
-        built lazily, one level for all symbols at a time, and only as far as
-        asked; above the size at which every subset recovers i0 there are
-        none, and nothing more is built."""
-        levels = self._levels[model]
+    def minimal_sets(self, i0: int, size: int) -> tuple:
+        """The bucket bitmasks of `size` buckets that recover symbol i0 while
+        no proper subset does, ordered by their ascending bucket-index tuples
+        (`itertools.combinations` order).  Sizes are built lazily, one level
+        for all symbols at a time, and only as far as asked; above the size
+        at which every subset recovers i0 there are none, and nothing more
+        is built."""
+        levels = self._levels
         while len(levels) <= size:
-            if not (self._open[model] >> i0) & 1 or len(levels) > len(self.columns):
+            if not (self._open >> i0) & 1 or len(levels) > len(self.columns):
                 return ()
-            self._grow(model, len(levels))
+            self._grow(len(levels))
         return levels[size][i0]
 
     def _subsets(self, size: int, done):
@@ -254,17 +263,16 @@ class SpanEngine:
 
         return extend(0, 0, 0, self._bases[0])
 
-    def _grow(self, model: ResponseModel, size: int) -> None:
-        """Level `size` of the minimal sets under `model`.  A subset serves a
-        symbol when it spans it and, in the projection regime, `part` finds
-        an answer too; both are monotone, so a subset is minimal for the
-        symbols it serves that none of its (size-1)-subsets serves, and
-        `part` is asked only about those.  Only the served symbols of the
-        previous level are kept, and only of the subsets that miss an open
-        symbol.  In the linear regime a subset that spans every open symbol
-        is not extended, as nothing above it is minimal for one."""
-        linear = model is ResponseModel.LINEAR
-        open_, below = self._open[model], self._served[model]
+    def _grow(self, size: int) -> None:
+        """Level `size` of the minimal sets.  A subset serves a symbol when
+        it spans it and, in the projection regime, `part` finds an answer
+        too; both are monotone, so a subset is minimal for the symbols it
+        serves that none of its (size-1)-subsets serves, and `part` is asked
+        only about those.  Only the served symbols of the previous level are
+        kept, and only of the subsets that miss an open symbol.  In the
+        linear regime a subset that spans every open symbol is not extended,
+        as nothing above it is minimal for one."""
+        linear, open_, below = self.linear, self._open, self._served
         found: list = [[] for _ in range(self.n)]
         served_at: dict = {}
         still_open = 0
@@ -281,7 +289,7 @@ class SpanEngine:
                 new &= ~below.get(mask ^ low, open_)
                 rest ^= low
             for i0 in bucket_indices(new):
-                if linear or self.part(mask, i0, model) is not None:
+                if linear or self.part(mask, i0) is not None:
                     found[i0].append(mask)
                 else:
                     served ^= 1 << i0
@@ -289,55 +297,43 @@ class SpanEngine:
             if missing:
                 still_open |= missing
                 served_at[mask] = served
-        self._served[model] = served_at
-        self._open[model] = still_open
-        self._levels[model].append(tuple(map(tuple, found)))
+        self._served = served_at
+        self._open = still_open
+        self._levels.append(tuple(map(tuple, found)))
 
-    def part(self, mask: int, i0: int, model: ResponseModel) -> Optional[tuple]:
+    def part(self, mask: int, i0: int) -> Optional[tuple]:
         """How the buckets in `mask` serve symbol i0, or None if they cannot:
         (bucket set, ((bucket0, response vector), ...) for the buckets that
         answer something nonzero, combo), with the set and the combo 1-based
-        as in `RecoveryPlan`."""
-        cache = self._parts[model]
+        as in `RecoveryPlan`.  A linear part is the solve `_reach` certified;
+        a projection part is certified here, once, with `certify_plan`'s
+        checks on its own part of a plan: its bucket set is the mask, its
+        answers and combo lie in it, its answers are unit vectors and they
+        combine to e_i0."""
         key = mask * self.n + i0
-        if key not in cache:
-            if model is ResponseModel.LINEAR:
-                cache[key] = self._solve_linear(mask, i0)
-            else:
-                cache[key] = self._solve_projection(mask, i0)
-        return cache[key]
-
-    def certified(self, mask: int, i0: int, model: ResponseModel) -> bool:
-        """Whether `part(mask, i0, model)` passes `certify_plan`'s checks on
-        its own, against the code's column table; computed once per key.  A
-        linear part is checked as the subset's lowest-index solve, without
-        building it."""
-        cache = self._certified[model]
-        key = mask * self.n + i0
-        hit = cache.get(key)
-        if hit is None:
-            p, table = self.field.p, self.table
-            if model is ResponseModel.LINEAR:
-                # the subset as one bucket whose answer is the solve over its
-                # columns (those of the prefix; zip drops the rest)
-                reach = self._reach(mask, i0)
-                columns = [col for ell0 in bucket_indices(mask) for col in table[ell0]]
-                coeffs = None if reach is None else reach.solve(unit_vector(i0, self.n))
-                hit = coeffs is not None and _sums_to_unit(p, ((1, 1),), (coeffs,), (columns,), i0)
-            elif (part := self.part(mask, i0, model)) is None:
-                hit = False
-            else:
+        part = self._parts.get(key, False)  # False: not solved yet
+        if part is False:
+            if self.linear:
+                part = self._solve_linear(mask, i0)
+            elif (part := self._solve_projection(mask, i0)) is not None:
+                p, table = self.field.p, self.table
                 bucket_set, vectors, combo = part
                 answers = dict(vectors)
                 responses = [answers.get(ell0, ()) for ell0 in range(len(table))]
-                hit = (
+                if not (
                     bucket_set == {ell0 + 1 for ell0 in bucket_indices(mask)}
                     and {ell0 + 1 for ell0 in answers} | {ell for ell, _ in combo} <= bucket_set
                     and all(_unit_or_zero(p, vector) for vector in answers.values())
                     and _sums_to_unit(p, combo, responses, table, i0)
-                )
-            cache[key] = hit
-        return hit
+                ):
+                    raise AssertionError(f"internal: part failed certification for {(mask, i0)}")
+            self._parts[key] = part
+        return part
+
+    def certified(self, mask: int, i0: int) -> bool:
+        """Whether `mask` serves symbol i0 by an answer certified where it was
+        made (`_reach`, `part`), read without `recovers`."""
+        return (self._reach(mask, i0) if self.linear else self.part(mask, i0)) is not None
 
     def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
         """Any combination of each bucket's columns: the lowest-index solve
@@ -360,15 +356,15 @@ class SpanEngine:
         cannot succeed and is cut, so the first solution is the full DFS's."""
         order = bucket_indices(mask)
         columns = self.columns
-        reach = [Echelon(self.field, self.n)]  # reach[idx]: span of order[idx:]
+        suffix = [Echelon(self.field, self.n)]  # suffix[idx]: span of order[idx:]
         for ell0 in reversed(order):
-            reach.append(self._with_bucket(reach[-1], ell0))
-        reach.reverse()
+            suffix.append(self._with_bucket(suffix[-1], ell0))
+        suffix.reverse()
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):
             if ech.contains_unit(i0):
                 return chosen, ech.solve(unit_vector(i0, self.n))
-            joint = reach[idx].copy()
+            joint = suffix[idx].copy()
             for ell0, s in chosen:
                 joint.add(columns[ell0][s])
             if not joint.contains_unit(i0):
@@ -395,11 +391,13 @@ class SpanEngine:
         return make_part(self.sizes, combo, [(pick, 1) for pick, _ in used])
 
 
-def engine_for(code: CodeSpec) -> SpanEngine:
-    """The code's span engine, made on first use and kept in `code.cache`."""
-    engine = code.cache.get("span-engine")
+def engine_for(code: CodeSpec, model: ResponseModel) -> SpanEngine:
+    """The code's span engine for the response regime `model`, made on first
+    use and kept in `code.cache`, one per regime."""
+    engines = code.cache.setdefault("span-engines", {})
+    engine = engines.get(model)
     if engine is None:
-        engine = code.cache["span-engine"] = SpanEngine(code)
+        engine = engines[model] = SpanEngine(code, model)
     return engine
 
 
@@ -563,19 +561,17 @@ def find_plan(
     req = normalize_request(request, code.n)
     if len(req) > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
-    engine = engine_for(code)
-    masks = _search(engine, req, model, (1 << code.m) - 1)
+    engine = engine_for(code, model)
+    masks = _search(engine, req, (1 << code.m) - 1)
     if masks is None:
         return None
-    plan = plan_from_parts(
-        code, req, [engine.part(mask, i - 1, model) for mask, i in zip(masks, req)]
-    )
+    plan = plan_from_parts(code, req, [engine.part(mask, i - 1) for mask, i in zip(masks, req)])
     if not certify_plan(code, req, plan, model):
         raise AssertionError(f"internal: found plan failed certification for {req}")
     return plan
 
 
-def _search(engine: SpanEngine, req: tuple, model: ResponseModel, left: int) -> Optional[list]:
+def _search(engine: SpanEngine, req: tuple, left: int) -> Optional[list]:
     """The part bitmasks, one per request of the sorted `req`, of the first
     plan on the buckets in the bitmask `left`, uncertified; None if there is
     none.  Each request but the last takes a minimal recovery set
@@ -587,14 +583,14 @@ def _search(engine: SpanEngine, req: tuple, model: ResponseModel, left: int) -> 
     and A comes first."""
     i0 = req[0] - 1
     # recoverability is monotone, so an infeasible union prunes the branch
-    if not engine.recovers(left, i0, model):
+    if not engine.recovers(left, i0):
         return None
     if len(req) == 1:
         return [left]
     for size in range(1, left.bit_count() - len(req) + 2):
-        for mask in engine.minimal_sets(i0, model, size):
+        for mask in engine.minimal_sets(i0, size):
             if mask & left == mask:
-                rest = _search(engine, req[1:], model, left ^ mask)
+                rest = _search(engine, req[1:], left ^ mask)
                 if rest is not None:
                     return [mask, *rest]
     return None
@@ -700,22 +696,23 @@ def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
     """(request, "no-partition") for each sorted request the search cannot
     serve.  A served request is certified without building its plan: its
     part masks must partition [m] into k parts, and each part must pass
-    `SpanEngine.certified`.  That is exact: parts sit on disjoint buckets,
-    and request j's identity and unit responses depend only on part j's
-    responses and combo, so a plan certifies iff its parts partition [m]
-    and each part certifies on its own.  A claimed plan that does not
+    `SpanEngine.certified`, read independently of the search's pruning.
+    That is exact: parts sit on disjoint buckets, and request j's identity
+    and unit responses depend only on part j's responses and combo, so a
+    plan certifies iff its parts partition [m] and each part certifies on
+    its own.  A claimed plan that does not
     certify is an internal error."""
-    engine = engine_for(code)
+    engine = engine_for(code, model)
     everything = (1 << code.m) - 1
     failures = []
     for req in requests:
-        masks = _search(engine, req, model, everything)
+        masks = _search(engine, req, everything)
         if masks is None:
             failures.append((req, "no-partition"))
             continue
         union, certified = 0, len(masks) == len(req)
         for mask, i in zip(masks, req):
-            certified = certified and not union & mask and engine.certified(mask, i - 1, model)
+            certified = certified and not union & mask and engine.certified(mask, i - 1)
             union |= mask
         if not certified or union != everything:
             raise AssertionError(f"internal: found plan failed certification for {req}")
@@ -752,7 +749,7 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
     everything = (1 << code.n) - 1
-    subsets = engine_for(code)._subsets(code.m - k + 1, lambda mask, symbols: False)
+    subsets = engine_for(code, ResponseModel.LINEAR)._subsets(code.m - k + 1, lambda mask, symbols: False)
     return all(symbols == everything for _, symbols in subsets)
 
 

@@ -128,23 +128,23 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
     k = len(req)
-    engine = SpanEngine(code)
+    engine = SpanEngine(code, model)
     parts: list = []
 
     def search(pos: int, remaining: tuple, left: int) -> bool:
         i0 = req[pos] - 1
         if pos == k - 1:
-            if engine.recovers(left, i0, model):
+            if engine.recovers(left, i0):
                 parts.append(left)
                 return True
             return False
-        if not engine.recovers(left, i0, model):
+        if not engine.recovers(left, i0):
             return False
         max_size = len(remaining) - (k - pos - 1)
         for size in range(1, max_size + 1):
             for cand in itertools.combinations(remaining, size):
                 mask = sum(cand)
-                if engine.recovers(mask, i0, model):
+                if engine.recovers(mask, i0):
                     parts.append(mask)
                     rest = tuple(b for b in remaining if not b & mask)
                     if search(pos + 1, rest, left ^ mask):
@@ -154,7 +154,7 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
 
     if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
         return None
-    solved = [engine.part(mask, i - 1, model) for mask, i in zip(parts, req)]
+    solved = [engine.part(mask, i - 1) for mask, i in zip(parts, req)]
     return plan_from_parts(code, req, solved)
 
 

@@ -12,6 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bacforge.cli import run
+from bacforge.construct import (
+    cyclic_shift_code,
+    parity_code_k2,
+    single_request_code,
+    trivial_replication,
+    uniform_code,
+)
 from bacforge.model import code_to_json, load_code
 
 
@@ -393,6 +400,30 @@ def test_construct_affine_prints_seed(tmp_path, capsys):
     assert "generated seed" in err
     _, prov = load_code(str(out))
     assert prov["seed"] >= 0
+
+
+def test_construct_affine_rejects_k_zero(capsys):
+    assert run(["construct", "affine", "--q", "5", "--s", "2", "--k", "0", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k and s must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "family, builder, flags",
+    [
+        ("replication", trivial_replication, {"n": 3, "k": 2}),
+        ("single", single_request_code, {"n": 5, "m": 2}),
+        ("parity", parity_code_k2, {"m": 4}),
+        ("cyclic", cyclic_shift_code, {"n": 4, "k": 4, "m": 5}),
+        ("uniform", uniform_code, {"n": 20, "k": 4}),
+    ],
+)
+def test_construct_integer_flag_families(capsys, family, builder, flags):
+    argv = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
+    assert run(["construct", family, *argv]) == 0
+    expected = code_to_json(builder(*flags.values()), {"family": family, **flags})
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_cli_import_leaves_numpy_out():

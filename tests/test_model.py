@@ -74,7 +74,7 @@ def recovers(code, buckets, i) -> bool:
     """Linear recoverability of symbol i from the given buckets (1-based),
     through the code's span engine."""
     mask = sum(1 << (ell - 1) for ell in set(buckets))
-    return engine_for(code).recovers(mask, i - 1, ResponseModel.LINEAR)
+    return engine_for(code, ResponseModel.LINEAR).recovers(mask, i - 1)
 
 
 def test_bucket_set_recovers(c2_code, gv1_code):

@@ -224,14 +224,16 @@ def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
     start = time.perf_counter()
     report = verify_bac(code, 7, LIN, jobs=1)
     elapsed = time.perf_counter() - start
-    bases = len(code.cache["span-engine"]._bases)
+    engine = code.cache["span-engines"][LIN]
+    bases = len(engine._bases)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary:  # a CI job's summary page shows the sweep's cost
+    if summary:  # a CI job's summary page shows the sweep's cost and memo growth
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         with open(summary, "a", encoding="utf-8") as fh:
             print(
                 f"serial t=4 k=7 sweep: {report.status}, {elapsed:.2f} s, "
-                f"test process peak RSS {rss:.1f} MB, {bases} cached bases",
+                f"test process peak RSS {rss:.1f} MB, {bases} cached bases, "
+                f"{len(engine._reaches)} reaches, {len(engine._parts)} parts",
                 file=fh,
             )
     assert report.passed and report.checked == 245157
@@ -263,9 +265,17 @@ def test_sweep_refuses_a_wrong_solve(monkeypatch, model):
 
 
 @pytest.mark.parametrize("model", [LIN, PROJ])
+def test_engine_refuses_a_wrong_solve_where_it_is_made(monkeypatch, model):
+    engine = SpanEngine(cyclic_shift_code(4, 4, 5), model)
+    _wrong_solve(monkeypatch)
+    with pytest.raises(AssertionError, match="internal"):
+        engine.part(0b1, 0)
+
+
+@pytest.mark.parametrize("model", [LIN, PROJ])
 def test_sweep_refuses_a_last_part_that_does_not_recover(monkeypatch, c2_code, model):
     truncated = CodeSpec(GF2, 4, c2_code.buckets[:4])  # fails on (1, 1, 1, 1)
-    monkeypatch.setattr(SpanEngine, "recovers", lambda self, mask, i0, model: True)
+    monkeypatch.setattr(SpanEngine, "recovers", lambda self, mask, i0: True)
     with pytest.raises(AssertionError, match="internal"):
         verify_bac(truncated, 4, model)
 
@@ -431,14 +441,14 @@ def test_linear_answers_match_the_whole_mask_reference(code, data):
     of the shortest prefix of the mask that spans the symbol; each answer
     equals the one of the solve over all of the mask's columns, whatever the
     engine was asked before."""
-    engine = SpanEngine(code)
+    engine = SpanEngine(code, LIN)
     query = st.tuples(st.integers(0, (1 << code.m) - 1), st.integers(0, code.n - 1))
     for mask, i0 in data.draw(st.lists(query, min_size=1, max_size=30)):
         expected = reference_linear_part(code, mask, i0)
         spans = naive_recovers(code, [ell0 + 1 for ell0 in bucket_indices(mask)], i0 + 1)
-        assert engine.recovers(mask, i0, LIN) == (expected is not None) == spans
-        assert engine.part(mask, i0, LIN) == expected, (mask, i0)
-        assert engine.certified(mask, i0, LIN) == (expected is not None)
+        assert engine.recovers(mask, i0) == (expected is not None) == spans
+        assert engine.part(mask, i0) == expected, (mask, i0)
+        assert engine.certified(mask, i0) == (expected is not None)
 
 
 @st.composite
@@ -474,7 +484,7 @@ def test_minimal_sets_are_the_brute_force_antichain(code, descending):
     m = code.m
     subsets = [s for size in range(1, m + 1) for s in itertools.combinations(range(1, m + 1), size)]
     for model, projection in ((LIN, False), (PROJ, True)):
-        engine = SpanEngine(code)
+        engine = SpanEngine(code, model)
         recovered = {s: naive_recovered(code, s, projection) for s in subsets}
         symbols = range(1, code.n + 1)
         # the levels are built lazily; the order of the queries must not matter
@@ -488,7 +498,7 @@ def test_minimal_sets_are_the_brute_force_antichain(code, descending):
                 ]
                 got = [
                     tuple(ell0 + 1 for ell0 in bucket_indices(mask))
-                    for mask in engine.minimal_sets(i - 1, model, size)
+                    for mask in engine.minimal_sets(i - 1, size)
                 ]
                 assert got == expected, (i, size, model)
 
