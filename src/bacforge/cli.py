@@ -4,22 +4,20 @@ JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or precondition
 error.  Randomized commands take --seed; if omitted, one is generated and
 printed so every run is reproducible after the fact.
+
+Each command imports only the modules it runs: `verify` loads field, model
+and verify; `goodvec`, `compose` and the other `construct` families add
+construct; `bounds` adds construct and bounds; `construct affine` adds
+affine; `simulate` and `random-trials` add construct, affine and sim.
+numpy is imported only by `construct affine`, `random-trials` and certified
+simulation of affine codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import sys
-from fractions import Fraction
-
-from . import affine as affine_mod
-from . import bounds as bounds_mod
-from . import construct as construct_mod
-from .model import code_to_json, load_code, total_length
-from .sim import planner_context, serve_batch
-from .verify import ResponseModel, verify_bac, verify_pir
 
 
 def _eprint(*args) -> None:
@@ -50,14 +48,14 @@ def _range(text: str) -> range:
         raise ValueError(f"expected a range like 2..8, got {text!r}")
 
 
-# the families built from integer flags alone: builder, and its flags in
-# call and provenance order
+# the families built from integer flags alone: the name of the builder in
+# `construct`, and its flags in call and provenance order
 _INT_FAMILIES = {
-    "replication": (construct_mod.trivial_replication, ("n", "k")),
-    "single": (construct_mod.single_request_code, ("n", "m")),
-    "parity": (construct_mod.parity_code_k2, ("m",)),
-    "cyclic": (construct_mod.cyclic_shift_code, ("n", "k", "m")),
-    "uniform": (construct_mod.uniform_code, ("n", "k")),
+    "replication": ("trivial_replication", ("n", "k")),
+    "single": ("single_request_code", ("n", "m")),
+    "parity": ("parity_code_k2", ("m",)),
+    "cyclic": ("cyclic_shift_code", ("n", "k", "m")),
+    "uniform": ("uniform_code", ("n", "k")),
 }
 
 
@@ -134,30 +132,39 @@ def _require(args, names) -> None:
 
 def _cmd_construct(args) -> int:
     from .field import PrimeField
+    from .model import code_to_json, total_length
 
     fieldobj = PrimeField(args.field)
     fam = args.family
     if fam in _INT_FAMILIES:
+        from . import construct
+
         builder, flags = _INT_FAMILIES[fam]
         _require(args, flags)
         values = {flag: getattr(args, flag) for flag in flags}
-        code = builder(*values.values(), fieldobj)
+        code = getattr(construct, builder)(*values.values(), fieldobj)
         prov = {"family": fam, **values}
     elif fam == "goodvec":
+        from .construct import good_vector, good_vector_2t1, good_vector_code
+
         if args.v:
-            v = construct_mod.good_vector(_int_list(args.v), args.t)
+            v = good_vector(_int_list(args.v), args.t)
         else:
             _require(args, ["t"])
-            v = construct_mod.good_vector_2t1(args.t)
-        code = construct_mod.good_vector_code(v, fieldobj)
+            v = good_vector_2t1(args.t)
+        code = good_vector_code(v, fieldobj)
         prov = {"family": "goodvec", "t": v.t, "v": list(v.entries)}
     else:  # affine
+        import secrets
+
+        from .affine import default_params, random_bac
+
         _require(args, ["q", "s"])
         if args.field != 2:
             raise ValueError("the affine construction is binary; use --field 2")
         p1, p2 = args.p1, args.p2
         if p1 is None or p2 is None:
-            defaults = affine_mod.default_params(args.q, 1 if args.k is None else args.k, args.s)
+            defaults = default_params(args.q, 1 if args.k is None else args.k, args.s)
             p1 = p1 if p1 is not None else defaults.p1
             p2 = p2 if p2 is not None else defaults.p2
             _eprint(
@@ -168,7 +175,7 @@ def _cmd_construct(args) -> int:
         if seed is None:
             seed = secrets.randbits(63)
             _eprint(f"generated seed {seed}")
-        apc = affine_mod.random_bac(args.q, args.s, p1, p2, seed)
+        apc = random_bac(args.q, args.s, p1, p2, seed)
         code = apc.code
         prov = apc.provenance()
 
@@ -183,6 +190,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .model import load_code
+    from .verify import ResponseModel, verify_bac, verify_pir
+
     code, _ = load_code(args.code)
     model = ResponseModel.parse(args.mode)
     if args.pir_only:
@@ -199,21 +209,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from fractions import Fraction
+
+    from .bounds import bound_report, bound_table, table_to_csv
+
     if args.table == "table":
         _require(args, ["n-range", "k-range", "m-rule"])
-        reports = bounds_mod.bound_table(
+        reports = bound_table(
             _range(args.n_range), _range(args.k_range), args.m_rule, args.m_max
         )
         print(json.dumps([r.to_json_dict() for r in reports]))
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(bounds_mod.table_to_csv(reports))
+                fh.write(table_to_csv(reports))
             _eprint(f"wrote {len(reports)} rows to {args.csv}")
         else:
             _eprint(f"{len(reports)} rows")
         return 0
     _require(args, ["n", "k", "m"])
-    report = bounds_mod.bound_report(args.n, args.k, args.m)
+    report = bound_report(args.n, args.k, args.m)
     print(json.dumps(report.to_json_dict()))
     lb = Fraction(report.lower)
     _eprint(
@@ -225,13 +239,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_goodvec(args) -> int:
+    from .construct import enumerate_good_vectors, good_vector_2t1
+
     if args.enumerate_all:
         length = args.length if args.length is not None else 2 * args.t
-        vectors = construct_mod.enumerate_good_vectors(args.t, length)
+        vectors = enumerate_good_vectors(args.t, length)
         print(json.dumps([list(v) for v in vectors]))
         _eprint(f"{len(vectors)} good vector(s) of length {length} for t={args.t}")
         return 0
-    v = construct_mod.good_vector_2t1(args.t)
+    v = good_vector_2t1(args.t)
     print(
         json.dumps(
             {
@@ -246,12 +262,15 @@ def _cmd_goodvec(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import construct
+    from .model import code_to_json, load_code, total_length
+
     if args.op == "repeat":
         if len(args.inputs) != 1:
             raise ValueError("compose repeat takes one input code")
         _require(args, ["count"])
         code, prov = load_code(args.inputs[0])
-        result = construct_mod.compose_repeat(code, args.count)
+        result = construct.compose_repeat(code, args.count)
         new_prov = {"family": "compose-repeat", "count": args.count, "inner": prov}
     else:
         if len(args.inputs) != 2:
@@ -259,9 +278,9 @@ def _cmd_compose(args) -> int:
         c1, p1 = load_code(args.inputs[0])
         c2, p2 = load_code(args.inputs[1])
         if args.op == "parallel":
-            result = construct_mod.compose_parallel(c1, c2)
+            result = construct.compose_parallel(c1, c2)
         else:
-            result = construct_mod.compose_concat(c1, c2)
+            result = construct.compose_concat(c1, c2)
         new_prov = {"family": f"compose-{args.op}", "inner": [p1, p2]}
     text = code_to_json(result, new_prov)
     _emit(text, args.out)
@@ -270,6 +289,10 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .model import load_code
+    from .sim import serve_batch
+    from .verify import ResponseModel
+
     code, prov = load_code(args.code)
     report = serve_batch(
         code,
@@ -288,6 +311,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_random_trials(args) -> int:
+    import secrets
+
+    from .affine import trial_verify
+    from .model import load_code
+    from .sim import planner_context
+
     code, prov = load_code(args.code)
     if not isinstance(prov, dict) or prov.get("family") != "affine":
         raise ValueError("random-trials needs a code with affine provenance")
@@ -296,7 +325,7 @@ def _cmd_random_trials(args) -> int:
     if seed is None:
         seed = secrets.randbits(63)
         _eprint(f"generated seed {seed}")
-    report = affine_mod.trial_verify(
+    report = trial_verify(
         apc, args.k, args.trials, seed, strict_appendix=args.strict_appendix
     )
     print(json.dumps(report.to_json_dict()))

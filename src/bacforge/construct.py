@@ -287,11 +287,13 @@ def is_good_vector(entries: Sequence[int], t: int) -> bool:
         return False
     if len(vals) == 2 * t + 1 and vals.count(0) != 1:
         return False
+    # one pass: the positions of each value, in order
+    positions: dict = {}
+    for idx, v in enumerate(vals):
+        positions.setdefault(v, []).append(idx)
     for j in range(1, t + 1):
-        positions = [idx for idx, v in enumerate(vals) if v == j]
-        if len(positions) != 2:
-            return False
-        if positions[1] - positions[0] != j:
+        at = positions.get(j, ())
+        if len(at) != 2 or at[1] - at[0] != j:
             return False
     return True
 

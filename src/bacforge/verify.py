@@ -169,6 +169,9 @@ class SpanEngine:
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
         self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
         self._parts: dict = {}  # mask * n + i0 -> part
+        # projection: mask -> the span of its buckets inserted highest first,
+        # so not a `_bases` entry (the suffix spans of `_solve_projection`)
+        self._suffixes: dict = {}
         # minimal recovery sets: level s holds per symbol the minimal masks of
         # s buckets; `_open` has the symbols that may still have minimal sets
         # above the last level built
@@ -356,9 +359,13 @@ class SpanEngine:
         cannot succeed and is cut, so the first solution is the full DFS's."""
         order = bucket_indices(mask)
         columns = self.columns
-        suffix = [Echelon(self.field, self.n)]  # suffix[idx]: span of order[idx:]
+        suffix = [self._bases[0]]  # reversed below: suffix[idx] spans order[idx:]
         for ell0 in reversed(order):
-            suffix.append(self._with_bucket(suffix[-1], ell0))
+            rest = mask >> ell0 << ell0
+            span = self._suffixes.get(rest)
+            if span is None:
+                span = self._suffixes[rest] = self._with_bucket(suffix[-1], ell0)
+            suffix.append(span)
         suffix.reverse()
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):

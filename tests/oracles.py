@@ -1,13 +1,14 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Four references are the exception: `reference_span_solve`, a plain
+Five references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `span_solve` must
 return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
 over every column of a bucket subset that pins the engine's linear parts, and
 `reference_encode`, the dense inner products (`dot`) `encode` and the answers
-of `serve_batch`'s nodes must agree with.
+of `serve_batch`'s nodes must agree with, and `reference_is_good_vector`,
+the earlier check that rescans the vector once per value.
 """
 
 from __future__ import annotations
@@ -261,3 +262,28 @@ def reference_encode(code, x):
     return Codeword(
         tuple(tuple(dot(xv, col, code.field) for col in bucket) for bucket in code.buckets)
     )
+
+
+def reference_is_good_vector(entries, t: int) -> bool:
+    """The earlier `is_good_vector`: the positions of each j in [1, t] by a
+    scan of the whole vector, O(t^2)."""
+    if t < 1:
+        return False
+    try:
+        vals = [int(v) for v in entries]
+    except (TypeError, ValueError):
+        return False
+    if len(vals) not in (2 * t, 2 * t + 1):
+        return False
+    lo = 0 if len(vals) == 2 * t + 1 else 1
+    if any(v < lo or v > t for v in vals):
+        return False
+    if len(vals) == 2 * t + 1 and vals.count(0) != 1:
+        return False
+    for j in range(1, t + 1):
+        positions = [idx for idx, v in enumerate(vals) if v == j]
+        if len(positions) != 2:
+            return False
+        if positions[1] - positions[0] != j:
+            return False
+    return True

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,17 @@ def test_goodvec_commands(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["v"] == [3, 1, 1, 3, 4, 2, 0, 2, 4]
     assert run(["goodvec", "--t", "2", "--enumerate", "--len", "7"]) == 2
+
+
+def test_goodvec_large_t_within_budget(capsys):
+    # the vector is checked in one pass; a check that rescans it once per
+    # value is O(t^2) and takes tens of seconds at this t
+    start = time.perf_counter()
+    assert run(["goodvec", "--t", "20000"]) == 0
+    elapsed = time.perf_counter() - start
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["v"]) == 40001 and len(data["last_occurrence"]) == 20000
+    assert elapsed < 5.0, f"goodvec --t 20000 took {elapsed:.2f}s"
 
 
 def test_compose_commands(tmp_path, capsys):
@@ -426,17 +438,56 @@ def test_construct_integer_flag_families(capsys, family, builder, flags):
     assert capsys.readouterr().out == expected + "\n"
 
 
-def test_cli_import_leaves_numpy_out():
+_CORE = {"bacforge.field", "bacforge.model", "bacforge.verify"}
+
+# `python -m bacforge.cli ARGV` in a fresh interpreter (`import bacforge.cli`
+# for no ARGV): prints the exit code, the bacforge submodules loaded and
+# whether numpy is
+_RUN_CLI = """
+import json, runpy, sys
+argv = json.loads(sys.argv[1])
+sys.argv = ["bacforge.cli", *argv]
+code = None
+if argv:
+    try:
+        runpy.run_module("bacforge.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import bacforge.cli
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bacforge.")), "numpy" in sys.modules]))
+"""
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """Each command loads only the modules it runs, and none of them numpy."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, bacforge.cli; print('numpy' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    c2 = tmp_path / "c2.json"
+    c2.write_text(code_to_json(cyclic_shift_code(4, 4, 5)) + "\n")
+    cases = [
+        ([], {"bacforge.cli"}),
+        (["verify", str(c2), "--k", "4"], _CORE),
+        (["goodvec", "--t", "4"], _CORE | {"bacforge.construct"}),
+        (["bounds", "--n", "5", "--k", "3", "--m", "5"], _CORE | {"bacforge.construct", "bacforge.bounds"}),
+        (["compose", "parallel", str(c2), str(c2)], _CORE | {"bacforge.construct"}),
+        (
+            ["simulate", str(c2), "--data", "1,0,1,1", "--request", "1,1,1,1"],
+            _CORE | {"bacforge.construct", "bacforge.affine", "bacforge.sim"},
+        ),
+    ]
+    for argv, modules in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", _RUN_CLI, json.dumps(argv)],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, loaded, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
+        assert code in (None, 0), (argv, out.stderr)
+        assert (set(loaded), numpy_loaded) == (modules, False), argv
 
 
 def _verify_text(text: str, k: int, mode: str):

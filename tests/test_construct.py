@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bacforge import (
     GF2,
@@ -31,6 +32,7 @@ from bacforge import (
 from bacforge.construct import canonical_recovery_sets
 from bacforge.field import PrimeField
 from conftest import col
+from oracles import reference_is_good_vector
 
 
 def test_trivial_replication():
@@ -189,6 +191,43 @@ def test_enumerate_good_vectors():
     assert (1, 1, 2, 0, 2) in vecs
     assert all(is_good_vector(v, 2) for v in vecs)
     assert vecs == sorted(vecs)
+
+
+@st.composite
+def _good_vector_mutants(draw):
+    """(entries, t): a good vector for t <= 4 from `enumerate_good_vectors`,
+    kept as it is or with two entries swapped, one entry shifted, one set
+    out of range or one replaced by a non-integer, checked against its own
+    t or a neighbouring one."""
+    t = draw(st.integers(1, 4))
+    vectors = enumerate_good_vectors(t, 2 * t) + enumerate_good_vectors(t, 2 * t + 1)
+    entries = list(draw(st.sampled_from(vectors)))
+    i = draw(st.integers(0, len(entries) - 1))
+    mutation = draw(st.sampled_from(["none", "swap", "shift", "range", "type"]))
+    if mutation == "swap":
+        j = draw(st.integers(0, len(entries) - 1))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif mutation == "shift":
+        entries[i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif mutation == "range":
+        entries[i] = draw(st.sampled_from([-1, t + 1, 10**9]))
+    elif mutation == "type":
+        entries[i] = draw(st.sampled_from([1.5, float(entries[i]), str(entries[i]), "x", None, True]))
+    return entries, t + draw(st.sampled_from([0, 0, 0, -1, 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_good_vector_mutants())
+def test_is_good_vector_matches_the_rescanning_oracle(case):
+    entries, t = case
+    assert is_good_vector(entries, t) == reference_is_good_vector(entries, t)
+
+
+def test_is_good_vector_accepts_every_enumerated_vector():
+    for t in range(1, 5):
+        for length in (2 * t, 2 * t + 1):
+            for v in enumerate_good_vectors(t, length):
+                assert is_good_vector(v, t) and reference_is_good_vector(v, t)
 
 
 def test_good_vector_2t1_explicit_values():
