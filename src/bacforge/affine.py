@@ -10,12 +10,18 @@ the ceil(q/s) slope classes partition the non-vertical lines exactly like the
 vertical ones; classes past the last full one are simply shorter.
 
 Generation is reproducible: one 64-bit seed, split into independent line- and
-point-selection streams (algorithm id recorded alongside the code).
+point-selection streams (algorithm id recorded alongside the code).  The
+streams are numpy's `Generator(PCG64(child))` for the children of
+`SeedSequence(seed).spawn(...)`, implemented here in plain integers so that
+no numpy is needed: O'Neill's PCG64 (XSL-RR 128/64) seeded by numpy's
+SeedSequence mixing, doubles from the top 53 bits, and bounded integers by
+Lemire's method on buffered 32-bit draws.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -25,6 +31,98 @@ from .model import CodeSpec
 from .verify import RecoveryPlan, certify_plan, make_part, normalize_request, plan_from_parts
 
 RNG_ID = "numpy-pcg64-seedseq-v1"
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: list) -> int:
+    """SeedSequence's hashmix; advances the multiplier held in `const[0]`."""
+    value ^= const[0]
+    const[0] = const[0] * 0x931E8875 & _M32
+    value = value * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _words(n: int) -> list:
+    """n as little-endian 32-bit words, [0] for 0."""
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+class _PCG64:
+    """numpy's `Generator(PCG64(SeedSequence(seed).spawn(...)[child]))`,
+    reduced to the two draws this module makes."""
+
+    def __init__(self, seed: int, child: int):
+        # the child's SeedSequence: the seed's words padded to the pool size
+        # of 4, then its spawn key, mixed into a pool of 4 words
+        entropy = _words(seed)
+        entropy += [0] * (4 - len(entropy)) + _words(child)
+        const = [0x43B0D7E5]
+        pool = [_hashmix(entropy[i], const) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, const))
+        # generate_state(4, uint64): 8 words out of the pool, paired low first
+        const, state = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            state.append(value ^ value >> 16)
+        seed64 = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+        # pcg64_set_seed: the first pair is the initial state, the second the
+        # stream, each with its first word as the high half
+        self._inc = (seed64[2] << 65 | seed64[3] << 1 | 1) & _M128
+        self._state = self._inc + (seed64[0] << 64 | seed64[1])
+        self._next64()
+        self._high = None  # the unused high half of the last 64-bit draw
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        word, rot = (state >> 64 ^ state) & _M64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            word, self._high = self._high, None
+            return word
+        word = self._next64()
+        self._high = word >> 32
+        return word & _M32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, n: int, size: int) -> list:
+        """`integers(1, n + 1, size=size)`: Lemire's method on 32-bit draws."""
+        if not 1 <= n < 2**32:
+            raise ValueError(f"integer range {n} must lie in [1, 2**32)")
+        if n == 1:
+            return [1] * size
+        out, threshold = [], 2**32 % n
+        for _ in range(size):
+            m = self._next32() * n
+            while m & _M32 < threshold:
+                m = self._next32() * n
+            out.append((m >> 32) + 1)
+        return out
+
+
+def _seed(seed) -> int:
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 class Line(NamedTuple):
@@ -176,23 +274,17 @@ def random_bac(q: int, s: int, p1: float, p2: float, seed: int) -> AffinePlaneCo
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {p}")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    seed = _seed(seed)
+    if seed >= 2**64:
         raise ValueError("seed must fit in 64 bits")
-    import numpy as np  # imported here so that loading the CLI does not pay for it
-
-    stream_lines, stream_points = [
-        np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(seed).spawn(2)
-    ]
+    stream_lines, stream_points = _PCG64(seed, 0), _PCG64(seed, 1)
     n = plane.n
     selected = tuple(
         idx for idx in range(len(plane.lines)) if stream_lines.random() < p1
     )
-    point_sets = []
-    for line in plane.lines:
-        draws = stream_points.random(q)
-        point_sets.append(frozenset(pt for pt, d in zip(line.points, draws) if d < p2))
-    point_sets = tuple(point_sets)
+    point_sets = tuple(
+        frozenset(pt for pt in line.points if stream_points.random() < p2) for line in plane.lines
+    )
 
     half = -(-q // s)  # ceil(q/s)
     buckets = []
@@ -312,14 +404,12 @@ def trial_verify(
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    import numpy as np
-
+    seed = _seed(seed)
     start = time.monotonic()
     code = apc.code
     successes, failures = 0, []
-    for child in np.random.SeedSequence(int(seed)).spawn(trials):
-        rng = np.random.Generator(np.random.PCG64(child))
-        req = tuple(sorted(int(v) for v in rng.integers(1, code.n + 1, size=k)))
+    for child in range(trials):
+        req = tuple(sorted(_PCG64(seed, child).integers(code.n, k)))
         plan = greedy_plan(apc, req, strict_appendix=strict_appendix)
         if plan is None:
             failures.append((req, "greedy-stuck"))

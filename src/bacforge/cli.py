@@ -9,8 +9,7 @@ Each command imports only the modules it runs: `verify` loads field, model
 and verify; `goodvec`, `compose` and the other `construct` families add
 construct; `bounds` adds construct and bounds; `construct affine` adds
 affine; `simulate` and `random-trials` add construct, affine and sim.
-numpy is imported only by `construct affine`, `random-trials` and certified
-simulation of affine codes.
+No command imports numpy.
 """
 
 from __future__ import annotations

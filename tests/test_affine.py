@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -94,6 +97,72 @@ def test_parameter_validation():
         random_bac(5, 2, 0.0, 0.5, seed=0)
     with pytest.raises(ValueError):
         random_bac(5, 2, 0.5, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.7, "3", None])
+def test_seed_must_be_an_integer(seed):
+    apc = random_bac(5, 1, 1.0, 1.0, seed=21)
+    with pytest.raises(TypeError):
+        random_bac(5, 2, 0.5, 0.5, seed=seed)
+    with pytest.raises(TypeError):
+        trial_verify(apc, 1, 5, seed=seed)
+
+
+def test_seed_range():
+    apc = random_bac(5, 1, 1.0, 1.0, seed=21)
+    message = "seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=message):
+        random_bac(5, 2, 0.5, 0.5, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        trial_verify(apc, 1, 5, seed=-1)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        random_bac(5, 2, 0.5, 0.5, seed=2**64)
+    assert random_bac(5, 2, 0.5, 0.5, seed=2**64 - 1).seed == 2**64 - 1
+
+
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 99999999999999999999999] + [
+    random.Random(2019).getrandbits(64) for _ in range(200)
+]
+# 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the draws
+_RANGES = [1, 2, 17, 169, 2**31, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]
+
+
+def test_streams_match_numpy():
+    """Each child stream draws numpy's doubles and bounded integers, with
+    the buffered 32-bit half-draws carried across calls."""
+    np = pytest.importorskip("numpy")
+    for seed in _STREAM_SEEDS:
+        for child, ss in enumerate(np.random.SeedSequence(seed).spawn(3)):
+            ours, theirs = aff._PCG64(seed, child), np.random.Generator(np.random.PCG64(ss))
+            assert [ours.random() for _ in range(4)] == theirs.random(4).tolist(), seed
+            for n in _RANGES:
+                assert ours.integers(n, 3) == theirs.integers(1, n + 1, size=3).tolist(), (seed, n)
+            assert ours.random() == theirs.random(), seed
+    with pytest.raises(ValueError):
+        aff._PCG64(0, 0).integers(2**32, 1)
+
+
+# sha256 of `code_to_json(code, provenance)` and of a `TrialReport`'s JSON,
+# taken from the numpy-drawn streams, so they hold where numpy is absent
+_CODE_DIGESTS = {
+    (5, 2, 0.5, 0.3, 77): "e67343e2db3e612cd64c8eff4f327f52ea4bd165a75fe40696a8c12c53a6da7e",
+    (7, 2, 0.6, 0.5, 17): "9fa1f80602ab0c698f027b7cb460c43fbbeb22d2b63195ecc6aca04129e08ab4",
+    (13, 3, 0.4, 0.1, 2**64 - 1): "2638e54d97f64198197852300835286470c4803223b06897466db72e4cfaf72b",
+}
+_TRIAL_DIGEST = "947ec1f7ede5e36266bfcb2284b9af133ba34e8a711db756829540d2d158438d"
+
+
+@pytest.mark.parametrize("params", list(_CODE_DIGESTS))
+def test_random_bac_golden(params):
+    apc = random_bac(*params)
+    text = code_to_json(apc.code, apc.provenance())
+    assert hashlib.sha256(text.encode()).hexdigest() == _CODE_DIGESTS[params]
+
+
+def test_trial_verify_golden():
+    rep = trial_verify(random_bac(7, 2, 1.0, 0.5, 7), 3, 100, seed=99999999999999999999999)
+    assert (rep.successes, len(rep.failures)) == (58, 42)
+    assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == _TRIAL_DIGEST
 
 
 def test_default_params_clamping():

@@ -440,6 +440,8 @@ def test_construct_integer_flag_families(capsys, family, builder, flags):
 
 _CORE = {"bacforge.field", "bacforge.model", "bacforge.verify"}
 
+_AFFINE_FLAGS = ["--q", "5", "--s", "1", "--k", "2", "--p1", "0.8", "--p2", "0.6", "--seed", "3"]
+
 # `python -m bacforge.cli ARGV` in a fresh interpreter (`import bacforge.cli`
 # for no ARGV): prints the exit code, the bacforge submodules loaded and
 # whether numpy is
@@ -459,21 +461,34 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bacforge.
 """
 
 
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def test_cli_import_leaves_numpy_out(tmp_path):
     """Each command loads only the modules it runs, and none of them numpy."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = _src_env()
     c2 = tmp_path / "c2.json"
     c2.write_text(code_to_json(cyclic_shift_code(4, 4, 5)) + "\n")
+    a = tmp_path / "a.json"
+    assert run(["construct", "affine", *_AFFINE_FLAGS, "--out", str(a)]) == 0
+    affine_sim = _CORE | {"bacforge.construct", "bacforge.affine", "bacforge.sim"}
     cases = [
         ([], {"bacforge.cli"}),
         (["verify", str(c2), "--k", "4"], _CORE),
         (["goodvec", "--t", "4"], _CORE | {"bacforge.construct"}),
         (["bounds", "--n", "5", "--k", "3", "--m", "5"], _CORE | {"bacforge.construct", "bacforge.bounds"}),
         (["compose", "parallel", str(c2), str(c2)], _CORE | {"bacforge.construct"}),
+        (["simulate", str(c2), "--data", "1,0,1,1", "--request", "1,1,1,1"], affine_sim),
         (
-            ["simulate", str(c2), "--data", "1,0,1,1", "--request", "1,1,1,1"],
-            _CORE | {"bacforge.construct", "bacforge.affine", "bacforge.sim"},
+            ["construct", "affine", *_AFFINE_FLAGS, "--out", str(tmp_path / "a2.json")],
+            _CORE | {"bacforge.affine"},
+        ),
+        (["random-trials", str(a), "--k", "1", "--trials", "20", "--seed", "5"], affine_sim),
+        (
+            ["simulate", str(a), "--data", ",".join("1" * 25), "--request", "1,2", "--planner", "certified"],
+            affine_sim,
         ),
     ]
     for argv, modules in cases:
@@ -488,6 +503,59 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         code, loaded, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
         assert code in (None, 0), (argv, out.stderr)
         assert (set(loaded), numpy_loaded) == (modules, False), argv
+
+
+# `python -m bacforge.cli ARGV` where importing numpy raises ImportError
+_RUN_CLI_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["bacforge.cli", *sys.argv[1:]]
+runpy.run_module("bacforge.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_affine_commands_run_without_numpy(tmp_path):
+    """The affine commands print and write the same bytes where numpy
+    cannot be imported."""
+    env = _src_env()
+    runs = {}
+    for label, prefix in (("plain", ["-m", "bacforge.cli"]), ("no-numpy", ["-c", _RUN_CLI_WITHOUT_NUMPY])):
+        out = tmp_path / f"{label}.json"
+        results = []
+        for argv in (
+            ["construct", "affine", *_AFFINE_FLAGS, "--out", str(out)],
+            ["random-trials", str(out), "--k", "2", "--trials", "50", "--seed", "5"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, *prefix, *argv], env=env, cwd=tmp_path, capture_output=True, text=True
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            results.append((proc.returncode, proc.stdout))
+        runs[label] = (results, out.read_bytes())
+    assert runs["plain"] == runs["no-numpy"]
+    results, _ = runs["plain"]
+    assert json.loads(results[1][1])["trials"] == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "affine", "--q", "5", "--s", "1", "--p1", "1.0", "--p2", "1.0"],
+        ["random-trials", "AFFINE", "--k", "1", "--trials", "5"],
+    ],
+    ids=["construct", "random-trials"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    from bacforge import random_bac
+
+    a = tmp_path / "a.json"
+    apc = random_bac(5, 1, 1.0, 1.0, 3)
+    a.write_text(code_to_json(apc.code, apc.provenance()))
+    argv = [str(a) if arg == "AFFINE" else arg for arg in argv]
+    assert run([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def _verify_text(text: str, k: int, mode: str):
