@@ -208,22 +208,13 @@ CSV_HEADER = ["n", "k", "m", "lb_num", "lb_den", "lb_ceil", "lb_source", "ub", "
 
 
 def table_to_csv(reports: Iterable[BoundReport]) -> str:
+    """The reports' JSON fields in `CSV_HEADER` order; None is an empty cell
+    and `optimal` is true or false."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     for r in reports:
-        writer.writerow(
-            [
-                r.n,
-                r.k,
-                r.m,
-                r.lower.numerator,
-                r.lower.denominator,
-                r.lower_ceil,
-                r.lower_source,
-                "" if r.upper is None else r.upper,
-                "" if r.upper_source is None else r.upper_source,
-                "true" if r.optimal else "false",
-            ]
-        )
+        row = r.to_json_dict()
+        row["optimal"] = "true" if row["optimal"] else "false"
+        writer.writerow([row[key] for key in CSV_HEADER])
     return buf.getvalue()

@@ -34,6 +34,12 @@ def _wrap(x: int, n: int) -> int:
     return (x - 1) % n + 1
 
 
+def _shifted(col: tuple, offset: int, n: int) -> tuple:
+    """A column of a code embedded in length n at coordinates offset,
+    offset + 1, ...; zero elsewhere."""
+    return (0,) * offset + col + (0,) * (n - offset - len(col))
+
+
 def _indicator(indices_1based, n: int) -> tuple:
     col = [0] * n
     for i in indices_1based:
@@ -254,14 +260,7 @@ def uniform_code(n: int, k: int, field: PrimeField = GF2) -> CodeSpec:
         cols = []
         for j in range(1, k + 2):
             s = (ell - j) % (k + 1) + 1  # sub-bucket of copy j landing here
-            offset = (j - 1) * n0
-            for col in sub.buckets[s - 1]:
-                cols.append(
-                    tuple(
-                        col[d - offset] if offset <= d < offset + n0 else 0
-                        for d in range(n)
-                    )
-                )
+            cols.extend(_shifted(col, (j - 1) * n0, n) for col in sub.buckets[s - 1])
         buckets.append(tuple(cols))
     return CodeSpec(field, n, tuple(buckets))
 
@@ -529,12 +528,8 @@ def compose_concat(c1: CodeSpec, c2: CodeSpec) -> CodeSpec:
     if c1.field.p != c2.field.p:
         raise ValueError("codes must share the field")
     n = c1.n + c2.n
-    left = tuple(
-        tuple(tuple(col) + (0,) * c2.n for col in bucket) for bucket in c1.buckets
-    )
-    right = tuple(
-        tuple((0,) * c1.n + tuple(col) for col in bucket) for bucket in c2.buckets
-    )
+    left = tuple(tuple(_shifted(col, 0, n) for col in bucket) for bucket in c1.buckets)
+    right = tuple(tuple(_shifted(col, c1.n, n) for col in bucket) for bucket in c2.buckets)
     return CodeSpec(c1.field, n, left + right)
 
 
@@ -544,12 +539,8 @@ def compose_repeat(code: CodeSpec, count: int) -> CodeSpec:
     if count < 1:
         raise ValueError("count must be >= 1")
     n = code.n * count
-    buckets = []
-    for bucket in code.buckets:
-        cols = []
-        for copy in range(count):
-            offset = copy * code.n
-            for col in bucket:
-                cols.append((0,) * offset + tuple(col) + (0,) * (n - offset - code.n))
-        buckets.append(tuple(cols))
-    return CodeSpec(code.field, n, tuple(buckets))
+    buckets = tuple(
+        tuple(_shifted(col, copy * code.n, n) for copy in range(count) for col in bucket)
+        for bucket in code.buckets
+    )
+    return CodeSpec(code.field, n, buckets)

@@ -66,9 +66,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def normalize_vector(self, vec: Sequence[int]) -> tuple:
-        return tuple(v % self.p for v in vec)
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""
         a %= self.p
@@ -292,4 +289,4 @@ def unit_vector(i: int, length: int) -> tuple:
     """The 0-based i-th unit vector of the given length."""
     if not 0 <= i < length:
         raise ValueError(f"unit index {i} out of range for length {length}")
-    return tuple(1 if j == i else 0 for j in range(length))
+    return (0,) * i + (1,) + (0,) * (length - i - 1)

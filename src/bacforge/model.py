@@ -10,13 +10,14 @@ changing recoverability.
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable and safe to share between workers.  A
-CodeSpec's `cache` holds state derived from it alone, built on first use and
-freed with the code: the column table that `encode`, `sim.serve_batch` and
-`certify_plan` read (`column_table`), the all-zero responses that
-`verify.plan_from_parts` starts each plan from, one span engine of `verify`
-per response regime, the per-parameter tables of the cyclic and good-vector
-planners (each made after checking the code against its construction) and
-the planner context `sim` resolves from each provenance.  Nothing in it refers back to the code.
+CodeSpec reduces its columns when it is made and tabulates them on first use
+(`column_table`, `bucket_sizes`).  Its `cache` holds the other state derived
+from it alone, built on first use and freed with the code: the bucket ids and
+all-zero responses that `verify.plan_from_parts` starts each plan from, one
+span engine of `verify` per response regime, the per-parameter tables of the
+cyclic and good-vector planners (each made after checking the code against
+its construction) and the planner context `sim` resolves from each
+provenance.  Nothing in it refers back to the code.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .field import Echelon, PrimeField, vector_to_mask
@@ -36,6 +38,8 @@ class CodeSpec:
     """An (n, N, k, m) array code: m buckets of generator columns over F_p.
 
     k is not part of the data; it is a property a code is verified against.
+    n and the column entries must be integers, as in Python indexing
+    (`operator.index`); the entries are reduced mod p.
     """
 
     field: PrimeField
@@ -49,29 +53,43 @@ class CodeSpec:
         return (CodeSpec, (self.field, self.n, self.buckets))
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        n = operator.index(self.n)
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         if len(self.buckets) < 1:
             raise ValueError("a code needs at least one bucket")
-        norm = []
-        for b, bucket in enumerate(self.buckets):
+        p, norm = self.field.p, []
+        for b, bucket in enumerate(self.buckets, start=1):
             cols = []
             for col in bucket:
-                if len(col) != self.n:
-                    raise ValueError(
-                        f"bucket {b + 1} has a column of length {len(col)}, expected {self.n}"
-                    )
-                cols.append(self.field.normalize_vector(col))
+                if len(col) != n:
+                    raise ValueError(f"bucket {b} has a column of length {len(col)}, expected {n}")
+                cols.append(tuple([operator.index(v) % p for v in col]))
             norm.append(tuple(cols))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "buckets", tuple(norm))
 
     @property
     def m(self) -> int:
         return len(self.buckets)
 
-    @property
+    # not dataclass fields, so like `cache` out of ==, hash, repr and pickles
+    @cached_property
     def bucket_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.buckets)
+        return tuple(map(len, self.buckets))
+
+    @cached_property
+    def column_table(self) -> tuple:
+        """Per bucket, its columns as `encode`, `sim.serve_batch`, the span
+        engines and `certify_plan` read them: packed ints over GF(2) (bit d =
+        coordinate d), otherwise sparse ((coordinate, value), ...) tuples of
+        the nonzero entries."""
+        if self.field.p == 2:
+            return tuple(tuple(map(vector_to_mask, b)) for b in self.buckets)
+        return tuple(
+            tuple(tuple((d, v) for d, v in enumerate(col) if v) for col in b)
+            for b in self.buckets
+        )
 
 
 @dataclass(frozen=True)
@@ -84,24 +102,6 @@ class Codeword:
 def total_length(code: CodeSpec) -> int:
     """N = sum of bucket sizes."""
     return sum(len(b) for b in code.buckets)
-
-
-def column_table(code: CodeSpec) -> tuple:
-    """Per bucket, its columns as `encode`, `sim.serve_batch` and
-    `certify_plan` read them: packed ints over GF(2) (bit d = coordinate d),
-    otherwise sparse ((coordinate, value), ...) tuples of the nonzero
-    entries.  Built once and kept in `code.cache`."""
-    table = code.cache.get("columns")
-    if table is None:
-        if code.field.p == 2:
-            table = tuple(tuple(vector_to_mask(col) for col in b) for b in code.buckets)
-        else:
-            table = tuple(
-                tuple(tuple((d, v) for d, v in enumerate(col) if v) for col in b)
-                for b in code.buckets
-            )
-        code.cache["columns"] = table
-    return table
 
 
 def data_vector(code: CodeSpec, x: Sequence[int]) -> tuple:
@@ -119,7 +119,7 @@ def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
     otherwise)."""
     xv = data_vector(code, x)
     p = code.field.p
-    table = column_table(code)
+    table = code.column_table
     if p == 2:
         xmask = vector_to_mask(xv)
         values = [tuple([(xmask & col).bit_count() & 1 for col in bucket]) for bucket in table]
@@ -195,8 +195,12 @@ def code_from_dict(data: dict) -> tuple[CodeSpec, Optional[dict]]:
         cols = []
         for col in _json_list(bucket, f"bucket {ell}"):
             entries = _json_list(col, f"a column of bucket {ell}")
-            cols.append(tuple(_json_int(v, f"an entry of bucket {ell}") for v in entries))
-        buckets.append(tuple(cols))
+            # JSON has no int subclass but bool, so this is `_json_int`'s check
+            if not all(type(v) is int for v in entries):
+                bad = next(v for v in entries if type(v) is not int)
+                raise ValueError(f"an entry of bucket {ell} must be an integer, got {bad!r}")
+            cols.append(entries)
+        buckets.append(cols)
     code = CodeSpec(fieldobj, n, tuple(buckets))
     return code, data.get("provenance")
 

@@ -5,7 +5,7 @@ load.
 Each node computes exactly one field element per served batch: the
 combination, weighted by its response vector, of the stored symbols <x, g>
 whose response entries are nonzero mod p.  It computes each symbol it reads
-from the code's column table (`model.column_table`), so no codeword is
+from the code's column table (`CodeSpec.column_table`), so no codeword is
 materialised per batch.  The aggregator combines the answers with the plan's
 coefficients.  `symbols_read` counts the symbols a node reads, i.e. the
 fan-in of its local computation; under the projection regime it is at most 1
@@ -31,7 +31,7 @@ from .construct import (
     goodvec_certified_plan,
 )
 from .field import vector_to_mask
-from .model import CodeSpec, codes_equal, column_table, data_vector, total_length
+from .model import CodeSpec, codes_equal, data_vector, total_length
 from .model import _json_int, _json_list
 from .verify import (
     RecoveryPlan,
@@ -199,7 +199,7 @@ def serve_batch(
     p = code.field.p
     xmask = vector_to_mask(data_t) if p == 2 else 0
     responses, reads = [], []
-    for resp, columns in zip(plan.responses, column_table(code)):
+    for resp, columns in zip(plan.responses, code.column_table):
         value = count = 0
         for r, col in zip(resp, columns):
             if r % p:
@@ -275,8 +275,6 @@ class ModelComparison:
     total_length_linear: int
     total_length_projection: int
     rows: tuple  # (request, linear max symbols_read, projection max symbols_read)
-    linear_stats: LoadStats
-    projection_stats: LoadStats
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,18 +304,12 @@ def compare_models(
     if data is None:
         data = tuple(1 for _ in range(code_linear.n))
     rows = []
-    lin_reports = []
-    proj_reports = []
     for request in requests:
         lin = serve_batch(code_linear, data, request, model=ResponseModel.LINEAR)
         proj = serve_batch(code_projection, data, request, model=ResponseModel.PROJECTION)
-        lin_reports.append(lin)
-        proj_reports.append(proj)
         rows.append((lin.request, lin.max_symbols_read, proj.max_symbols_read))
     return ModelComparison(
         total_length_linear=total_length(code_linear),
         total_length_projection=total_length(code_projection),
         rows=tuple(rows),
-        linear_stats=load_stats(lin_reports),
-        projection_stats=load_stats(proj_reports),
     )

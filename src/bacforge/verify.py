@@ -46,7 +46,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .field import Echelon, unit_vector
-from .model import CodeSpec, column_table
+from .model import CodeSpec
 
 
 class ResponseModel(Enum):
@@ -146,9 +146,9 @@ class SpanEngine:
     memo, `_reach`: the coefficient-tracking `Echelon` of its shortest prefix
     (lowest buckets) that spans the symbol.  Every (subset, symbol) part of a
     plan is solved once: `part` caches it, so plan assembly is lookups.  Each
-    answer is certified once, where it is made, against the code's column
-    table: `_reach` checks its solve, and in the projection regime `part`
-    checks the part it solved; one that fails is an internal error.
+    answer is certified once, where it is made, against the code's
+    `column_table`: `_reach` checks its solve, and in the projection regime
+    `part` checks the part it solved; one that fails is an internal error.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
     draws its parts from; `_grow` makes each level from the symbols that the
     subsets of the level below serve.  The engine holds the code's field, n,
@@ -164,7 +164,7 @@ class SpanEngine:
         self.sizes = code.bucket_sizes
         self.linear = model is ResponseModel.LINEAR
         # the certificates read the column table, `Echelon.add` the same ints over GF(2)
-        self.table = column_table(code)
+        self.table = code.column_table
         self.columns = self.table if field.p == 2 else code.buckets
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
         self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
@@ -409,14 +409,12 @@ def engine_for(code: CodeSpec, model: ResponseModel) -> SpanEngine:
 
 
 def _plan_tables(code: CodeSpec) -> tuple:
-    """The code's bucket sizes, its 1-based bucket indices, its column table
-    (`model.column_table`) and its all-zero responses, kept in `code.cache`."""
+    """The code's 1-based bucket indices and its all-zero responses, kept in
+    `code.cache` (its sizes and columns are `CodeSpec` properties)."""
     tables = code.cache.get("plan-tables")
     if tables is None:
         tables = code.cache["plan-tables"] = (
-            code.bucket_sizes,
             frozenset(range(1, code.m + 1)),
-            column_table(code),
             tuple((0,) * len(b) for b in code.buckets),
         )
     return tables
@@ -453,7 +451,7 @@ def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> Recov
     """The plan that serves request j with part j, as `make_part` builds
     it.  Every other bucket answers zero, and the buckets in no part join the
     last part with coefficient 1."""
-    _, bucket_ids, _, zeros = _plan_tables(code)
+    bucket_ids, zeros = _plan_tables(code)
     responses = list(zeros)
     sets, combos = [], []
     for bucket_set, vectors, combo in parts:
@@ -486,7 +484,8 @@ def certify_plan(
     req = normalize_request(request, code.n)
     m = code.m
     p = code.field.p
-    sizes, bucket_ids, columns, _ = _plan_tables(code)
+    sizes, columns = code.bucket_sizes, code.column_table
+    bucket_ids, _ = _plan_tables(code)
     if len(plan.responses) != m:
         raise ValueError(f"plan has {len(plan.responses)} responses, code has {m} buckets")
     if tuple(map(len, plan.responses)) != sizes:
@@ -536,8 +535,8 @@ def _sums_to_unit(p: int, combo, responses, columns, i0: int) -> bool:
     """The coefficient identity: whether the answers the combo's
     (bucket, coefficient) pairs weigh, each answer applied to its bucket's
     columns, sum to e_i0 over F_p.  Bucket ell answers responses[ell - 1]
-    and stores columns[ell - 1], as `model.column_table` holds them: XOR of
-    packed columns over GF(2), one reduction per coordinate otherwise."""
+    and stores columns[ell - 1], as `CodeSpec.column_table` holds them: XOR
+    of packed columns over GF(2), one reduction per coordinate otherwise."""
     acc = 0 if p == 2 else {i0: -1}  # F_p: coordinate -> unreduced sum
     for ell, coeff in combo:
         resp = responses[ell - 1]

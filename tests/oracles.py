@@ -258,7 +258,7 @@ def reference_encode(code, x):
     """The earlier `encode`: one dense n-length inner product per column."""
     if len(x) != code.n:
         raise ValueError(f"data length {len(x)} != n = {code.n}")
-    xv = code.field.normalize_vector(x)
+    xv = tuple(v % code.field.p for v in x)
     return Codeword(
         tuple(tuple(dot(xv, col, code.field) for col in bucket) for bucket in code.buckets)
     )

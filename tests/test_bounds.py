@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -133,6 +134,11 @@ def test_table_csv():
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "4,4,5,13,1,13,midrange,13,cyclic,true"
+    # every rule, empty upper bounds and both verdicts, pinned byte for byte
+    text = table_to_csv(bound_table(range(1, 30), range(1, 12), "all", 25))
+    assert text.count("\n") == 6381
+    digest = "d05837da15c2e4ec1a9861b45fce17ab875ee99e1f71b7799aa62b427b33a9d7"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_goodvec_length_exists_matches_enumeration():

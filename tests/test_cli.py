@@ -111,6 +111,17 @@ def test_malformed_code_json_exits_2(tmp_path, capsys, change):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_bad_entry_message_names_the_first_one(tmp_path, capsys, entry):
+    data = {**VALID_CODE, "buckets": [[[1]], [[0], [entry], [2.5]]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", str(path), "--k", "1", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an entry of bucket 2 must be an integer, got {entry!r}\n"
+
+
 DEEP = "[" * 200000 + "]" * 200000
 
 

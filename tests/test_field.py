@@ -128,7 +128,7 @@ def test_span_solve_round_trip(p, data):
         for c, g in zip(coeffs, gens):
             for d in range(length):
                 acc[d] = (acc[d] + c * g[d]) % p
-        assert tuple(acc) == f.normalize_vector(target)
+        assert tuple(acc) == target
 
 
 @given(small_field, st.data())

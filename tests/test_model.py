@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,23 @@ def test_code_spec_normalizes_and_validates():
         CodeSpec(GF2, 2, ())  # no buckets
 
 
+def test_code_spec_entries_must_be_integers():
+    with pytest.raises(TypeError):
+        CodeSpec(GF2, 2, (((1.5, 0),), ((0, 1),)))
+    with pytest.raises(TypeError):
+        CodeSpec(GF2, 2.0, (((1, 0),), ((0, 1),)))
+    code = CodeSpec(PrimeField(5), 3, (((-1, 7, 5),), ((0, -6, 11),)))
+    assert code.buckets == (((4, 2, 0),), ((0, 4, 1),))
+    assert code.column_table == ((((0, 4), (1, 2)),), (((1, 4), (2, 1)),))
+    again = pickle.loads(pickle.dumps(code))
+    assert again == code and again.column_table == code.column_table
+    np = pytest.importorskip("numpy")
+    code = CodeSpec(GF2, np.int64(2), ((np.array([3, -1]),), ((np.int8(0), np.uint16(1)),)))
+    assert code.n == 2 and code.buckets == (((1, 1),), ((0, 1),))
+    assert code.column_table == ((3,), (2,))
+    assert all(type(v) is int for bucket in code.buckets for col in bucket for v in col)
+
+
 def test_encode_reference_table(c2_code):
     word = encode(c2_code, (1, 0, 0, 0))
     assert word.values == ((1, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0), (1,))
@@ -54,7 +72,7 @@ def code_and_data(draw):
 def test_encode_matches_dense_reference(case):
     code, data = case
     assert encode(code, data) == reference_encode(code, data)
-    # and again from the column table the first call left in the cache
+    # and again from the column table the first call built
     assert encode(code, tuple(data)) == reference_encode(code, data)
 
 
