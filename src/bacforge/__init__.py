@@ -13,7 +13,7 @@ from importlib import import_module as _import_module
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "field": ("GF2", "PrimeField", "rank", "span_solve"),
+    "field": ("GF2", "PrimeField", "rank"),
     "model": (
         "CodeSpec", "Codeword", "cap_and_reduce", "code_from_json", "code_to_json",
         "codes_equal", "encode", "load_code", "save_code", "total_length",

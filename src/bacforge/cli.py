@@ -42,9 +42,12 @@ def _int_list(text: str) -> list:
 def _range(text: str) -> range:
     try:
         lo, hi = str(text).split("..")
-        return range(int(lo), int(hi) + 1)
+        values = range(int(lo), int(hi) + 1)
     except Exception:
         raise ValueError(f"expected a range like 2..8, got {text!r}")
+    if not values:
+        raise ValueError(f"empty range {text!r}: its end is below its start")
+    return values
 
 
 # the families built from integer flags alone: the name of the builder in
@@ -82,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--mode", choices=["linear", "projection"], default="linear")
     v.add_argument("--pir-only", action="store_true")
-    v.add_argument("--jobs", type=int, default=1)
 
     b = sub.add_parser("bounds", help="length bounds for one tuple or a table")
     b.add_argument("table", nargs="?", choices=["table"])
@@ -195,9 +197,9 @@ def _cmd_verify(args) -> int:
     code, _ = load_code(args.code)
     model = ResponseModel.parse(args.mode)
     if args.pir_only:
-        report = verify_pir(code, args.k, model, jobs=args.jobs)
+        report = verify_pir(code, args.k, model)
     else:
-        report = verify_bac(code, args.k, model, jobs=args.jobs)
+        report = verify_bac(code, args.k, model)
     print(json.dumps(report.to_json_dict()))
     _eprint(
         f"{report.kind} k={args.k} mode={model.value}: {report.status} "

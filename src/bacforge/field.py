@@ -266,25 +266,6 @@ def rank(vectors: Iterable[Sequence[int]], field: PrimeField) -> int:
     return ech.rank
 
 
-def span_solve(
-    target: Sequence[int],
-    generators: Sequence[Sequence[int]],
-    field: PrimeField,
-) -> Optional[tuple]:
-    """Coefficients c with sum_i c_i * generators[i] = target, or None.
-
-    Deterministic: the generators are inserted into an `Echelon` in order and
-    the solution is carried by those that enlarge the span of the earlier
-    ones; every other coefficient is zero, so the solution prefers the
-    earliest generators.  (This is the solution of Gaussian elimination on
-    the augmented system with lowest-index pivots and free variables zero.)
-    """
-    ech = Echelon(field, len(target))
-    for g in generators:
-        ech.add(g)
-    return ech.solve(target)
-
-
 def unit_vector(i: int, length: int) -> tuple:
     """The 0-based i-th unit vector of the given length."""
     if not 0 <= i < length:

@@ -9,7 +9,7 @@ is its column span; `cap_and_reduce` exploits that to shrink buckets without
 changing recoverability.
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
-CodeSpec and Codeword are immutable and safe to share between workers.  A
+CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
 CodeSpec reduces its columns when it is made and tabulates them on first use
 (`column_table`, `bucket_sizes`).  Its `cache` holds the other state derived
 from it alone, built on first use and freed with the code: the bucket ids and

@@ -624,16 +624,30 @@ def orbit_representatives(n: int, k: int, d: int):
     symbols is congruent mod d to a symbol below a, or a shift would carry it
     there; only those candidates are generated.  A candidate is least when
     no shift carrying one of its symbols x congruent to a onto a makes it
-    smaller: that shift maps its symbols from x on to the front."""
+    smaller: that shift maps its symbols from x on to the front.  The image
+    starts with as many a's as the candidate has x's, then a larger symbol,
+    so it is smaller if x occurs more often than a and larger if less often;
+    with equal counts the next symbols decide, and the whole image is built
+    only if they tie."""
     for a in range(1, d + 1):
         symbols = [x for x in range(a, n + 1) if (x - 1) % d >= a - 1]
         for rest in itertools.combinations_with_replacement(symbols, k - 1):
             req = (a, *rest)
-            for j in range(1, k):
+            c = req.count(a)
+            for j in range(c, k):
                 x = req[j]
                 if x != req[j - 1] and (x - a) % d == 0:
+                    count = req.count(x)
+                    if count > c:
+                        break
+                    if count < c:
+                        continue
                     s = x - a
-                    if tuple(y - s for y in req[j:]) + tuple(y - s + n for y in req[:j]) < req:
+                    after = req[j + c] - s if j + c < k else a - s + n
+                    if after < req[c] or (
+                        after == req[c]
+                        and tuple(y - s for y in req[j:]) + tuple(y - s + n for y in req[:j]) < req
+                    ):
                         break
             else:
                 yield req
@@ -644,10 +658,10 @@ def orbit(req: tuple, n: int, d: int) -> set:
     return {tuple(sorted((i + s - 1) % n + 1 for i in req)) for s in range(0, n, d)}
 
 
-def _sweep(code, k, model, kind, jobs) -> VerificationReport:
+def _sweep(code, k, model, kind) -> VerificationReport:
     """Decide every request of the sweep, one request per orbit of the code's
-    symbol shift (`symbol_shift`), in `jobs` worker processes if more than
-    one.
+    symbol shift (`symbol_shift`), in this process.  The representatives
+    are streamed, so no list of them is built.
 
     A coordinate permutation sigma that maps the code onto itself, with
     bucket permutation pi (bucket ell's columns rotated are bucket pi(ell)'s),
@@ -669,8 +683,6 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
                 f"bucket {ell0 + 1} is empty; final codes must store something "
                 "in every node"
             )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     n, shift = code.n, symbol_shift(code)
     if kind == "bac":
@@ -680,12 +692,9 @@ def _sweep(code, k, model, kind, jobs) -> VerificationReport:
     # zip stops at the end of reps before it advances the tally
     tally = itertools.count()
     reps = (rep for rep, _ in zip(reps, tally))
-    if jobs > 1:
-        failures = _parallel_failures(code, reps, model, jobs)
-    else:
-        failures = _failures(code, model, reps)
-    failures = [(req, reason) for rep, reason in failures for req in orbit(rep, n, shift)]
-    failures.sort()
+    failures = sorted(
+        (req, reason) for rep, reason in _failures(code, model, reps) for req in orbit(rep, n, shift)
+    )
     return VerificationReport(
         kind=kind,
         k=k,
@@ -729,21 +738,19 @@ def verify_bac(
     code: CodeSpec,
     k: int,
     model: ResponseModel = ResponseModel.LINEAR,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Exhaustively check the k-batch property over all C(n+k-1, k) request
     multisets (lexicographic order)."""
-    return _sweep(code, k, model, "bac", jobs)
+    return _sweep(code, k, model, "bac")
 
 
 def verify_pir(
     code: CodeSpec,
     k: int,
     model: ResponseModel = ResponseModel.LINEAR,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the k-PIR property: only the n identical-index requests."""
-    return _sweep(code, k, model, "pir", jobs)
+    return _sweep(code, k, model, "pir")
 
 
 def check_subset_spanning(code: CodeSpec, k: int) -> bool:
@@ -757,33 +764,3 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     everything = (1 << code.n) - 1
     subsets = engine_for(code, ResponseModel.LINEAR)._subsets(code.m - k + 1, lambda mask, symbols: False)
     return all(symbols == everything for _, symbols in subsets)
-
-
-# ---------------------------------------------------------------------------
-# parallel sweep plumbing: the orbit representatives are streamed to worker
-# processes in batches; each worker holds the immutable code and its own memo
-
-
-_WORKER: tuple = ()  # (code, model) in a worker process
-_BATCH = 128  # representatives per task: several tasks per worker on small sweeps
-
-
-def _worker_init(code: CodeSpec, model_value: str) -> None:
-    global _WORKER
-    _WORKER = (code, ResponseModel(model_value))
-
-
-def _worker_failures(batch) -> list:
-    return _failures(*_WORKER, batch)
-
-
-def _parallel_failures(code, requests, model, jobs):
-    """The failures of `requests`, an iterator, decided by `jobs` workers.
-    `imap` draws it batch by batch, and has drawn all of it when its results
-    end."""
-    import multiprocessing as mp
-
-    batches = iter(lambda: list(itertools.islice(requests, _BATCH)), [])
-    ctx = mp.get_context()
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(code, model.value)) as pool:
-        return [fail for part in pool.imap(_worker_failures, batches) for fail in part]

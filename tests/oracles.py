@@ -2,8 +2,8 @@
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
 Five references are the exception: `reference_span_solve`, a plain
-augmented elimination that pins the exact coefficients `span_solve` must
-return, `reference_find_plan`, the earlier search over every subset that pins
+augmented elimination that pins the exact coefficients `Echelon.solve`
+must return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
 over every column of a bucket subset that pins the engine's linear parts, and
 `reference_encode`, the dense inner products (`dot`) `encode` and the answers
@@ -179,9 +179,8 @@ def reference_linear_part(code, mask: int, i0: int):
 def reference_span_solve(target, generators, field):
     """Coefficients c with sum_i c_i * generators[i] = target, or None, by
     Gaussian elimination on the augmented system: lowest-index pivot
-    selection, free variables set to zero.  This is the library's earlier
-    `span_solve`, kept as the reference its `Echelon`-based solve must match
-    coefficient for coefficient."""
+    selection, free variables set to zero.  `Echelon.solve`, over the
+    generators inserted in order, must match it coefficient for coefficient."""
     length = len(target)
     for g in generators:
         if len(g) != length:

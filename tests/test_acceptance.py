@@ -97,7 +97,7 @@ def test_criterion_01_example_reproduction(c2_code, c2_table, c1_code, tmp_path)
         assert codes_equal(built, c2_table)
         assert total_length(built) == 13
 
-        proc = _cli("verify", str(out), "--k", "4", "--mode", "linear", "--jobs", "1")
+        proc = _cli("verify", str(out), "--k", "4", "--mode", "linear")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["checked"] == 35
         report = verify_bac(c2_code, 4, LIN)

@@ -27,7 +27,7 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "c2.json"
     assert run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert run(["verify", str(out), "--k", "4", "--mode", "linear", "--jobs", "1"]) == 0
+    assert run(["verify", str(out), "--k", "4", "--mode", "linear"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report == {"status": "pass", "checked": 35, "failures": []}
 
@@ -49,7 +49,7 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(bad), "--k", "4", "--jobs", "1"]) == 1
+    assert run(["verify", str(bad), "--k", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail"
     assert report["failures"][0]["request"] == [1, 1, 1, 1]
@@ -59,7 +59,7 @@ def test_verify_pir_only(tmp_path, capsys):
     out = tmp_path / "g.json"
     run(["construct", "goodvec", "--v", "2,3,2,4,3,1,1,4", "--out", str(out)])
     capsys.readouterr()
-    assert run(["verify", str(out), "--k", "7", "--pir-only", "--jobs", "1"]) == 0
+    assert run(["verify", str(out), "--k", "7", "--pir-only"]) == 0
     assert json.loads(capsys.readouterr().out)["checked"] == 17
 
 
@@ -70,18 +70,24 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "c2.json"
     run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", str(out)])
     capsys.readouterr()
-    assert run(["verify", str(out), "--k", "9", "--jobs", "1"]) == 2
+    assert run(["verify", str(out), "--k", "9"]) == 2
+    capsys.readouterr()
+    argv = ["bounds", "table", "--n-range", "5..4", "--k-range", "2..3", "--m-rule", "k+1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty range '5..4': its end is below its start\n"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+def test_verify_jobs_flag_exits_2(tmp_path, capsys):
+    # sweeps run in one process: there is no --jobs flag
     out = tmp_path / "c2.json"
     run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", str(out)])
     capsys.readouterr()
-    assert run(["verify", str(out), "--k", "4", "--jobs", jobs]) == 2
+    assert run(["verify", str(out), "--k", "4", "--jobs", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 VALID_CODE = {"format": "bacforge-code-v1", "p": 2, "n": 1, "buckets": [[[1]]]}
@@ -105,7 +111,7 @@ def test_malformed_code_json_exits_2(tmp_path, capsys, change):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(path), "--k", "1", "--jobs", "1"]) == 2
+    assert run(["verify", str(path), "--k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
@@ -116,7 +122,7 @@ def test_bad_entry_message_names_the_first_one(tmp_path, capsys, entry):
     data = {**VALID_CODE, "buckets": [[[1]], [[0], [entry], [2.5]]]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert run(["verify", str(path), "--k", "1", "--jobs", "1"]) == 2
+    assert run(["verify", str(path), "--k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: an entry of bucket 2 must be an integer, got {entry!r}\n"
@@ -576,7 +582,7 @@ def _verify_text(text: str, k: int, mode: str):
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = run(["verify", str(path), "--k", str(k), "--mode", mode, "--jobs", "1"])
+            rc = run(["verify", str(path), "--k", str(k), "--mode", mode])
     return rc, err.getvalue()
 
 

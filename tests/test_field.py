@@ -11,7 +11,6 @@ from bacforge.field import (
     PrimeField,
     is_prime,
     rank,
-    span_solve,
     unit_vector,
     vector_to_mask,
 )
@@ -64,25 +63,38 @@ def test_ff_inverse_total(p):
         assert (a * f.inv(a)) % p == 1
 
 
+def echelon_solve(target, generators, field):
+    """Solve for `target` in the span of `generators`, inserted in order into
+    one `Echelon`: its coefficients over them, or None."""
+    ech = Echelon(field, len(target))
+    for g in generators:
+        ech.add(g)
+    return ech.solve(target)
+
+
 def test_span_solve_parity_read():
     # e1 out of {e2, e3, e4, all-ones}: read the 3-sum and the 4-sum
     target = (1, 0, 0, 0)
     gens = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
-    assert span_solve(target, gens, GF2) == (1, 1, 1, 1)
+    assert echelon_solve(target, gens, GF2) == (1, 1, 1, 1)
 
 
 def test_span_solve_prefers_identity():
     gens = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    assert span_solve((1, 1, 0), gens, GF2) == (1, 0, 0)
+    assert echelon_solve((1, 1, 0), gens, GF2) == (1, 0, 0)
 
 
 def test_span_solve_absent():
-    assert span_solve((1, 0, 0), [(0, 1, 0), (0, 0, 1)], GF2) is None
+    assert echelon_solve((1, 0, 0), [(0, 1, 0), (0, 0, 1)], GF2) is None
 
 
 def test_span_solve_length_mismatch():
+    ech = Echelon(GF2, 3)
+    ech.add((1, 0, 0))
     with pytest.raises(ValueError):
-        span_solve((1, 0), [(1, 0, 0)], GF2)
+        ech.solve((1, 0))
+    with pytest.raises(ValueError):
+        ech.add((1, 0))
 
 
 def test_rank_examples():
@@ -118,7 +130,7 @@ def test_span_solve_round_trip(p, data):
     f = PrimeField(p)
     length, gens = data.draw(vectors_over(p))
     target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(length))
-    coeffs = span_solve(target, gens, f)
+    coeffs = echelon_solve(target, gens, f)
     # not just a valid solution: exactly the augmented-elimination one
     assert coeffs == reference_span_solve(target, gens, f)
     if coeffs is None:
@@ -154,7 +166,7 @@ def test_solvable_iff_rank_unchanged(p, data):
     f = PrimeField(p)
     length, gens = data.draw(vectors_over(p))
     target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(length))
-    solvable = span_solve(target, gens, f) is not None
+    solvable = echelon_solve(target, gens, f) is not None
     assert solvable == (rank(gens, f) == rank(list(gens) + [target], f))
 
 

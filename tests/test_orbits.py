@@ -24,8 +24,7 @@ from bacforge import (
     verify_bac,
     verify_pir,
 )
-from bacforge import verify
-from bacforge.cli import _build_parser, run
+from bacforge.cli import run
 from bacforge.field import PrimeField
 from bacforge.model import code_to_json
 from bacforge.verify import (
@@ -110,7 +109,7 @@ def test_a_broken_symmetry_is_not_detected():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_representatives_are_the_brute_force_lex_minima(n, k):
     requests = list(itertools.combinations_with_replacement(range(1, n + 1), k))
     for d in divisors(n):
@@ -178,22 +177,10 @@ def test_orbit_sweep_equals_the_full_sweep(code_and_d, k):
 def test_orbit_counts_stay_out_of_the_json():
     report = verify_bac(uniform_code(20, 4), 4, PROJ)
     assert (report.shift, report.representatives, report.checked) == (4, 1771, 8855)
+    assert len(report.failures) == 50
     assert set(report.to_json_dict()) == {"status", "checked", "failures"}
     pir = verify_pir(uniform_code(20, 4), 4, LIN)
     assert (pir.shift, pir.representatives, pir.checked) == (4, 4, 20)
-
-
-def test_parallel_orbit_sweep_matches_serial(monkeypatch):
-    code = uniform_code(20, 4)
-    serial = verify_bac(code, 4, PROJ, jobs=1)
-    parallel = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
-    assert parallel.failures == serial.failures and len(serial.failures) == 50
-    assert parallel.representatives == serial.representatives == 1771
-    # 1771 = 13 * 128 + 107: many batches, the last one short; the tally still
-    # counts all, and one representative per task changes nothing either
-    monkeypatch.setattr(verify, "_BATCH", 1)
-    batched = verify_bac(uniform_code(20, 4), 4, PROJ, jobs=2)
-    assert batched.failures == serial.failures and batched.representatives == 1771
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +263,6 @@ def test_representative_plans_carry_over_their_orbits(build, k, model):
 
 # ---------------------------------------------------------------------------
 # the CLI
-
-
-def test_verify_defaults_to_one_job():
-    assert _build_parser().parse_args(["verify", "c.json", "--k", "2"]).jobs == 1
 
 
 def test_cli_states_the_orbit_counts(tmp_path, capsys):
