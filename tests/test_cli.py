@@ -79,15 +79,24 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     assert captured.err == "error: empty range '5..4': its end is below its start\n"
 
 
-def test_verify_jobs_flag_exits_2(tmp_path, capsys):
-    # sweeps run in one process: there is no --jobs flag
+def _verify_with_jobs_exits_2(tmp_path, capsys, jobs):
+    # sweeps run in one process: there is no --jobs flag, whatever its value
     out = tmp_path / "c2.json"
     run(["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", str(out)])
     capsys.readouterr()
-    assert run(["verify", str(out), "--k", "4", "--jobs", "2"]) == 2
+    assert run(["verify", str(out), "--k", "4", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+
+
+def test_verify_jobs_flag_exits_2(tmp_path, capsys):
+    _verify_with_jobs_exits_2(tmp_path, capsys, "2")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    _verify_with_jobs_exits_2(tmp_path, capsys, jobs)
 
 
 VALID_CODE = {"format": "bacforge-code-v1", "p": 2, "n": 1, "buckets": [[[1]]]}
