@@ -145,7 +145,7 @@ class Echelon:
         return mask
 
     def _reduce_generic(self, work: list) -> list:
-        """Reduce a row-shaped list of 2 * `length` residues against the rows."""
+        """Reduce a row-shaped list of 2 * `length` residues, or a vector, against the rows."""
         p = self.field.p
         for piv, row in self.rows.values():
             c = work[piv]
@@ -179,6 +179,17 @@ class Echelon:
             if not any(row[piv + 1 : length]):
                 out |= low
         return out
+
+    def residue(self, vec):
+        """`vec` reduced by the rows, scaled to lead with 1 (a packed int over
+        GF(2), where `vec` may be packed): falsy iff `vec` is in the span, and
+        equal for two vectors iff each is in the span of the rows and the other."""
+        if self.field.p == 2:
+            return self._reduce2(vec if isinstance(vec, int) else vector_to_mask(vec)) & self.coords
+        p = self.field.p
+        work = self._reduce_generic([v % p for v in vec])
+        inv = next((self.field.inv(v) for v in work if v), 0)
+        return [v * inv % p for v in work] if inv else []
 
     def solve(self, vec: Sequence[int]) -> Optional[tuple]:
         """Coefficients c over the inserted vectors, in insertion order, with

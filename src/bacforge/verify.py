@@ -17,8 +17,9 @@ minimal recovery sets of each requested symbol (`_search`).  A code has one
 `cache` and freed with the code.  It builds those sets one size at a time
 (`SpanEngine._grow`), solves each (subset, symbol) part once, and reads every
 linear answer from the basis of the subset's shortest prefix that spans the
-symbol (`_reach`).  Each answer is certified once, where it is made: `_reach`
-checks its solve and, in the projection regime, `part` the part it solved.
+symbol (`_reach`), by which the search prunes in both regimes.  Each answer
+is certified once, where it is made: `_reach` checks its solve and, in the
+projection regime, `part` the part it solved.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
@@ -141,11 +142,11 @@ class SpanEngine:
     """Per-code caches of joint-span queries over bucket subsets, for one
     response regime.
 
-    A subset is an int bitmask over the 0-based bucket indices.  In the
-    linear regime whether it recovers a symbol and its part both read one
-    memo, `_reach`: the coefficient-tracking `Echelon` of its shortest prefix
-    (lowest buckets) that spans the symbol.  Every (subset, symbol) part of a
-    plan is solved once: `part` caches it, so plan assembly is lookups.  Each
+    A subset is an int bitmask over the 0-based bucket indices.  Whether it
+    spans a symbol reads one memo, `_reach`: the coefficient-tracking
+    `Echelon` of its shortest prefix (lowest buckets) that spans it, which
+    also holds its linear part.  Every (subset, symbol) part of a plan is
+    solved once: `part` caches it, so plan assembly is lookups.  Each
     answer is certified once, where it is made, against the code's
     `column_table`: `_reach` checks its solve, and in the projection regime
     `part` checks the part it solved; one that fails is an internal error.
@@ -230,7 +231,7 @@ class SpanEngine:
     def recovers(self, mask: int, i0: int) -> bool:
         if not self.linear:
             return self.part(mask, i0) is not None
-        # `_reach`'s memo read in place: the search asks at every node
+        # `_reach`'s memo read in place: the search asks at each last part
         reach = self._reaches.get(mask * self.n + i0, False)
         return (self._reach(mask, i0) if reach is False else reach) is not None
 
@@ -356,9 +357,11 @@ class SpanEngine:
         exit once the chosen columns span e_i; the user combines the chosen
         columns with their lowest-index solve.  A node whose chosen and
         remaining columns miss e_i (at the root: the subset does not span it)
-        cannot succeed and is cut, so the first solution is the full DFS's."""
+        cannot succeed; one reduction (`Echelon.residue`) against the basis of
+        its parent's chosen columns and later buckets cuts it, so the first
+        solution is the full DFS's."""
         order = bucket_indices(mask)
-        columns = self.columns
+        columns, unit = self.columns, unit_vector(i0, self.n)
         suffix = [self._bases[0]]  # reversed below: suffix[idx] spans order[idx:]
         for ell0 in reversed(order):
             rest = mask >> ell0 << ell0
@@ -370,27 +373,25 @@ class SpanEngine:
 
         def dfs(idx: int, ech: Echelon, chosen: tuple):
             if ech.contains_unit(i0):
-                return chosen, ech.solve(unit_vector(i0, self.n))
-            joint = suffix[idx].copy()
+                return chosen, ech.solve(unit)
+            # a child can succeed iff `joint` and its new column (if any) span e_i0
+            joint = suffix[idx + 1].copy()
             for ell0, s in chosen:
                 joint.add(columns[ell0][s])
-            if not joint.contains_unit(i0):
-                return None
-            res = dfs(idx + 1, ech, chosen)
-            if res is not None:
+            target = joint.residue(unit)
+            if not target and (res := dfs(idx + 1, ech, chosen)) is not None:
                 return res
             ell0 = order[idx]
             for s, col in enumerate(columns[ell0]):
-                ech2 = ech.copy()
-                if not ech2.add(col):
+                if target and joint.residue(col) != target:
                     continue
-                res = dfs(idx + 1, ech2, chosen + ((ell0, s),))
-                if res is not None:
+                ech2 = ech.copy()
+                if ech2.add(col) and (res := dfs(idx + 1, ech2, chosen + ((ell0, s),))) is not None:
                     return res
             return None
 
-        found = dfs(0, Echelon(self.field, self.n), ())
-        if found is None:
+        found = suffix[0].contains_unit(i0) and dfs(0, Echelon(self.field, self.n), ())
+        if not found:
             return None
         choice, coeffs = found
         used = [((ell0 + 1, s), c) for (ell0, s), c in zip(choice, coeffs) if c]
@@ -586,13 +587,14 @@ def _search(engine: SpanEngine, req: tuple, left: int) -> Optional[list]:
     bucket.  These are the plans of trying every recovering subset in that
     order: recoverability is monotone and leftover buckets join the last
     part, so a completion for a superset of a minimal set A is one for A,
-    and A comes first."""
+    and A comes first.  The other parts prune by the span (`_reach`), which
+    every projection part has too: sound, so the plan is the same."""
     i0 = req[0] - 1
-    # recoverability is monotone, so an infeasible union prunes the branch
-    if not engine.recovers(left, i0):
-        return None
     if len(req) == 1:
-        return [left]
+        return [left] if engine.recovers(left, i0) else None
+    # spanning is monotone, so a union that misses e_i0 prunes the branch
+    if engine._reach(left, i0) is None:
+        return None
     for size in range(1, left.bit_count() - len(req) + 2):
         for mask in engine.minimal_sets(i0, size):
             if mask & left == mask:

@@ -1,12 +1,13 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Five references are the exception: `reference_span_solve`, a plain
+Six references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `Echelon.solve`
 must return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
-over every column of a bucket subset that pins the engine's linear parts, and
-`reference_encode`, the dense inner products (`dot`) `encode` and the answers
+over every column of a bucket subset that pins the engine's linear parts,
+`reference_projection_part`, the earlier projection DFS that pins the
+engine's projection parts, and `reference_encode`, the dense inner products (`dot`) `encode` and the answers
 of `serve_batch`'s nodes must agree with, and `reference_is_good_vector`,
 the earlier check that rescans the vector once per value.
 """
@@ -174,6 +175,53 @@ def reference_linear_part(code, mask: int, i0: int):
     if coeffs is None:
         return None
     return make_part(code.bucket_sizes, dict.fromkeys(buckets, 1), zip(owners, coeffs))
+
+
+def reference_projection_part(code, mask: int, i0: int):
+    """The projection part in which the buckets of the bitmask `mask` serve
+    symbol i0 (0-based), or None, as `SpanEngine.part` builds it, by the
+    earlier DFS: buckets ascending, at most one column each, skip-first, an
+    early exit once the chosen columns span e_i0, and at every node a fresh
+    basis of the remaining buckets plus the chosen columns that must span
+    e_i0, or the node is cut."""
+    order = [ell0 for ell0 in range(code.m) if (mask >> ell0) & 1]
+    columns, n = code.buckets, code.n
+    suffix = [Echelon(code.field, n)]  # reversed below: suffix[idx] spans order[idx:]
+    for ell0 in reversed(order):
+        span = suffix[-1].copy()
+        for column in columns[ell0]:
+            span.add(column)
+        suffix.append(span)
+    suffix.reverse()
+
+    def dfs(idx: int, ech: Echelon, chosen: tuple):
+        if ech.contains_unit(i0):
+            return chosen, ech.solve(_unit(i0, n))
+        joint = suffix[idx].copy()
+        for ell0, s in chosen:
+            joint.add(columns[ell0][s])
+        if not joint.contains_unit(i0):
+            return None
+        res = dfs(idx + 1, ech, chosen)
+        if res is not None:
+            return res
+        ell0 = order[idx]
+        for s, column in enumerate(columns[ell0]):
+            ech2 = ech.copy()
+            if not ech2.add(column):
+                continue
+            res = dfs(idx + 1, ech2, chosen + ((ell0, s),))
+            if res is not None:
+                return res
+        return None
+
+    found = dfs(0, Echelon(code.field, n), ())
+    if found is None:
+        return None
+    choice, coeffs = found
+    used = [((ell0 + 1, s), c) for (ell0, s), c in zip(choice, coeffs) if c]
+    combo = dict.fromkeys((ell0 + 1 for ell0 in order), 1) | {ell: c for (ell, _), c in used}
+    return make_part(code.bucket_sizes, combo, [(pick, 1) for pick, _ in used])
 
 
 def reference_span_solve(target, generators, field):

@@ -191,6 +191,23 @@ def test_spanned_units_matches_contains_unit(p, n, data):
         assert [ech.contains_unit(i) for i in range(n)] == solvable
 
 
+@given(small_field, st.data())
+@settings(max_examples=80, deadline=None)
+def test_residue_decides_membership_and_joint_spans(p, data):
+    """`residue` is falsy iff the vector is in the span, and two vectors have
+    the same residue iff each is in the span of the basis and the other."""
+    length, gens = data.draw(vectors_over(p))
+    u, v = (tuple(data.draw(st.integers(0, p - 1)) for _ in range(length)) for _ in range(2))
+    ech = Echelon(PrimeField(p), length)
+    for g in gens:
+        ech.add(g)
+    assert bool(ech.residue(u)) != naive_in_span(u, gens, p)
+    joint = naive_in_span(u, gens + [v], p) and naive_in_span(v, gens + [u], p)
+    assert (ech.residue(u) == ech.residue(v)) == joint
+    if p == 2:
+        assert ech.residue(vector_to_mask(u)) == ech.residue(u)
+
+
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=40, deadline=None)
 def test_packed_add_matches_vector_add(n, data):

@@ -12,7 +12,10 @@ hash; those digests were recorded before the planners were moved onto
 out of bucket order.  Each `GOLDEN_SWEEP` case hashes the JSON report of
 one exhaustive `verify_bac` sweep (verdict, count and every witness in
 order); those digests were recorded while every sweep still assembled and
-certified each request's whole plan through `find_plan`.
+certified each request's whole plan through `find_plan`.  The projection
+cases of the F_3 cyclic and the q=7 affine code were recorded while the
+search still pruned by exact projection recovery and the projection DFS
+rebuilt its joint basis at every node.
 """
 
 import hashlib
@@ -53,6 +56,8 @@ GOLDEN = {
     "c1-projection": "1c6cc1561dd5baa96433307db40728bcb7a3971ea09379d255e108f93cbc6ee0",
     "t4-linear": "14007edb9a339f547351bf01558b4f683510796144dbc00e8e270bfa995ec09f",
     "cyclic-12-56-f3-linear": "ef820a2a08d5cc7b2af0cfe2b751913a1581ab6b4572fdc0703b715885a42f81",
+    "cyclic-12-56-f3-projection": "5e2c8bd2d0b1b2368de3a3f370dad173c56e4aea7b800814ac0a9b8a7a9f8bb9",
+    "affine-q7-projection": "2f6bfad04c7536d534a0d3f73ded75c0e68b09b591ebc678874788e051b375f4",
 }
 
 
@@ -89,6 +94,18 @@ CASES = {
         lambda: cyclic_shift_code(12, 6, 8, PrimeField(3)),
         LIN,
         lambda: _seeded(12, 6, 200, 3),
+    ),
+    # 199 of the 200 requests are served
+    "cyclic-12-56-f3-projection": (
+        lambda: cyclic_shift_code(12, 6, 8, PrimeField(3)),
+        PROJ,
+        lambda: _seeded(12, 6, 200, 3),
+    ),
+    # 149 of the 200 requests are served
+    "affine-q7-projection": (
+        lambda: random_bac(7, 2, 1.0, 1.0, 7).code,
+        PROJ,
+        lambda: _seeded(49, 2, 200, 4),
     ),
 }
 
@@ -250,6 +267,7 @@ GOLDEN_SWEEP = {
     "uniform-20-4-k4-projection": "3c56e54bd11e9cef08a90d7c8a5ca09be77d64752b73a523e5629a13a4762ec9",
     "cyclic-12-6-8-f3-k6-linear": "e8ec75c33fedbf18481583304392b2c7e16194eab07084005a9dadddc513be67",
     "affine-q7-k2-linear": "b2c702e38bd5deb1ac439f2653427fcdaf669f05cd6d0ef6f142ad3f8c19ad0d",
+    "affine-q7-k2-projection": "8073674183c01e7695e6d6d7a88a5a8d528197c7cffe0d5020e79e51e7d9d700",
 }
 
 # name -> (code, k, model, number of failing requests)
@@ -259,6 +277,7 @@ SWEEP_CASES = {
     "uniform-20-4-k4-projection": (lambda: uniform_code(20, 4), 4, PROJ, 50),
     "cyclic-12-6-8-f3-k6-linear": (lambda: cyclic_shift_code(12, 6, 8, PrimeField(3)), 6, LIN, 0),
     "affine-q7-k2-linear": (lambda: random_bac(7, 2, 1.0, 1.0, 11).code, 2, LIN, 315),
+    "affine-q7-k2-projection": (lambda: random_bac(7, 2, 1.0, 1.0, 7).code, 2, PROJ, 343),
 }
 
 

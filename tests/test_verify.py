@@ -38,6 +38,7 @@ from oracles import (
     naive_recovers,
     reference_find_plan,
     reference_linear_part,
+    reference_projection_part,
 )
 
 LIN = ResponseModel.LINEAR
@@ -432,6 +433,21 @@ def test_linear_answers_match_the_whole_mask_reference(code, data):
         assert engine.recovers(mask, i0) == (expected is not None) == spans
         assert engine.part(mask, i0) == expected, (mask, i0)
         assert engine.certified(mask, i0) == (expected is not None)
+
+
+@given(small_code(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projection_answers_match_the_earlier_dfs(code, data):
+    """In the projection regime one warm engine, asked in any order, hands
+    out the part of the earlier DFS that rebuilt its joint basis at every
+    node, and `recovers` is brute-force projection recovery."""
+    engine = SpanEngine(code, PROJ)
+    query = st.tuples(st.integers(0, (1 << code.m) - 1), st.integers(0, code.n - 1))
+    for mask, i0 in data.draw(st.lists(query, min_size=1, max_size=30)):
+        expected = reference_projection_part(code, mask, i0)
+        buckets = [ell0 + 1 for ell0 in bucket_indices(mask)]
+        assert engine.part(mask, i0) == expected, (mask, i0)
+        assert engine.recovers(mask, i0) == naive_recovers(code, buckets, i0 + 1, projection=True)
 
 
 @st.composite
