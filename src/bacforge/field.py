@@ -106,9 +106,10 @@ class Echelon:
     length + j the coefficient of independent vector j.  Over GF(2) a row is
     one packed int and reduction is XOR of the rows whose pivot bit the
     vector has; otherwise a row is a (pivot, residues) pair with 2 * `length`
-    residues.  `add` reduces the new vector followed by e_j for its index j,
-    and `solve` reduces the target followed by zeros: what is subtracted
-    from it is the negation of its combination.
+    residues.  `extend` reduces each new vector followed by e_j for its
+    index j (`add` inserts one vector), and `solve` reduces the target
+    followed by zeros: what is subtracted from it is the negation of its
+    combination.
     """
 
     __slots__ = ("field", "length", "coords", "rows", "pivmask", "independent", "inserted")
@@ -216,53 +217,106 @@ class Echelon:
         return tuple(out)
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True iff it enlarged the span.  Over GF(2)
-        the vector may also be given already packed, as an int (see
-        `vector_to_mask`)."""
+        """Insert a vector; returns True iff it enlarged the span: `extend`
+        with one vector."""
+        return self.extend((vec,)) == 1
+
+    def _packed(self, vec):
+        """`vec` checked against the length; packed into an int over GF(2),
+        where it may also be given already packed (see `vector_to_mask`)."""
         if isinstance(vec, int):
             if self.field.p != 2 or vec < 0 or vec >> self.length:
                 raise ValueError(f"packed vector {vec!r} needs GF(2) and length {self.length}")
-            packed = vec
-        elif len(vec) != self.length:
+            return vec
+        if len(vec) != self.length:
             raise ValueError(f"vector length {len(vec)} != {self.length}")
-        elif self.field.p == 2:
-            packed = vector_to_mask(vec)
-        index = self.inserted
-        self.inserted += 1
-        rows = self.rows
-        if len(rows) == self.length:  # full rank: nothing enlarges the span
-            return False
-        j_new = len(self.independent)
-        if self.field.p == 2:
-            new_row = self._reduce2(packed | (1 << (self.length + j_new)))
-            vector = new_row & self.coords
-            if vector == 0:
-                return False
-            low = vector & -vector
-            # keep the other rows zero at the new pivot
-            for key, row in rows.items():
-                if row & low:
-                    rows[key] = row ^ new_row
-        else:
-            p, length = self.field.p, self.length
-            work = [v % p for v in vec] + [0] * length
-            work[length + j_new] = 1
-            work = self._reduce_generic(work)
-            piv = next((j for j, v in enumerate(work[:length]) if v), None)
-            if piv is None:
-                return False
-            low = 1 << piv
-            c_inv = self.field.inv(work[piv])
-            residues = [(v * c_inv) % p for v in work]
-            new_row = (piv, residues)
-            for key, (row_piv, row) in rows.items():
-                c = row[piv]
-                if c:
-                    rows[key] = (row_piv, [(rv - c * wv) % p for rv, wv in zip(row, residues)])
-        rows[low] = new_row
-        self.pivmask |= low
-        self.independent.append(index)
-        return True
+        return vector_to_mask(vec) if self.field.p == 2 else vec
+
+    def extend(self, vectors) -> int:
+        """Insert vectors in order, in one pass; returns how many enlarged the
+        span.  Every vector is checked before anything changes.  Each one,
+        followed by e_j for its index j among the independent ones, is
+        reduced against the old rows and then against the rows this pass
+        made, which are kept zero at each other's pivots; the old rows are
+        cleared at the new pivots once, at the end.  Fully reduced rows over
+        given pivots are unique, so the rows are those of inserting the
+        vectors one at a time."""
+        vectors = [self._packed(vec) for vec in vectors]
+        p, length, rows, independent = self.field.p, self.length, self.rows, self.independent
+        old_pivots, coords = self.pivmask, self.coords
+        start = self.inserted
+        self.inserted += len(vectors)
+        new: dict = {}  # pivot bit -> row, for the pivots this pass adds
+        new_pivots = 0
+        for index, vec in enumerate(vectors, start):
+            j_new = len(independent)
+            if j_new == length:  # full rank: nothing enlarges the span
+                break
+            if p == 2:
+                row = vec | (1 << (length + j_new))
+                hits = row & old_pivots
+                while hits:
+                    low = hits & -hits
+                    row ^= rows[low]
+                    hits ^= low
+                hits = row & new_pivots
+                while hits:
+                    low = hits & -hits
+                    row ^= new[low]
+                    hits ^= low
+                vector = row & coords
+                if not vector:
+                    continue
+                low = vector & -vector
+                for key, other in new.items():
+                    if other & low:
+                        new[key] = other ^ row
+            else:
+                work = [v % p for v in vec] + [0] * length
+                work[length + j_new] = 1
+                work = self._reduce_generic(work)
+                for piv, other in new.values():
+                    c = work[piv]
+                    if c:
+                        work = [(w - c * r) % p for w, r in zip(work, other)]
+                piv = next((j for j, v in enumerate(work[:length]) if v), None)
+                if piv is None:
+                    continue
+                low = 1 << piv
+                c_inv = self.field.inv(work[piv])
+                residues = [(v * c_inv) % p for v in work]
+                row = (piv, residues)
+                for key, (other_piv, other) in new.items():
+                    c = other[piv]
+                    if c:
+                        new[key] = (other_piv, [(o - c * r) % p for o, r in zip(other, residues)])
+            new[low] = row
+            new_pivots |= low
+            independent.append(index)
+        if not new:
+            return 0
+        # keep the old rows zero at the new pivots
+        for key, row in rows.items():
+            if p == 2:
+                hits = row & new_pivots
+                if hits:
+                    while hits:
+                        low = hits & -hits
+                        row ^= new[low]
+                        hits ^= low
+                    rows[key] = row
+            else:
+                row_piv, residues = row
+                cleared = residues
+                for piv, other in new.values():
+                    c = cleared[piv]
+                    if c:
+                        cleared = [(o - c * r) % p for o, r in zip(cleared, other)]
+                if cleared is not residues:
+                    rows[key] = (row_piv, cleared)
+        rows.update(new)
+        self.pivmask |= new_pivots
+        return len(new)
 
 
 def rank(vectors: Iterable[Sequence[int]], field: PrimeField) -> int:

@@ -11,8 +11,9 @@ answers.  Two response regimes are supported:
                  classic batch-code regime), so its response vector must be a
                  unit vector.
 
-`find_plan` decides a request exactly, by a backtracking search over the
-minimal recovery sets of each requested symbol (`_search`).  A code has one
+`find_plan` decides a request exactly, by a search over the minimal
+recovery sets of each requested symbol that keeps one frontier of distinct
+free-bucket sets per request depth (`_Frontier`).  A code has one
 `SpanEngine` per response regime (`engine_for`), kept in the code's own
 `cache` and freed with the code.  It builds those sets one size at a time
 (`SpanEngine._grow`), solves each (subset, symbol) part once, and reads every
@@ -29,19 +30,23 @@ the field, independently of how it was found.  Each plan handed out is
 certified once: `find_plan` certifies each whole plan, `sim.serve_batch`
 every other plan it serves and `affine.trial_verify` every greedy plan it
 counts; the construction planners return uncertified plans.  The sweeps of
-`verify_bac` and `verify_pir` hand out no plans: they run the same search and
-read each part's certificate (`SpanEngine.certified`), which is exact for the
-plans `find_plan` would return (see `_failures`).  Orbits enter there: a
+`verify_bac` and `verify_pir` hand out no plans: they run the same search,
+one frontier for the whole sweep so that a request shares the search of the
+prefix it has in common with the request before it, and read each part's
+certificate (`SpanEngine.certified`), which is exact for the plans
+`find_plan` would return (see `_failures`).  Orbits enter there: a
 sweep searches only the least request of each orbit under the code's symbol
 shift (`symbol_shift`), and a failing one stands for its orbit (`_sweep`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -164,7 +169,7 @@ class SpanEngine:
         self.n = code.n
         self.sizes = code.bucket_sizes
         self.linear = model is ResponseModel.LINEAR
-        # the certificates read the column table, `Echelon.add` the same ints over GF(2)
+        # the certificates read the column table, `Echelon.extend` the same ints over GF(2)
         self.table = code.column_table
         self.columns = self.table if field.p == 2 else code.buckets
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
@@ -182,10 +187,9 @@ class SpanEngine:
         self._served: dict = {0: 0}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
-        """A copy of `ech` with bucket ell0's columns inserted."""
+        """A copy of `ech` with bucket ell0's columns inserted, in one pass."""
         grown = ech.copy()
-        for col in self.columns[ell0]:
-            grown.add(col)
+        grown.extend(self.columns[ell0])
         return grown
 
     def _prefix_bases(self, mask: int):
@@ -376,8 +380,7 @@ class SpanEngine:
                 return chosen, ech.solve(unit)
             # a child can succeed iff `joint` and its new column (if any) span e_i0
             joint = suffix[idx + 1].copy()
-            for ell0, s in chosen:
-                joint.add(columns[ell0][s])
+            joint.extend([columns[ell0][s] for ell0, s in chosen])
             target = joint.residue(unit)
             if not target and (res := dfs(idx + 1, ech, chosen)) is not None:
                 return res
@@ -562,14 +565,14 @@ def find_plan(
     request: Sequence[int],
     model: ResponseModel = ResponseModel.LINEAR,
 ) -> Optional[RecoveryPlan]:
-    """Exact search for a recovery plan (`_search`), or None if no
+    """Exact search for a recovery plan (`_Frontier`), or None if no
     partition works.  The plan is certified before it is returned."""
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
     if len(req) > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
     engine = engine_for(code, model)
-    masks = _search(engine, req, (1 << code.m) - 1)
+    masks = _Frontier(engine, code.m).first_plan(req)
     if masks is None:
         return None
     plan = plan_from_parts(code, req, [engine.part(mask, i - 1) for mask, i in zip(masks, req)])
@@ -578,30 +581,119 @@ def find_plan(
     return plan
 
 
-def _search(engine: SpanEngine, req: tuple, left: int) -> Optional[list]:
-    """The part bitmasks, one per request of the sorted `req`, of the first
-    plan on the buckets in the bitmask `left`, uncertified; None if there is
-    none.  Each request but the last takes a minimal recovery set
-    (`SpanEngine.minimal_sets`) of the free buckets, by increasing size and
-    lexicographically within a size, and the last takes every leftover
-    bucket.  These are the plans of trying every recovering subset in that
-    order: recoverability is monotone and leftover buckets join the last
-    part, so a completion for a superset of a minimal set A is one for A,
-    and A comes first.  The other parts prune by the span (`_reach`), which
-    every projection part has too: sound, so the plan is the same."""
-    i0 = req[0] - 1
-    if len(req) == 1:
-        return [left] if engine.recovers(left, i0) else None
-    # spanning is monotone, so a union that misses e_i0 prunes the branch
-    if engine._reach(left, i0) is None:
+class _Level:
+    """One depth of a `_Frontier`: its distinct leftovers in the order they
+    were made, the index of each one's parent in the level above (an
+    `array`), the set of them, and the generator that makes the next one."""
+
+    __slots__ = ("leftovers", "parents", "seen", "grow")
+
+    def __init__(self, leftovers: list):
+        self.leftovers = leftovers
+        self.parents = array("I")
+        self.seen = set(leftovers)
+        self.grow = iter(())
+
+    def more(self) -> bool:
+        """Make the next leftover; False once there is none."""
+        return next(self.grow, False)
+
+
+class _Frontier:
+    """The plan search of one engine, one level per request depth, kept
+    from one request to the next.
+
+    A plan serves a sorted request by giving each request but the last a
+    minimal recovery set (`SpanEngine.minimal_sets`) of the buckets still
+    free, by increasing size and lexicographically within a size, and the
+    last request every bucket left over.  These are the plans of trying
+    every recovering subset in that order: recoverability is monotone and
+    leftover buckets join the last part, so a completion for a superset of
+    a minimal set A is one for A, and A comes first.  A depth-first search
+    in that order finds the first plan; a leftover that does not span the
+    next symbol (`_reach`) has no completion and is not extended, which
+    every projection part shares, so the prune is sound.
+
+    Level d holds the distinct leftovers after the first d requests, in the
+    order that search first reaches them; each is made from the level
+    above, lazily, one at a time (`_Level.more`).  What can be completed
+    below a leftover depends only on the leftover and the requests still to
+    serve, so when the search reaches a leftover a second time it has
+    already found no completion below it: dropping it keeps the first plan.
+    The first leftover of level k-1 that `recovers` the last symbol, on the
+    path of parents that first reached it, is the search's first plan.
+    Level d depends only on the first d requests and on k, so a request
+    keeps the levels of the prefix it shares with the request before it and
+    rebuilds only the deeper ones.  A part is the XOR of a leftover and its
+    parent, and each is certified once (`SpanEngine.certified`), when its
+    leftover is made; one that fails is an internal error."""
+
+    def __init__(self, engine: SpanEngine, m: int):
+        self.engine = engine
+        self.levels = [_Level([(1 << m) - 1])]
+        self.req: tuple = ()
+        # the last plan found, (its index in the last level, its part masks),
+        # while the levels it was read from are kept
+        self.found: Optional[tuple] = None
+
+    def first_plan(self, req: tuple) -> Optional[tuple]:
+        """The part bitmasks, one per request of the sorted `req`, of the
+        first plan, uncertified but for the parts above the last; None if
+        there is none.  Two requests served by the same leftover of the same
+        levels get the same tuple."""
+        k, levels, prev = len(req), self.levels, self.req
+        shared = k - 1 if k == len(prev) else 0
+        if req[:shared] != prev[:shared]:
+            shared = next(d for d, (a, b) in enumerate(zip(req, prev)) if a != b)
+        if len(levels) != k or shared + 1 < k:
+            del levels[shared + 1 :]
+            self.found = None
+            for d in range(shared + 1, k):
+                level = _Level([])
+                level.grow = self._children(levels[d - 1], level, req[d - 1] - 1, k - d)
+                levels.append(level)
+        self.req = req
+        last, i0, recovers = levels[-1], req[-1] - 1, self.engine.recovers
+        leftovers, j = last.leftovers, 0
+        while j < len(leftovers) or last.more():
+            left = leftovers[j]
+            if recovers(left, i0):
+                if self.found is not None and self.found[0] == j:
+                    return self.found[1]
+                masks, entry = [left], j
+                for d in range(k - 1, 0, -1):
+                    j = levels[d].parents[j]
+                    above = levels[d - 1].leftovers[j]
+                    masks.append(above ^ left)
+                    left = above
+                self.found = (entry, tuple(reversed(masks)))
+                return self.found[1]
+            j += 1
         return None
-    for size in range(1, left.bit_count() - len(req) + 2):
-        for mask in engine.minimal_sets(i0, size):
-            if mask & left == mask:
-                rest = _search(engine, req[1:], left ^ mask)
-                if rest is not None:
-                    return [mask, *rest]
-    return None
+
+    def _children(self, above: _Level, level: _Level, i0: int, later: int):
+        """Make `level`'s leftovers from `above`'s, one per step: each
+        leftover that spans e_i0 gives up, in the search's order, each
+        minimal set for symbol i0 that leaves at least one bucket for each
+        of the `later` requests after this one."""
+        engine = self.engine
+        leftovers, parents, seen = level.leftovers, level.parents, level.seen
+        free, j = above.leftovers, 0
+        while j < len(free) or above.more():
+            left = free[j]
+            if engine._reach(left, i0) is not None:
+                for size in range(1, left.bit_count() - later + 1):
+                    for mask in engine.minimal_sets(i0, size):
+                        if mask & left == mask and (child := left ^ mask) not in seen:
+                            if not engine.certified(mask, i0):
+                                raise AssertionError(
+                                    f"internal: frontier part failed certification for {(mask, i0)}"
+                                )
+                            seen.add(child)
+                            leftovers.append(child)
+                            parents.append(j)
+                            yield True
+            j += 1
 
 
 def symbol_shift(code: CodeSpec) -> int:
@@ -711,27 +803,35 @@ def _sweep(code, k, model, kind) -> VerificationReport:
 
 def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
     """(request, "no-partition") for each sorted request the search cannot
-    serve.  A served request is certified without building its plan: its
-    part masks must partition [m] into k parts, and each part must pass
-    `SpanEngine.certified`, read independently of the search's pruning.
-    That is exact: parts sit on disjoint buckets, and request j's identity
-    and unit responses depend only on part j's responses and combo, so a
-    plan certifies iff its parts partition [m] and each part certifies on
-    its own.  A claimed plan that does not
-    certify is an internal error."""
+    serve, all decided by one `_Frontier`, so a request shares the search
+    of the prefix it has in common with the request before it.  A served
+    request is certified without building its plan: its part masks must
+    partition [m] into k parts, and each part must pass
+    `SpanEngine.certified`, read independently of the search's pruning (the
+    frontier checked every part but the last when it made it).  That is
+    exact: parts sit on disjoint buckets, and request j's identity and unit
+    responses depend only on part j's responses and combo, so a plan
+    certifies iff its parts partition [m] and each part certifies on its
+    own.  A claimed plan that does not certify is an internal error."""
     engine = engine_for(code, model)
     everything = (1 << code.m) - 1
-    failures = []
+    frontier = _Frontier(engine, code.m)
+    failures, partition = [], None  # the last part masks found to partition [m]
     for req in requests:
-        masks = _search(engine, req, everything)
+        masks = frontier.first_plan(req)
         if masks is None:
             failures.append((req, "no-partition"))
             continue
-        union, certified = 0, len(masks) == len(req)
-        for mask, i in zip(masks, req):
-            certified = certified and not union & mask and engine.certified(mask, i - 1)
-            union |= mask
-        if not certified or union != everything:
+        if masks is not partition:
+            # disjoint and covering [m]: the parts' sizes add up to m, their union is [m]
+            if (
+                len(masks) != len(req)
+                or functools.reduce(operator.or_, masks) != everything
+                or sum(map(int.bit_count, masks)) != code.m
+            ):
+                raise AssertionError(f"internal: found plan failed certification for {req}")
+            partition = masks
+        if not engine.certified(masks[-1], req[-1] - 1):
             raise AssertionError(f"internal: found plan failed certification for {req}")
     return failures
 

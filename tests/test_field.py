@@ -229,6 +229,29 @@ def test_packed_add_matches_vector_add(n, data):
 
 @given(small_field, st.integers(1, 6), st.data())
 @settings(max_examples=80, deadline=None)
+def test_extend_matches_one_add_at_a_time(p, n, data):
+    """Inserting a list of vectors in one pass, after some inserted one at
+    a time, leaves the rows, pivots, independent vectors and insertion count
+    of inserting every vector one at a time; over GF(2) packed or not."""
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    before, batch = (data.draw(st.lists(vector, max_size=6)) for _ in range(2))
+    one_pass, one_by_one = Echelon(PrimeField(p), n), Echelon(PrimeField(p), n)
+    for vec in before:
+        one_pass.add(vec)
+        one_by_one.add(vec)
+    packed = p == 2 and data.draw(st.booleans())
+    added = one_pass.extend([vector_to_mask(vec) for vec in batch] if packed else batch)
+    assert added == sum(one_by_one.add(vec) for vec in batch)
+    assert (one_pass.rows, one_pass.pivmask, one_pass.independent, one_pass.inserted) == (
+        one_by_one.rows,
+        one_by_one.pivmask,
+        one_by_one.independent,
+        one_by_one.inserted,
+    )
+
+
+@given(small_field, st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
 def test_echelon_rows_are_keyed_by_pivot_and_fully_reduced(p, n, data):
     """The invariant that lets a reduction apply the rows in any order."""
     ech = Echelon(PrimeField(p), n)

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import os
 import pickle
+import random
 import resource
 import time
 import weakref
@@ -20,6 +23,7 @@ from bacforge import (
     cyclic_params,
     cyclic_shift_code,
     find_plan,
+    good_vector_2t1,
     good_vector_code,
     goodvec_certified_plan,
     greedy_plan,
@@ -30,7 +34,15 @@ from bacforge import (
     verify_pir,
 )
 from bacforge.field import Echelon, PrimeField
-from bacforge.verify import SpanEngine, all_batch_requests, bucket_indices, normalize_request
+from bacforge.verify import (
+    SpanEngine,
+    _failures,
+    _Frontier,
+    all_batch_requests,
+    bucket_indices,
+    engine_for,
+    normalize_request,
+)
 from conftest import col
 from oracles import (
     naive_has_plan,
@@ -226,6 +238,30 @@ def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
     assert bases < 2000
 
 
+# sha256 of `json.dumps(report.to_json_dict())` for the k=8 sweep of the
+# n=14 code of `good_vector_2t1(3)`, recorded with the depth-first search
+# that the shared frontier replaced (it took about 85 s there)
+_T3_K8_DIGEST = "6ffcf11a5e3d84ab76bc5ef1a6c091d50eff9b3fd4efe51e4bf2a4066fbca0a2"
+
+
+def test_k8_sweep_of_the_t3_code_golden_within_budget():
+    """A sweep that fails on many mixed requests: the frontier refutes them
+    without searching the same leftover twice."""
+    code = good_vector_code(good_vector_2t1(3))
+    start = time.perf_counter()
+    report = verify_bac(code, 8, LIN)
+    elapsed = time.perf_counter() - start
+    assert (report.status, report.checked, report.representatives, len(report.failures)) == (
+        "fail",
+        203490,
+        14550,
+        1477,
+    )
+    text = json.dumps(report.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == _T3_K8_DIGEST
+    assert elapsed < 15.0, f"t=3 k=8 sweep took {elapsed:.1f} s"
+
+
 def _wrong_solve(monkeypatch):
     """Make `Echelon.solve` drop the first nonzero coefficient it returns."""
     solve = Echelon.solve
@@ -262,6 +298,27 @@ def test_sweep_refuses_a_last_part_that_does_not_recover(monkeypatch, c2_code, m
     monkeypatch.setattr(SpanEngine, "recovers", lambda self, mask, i0: True)
     with pytest.raises(AssertionError, match="internal"):
         verify_bac(truncated, 4, model)
+
+
+@pytest.mark.parametrize("model", [LIN, PROJ])
+def test_search_refuses_a_frontier_part_that_does_not_recover(monkeypatch, model):
+    """Bucket 3 stores x2 only, yet is offered first as a part for every
+    symbol: the frontier must refuse it for x1 when it makes the entry, as
+    the sweep certifies only the last part of a plan itself."""
+
+    def build():
+        return CodeSpec(GF2, 2, (((1, 0),), ((1, 0),), ((0, 1),)))
+
+    minimal_sets = SpanEngine.minimal_sets
+    monkeypatch.setattr(
+        SpanEngine,
+        "minimal_sets",
+        lambda self, i0, size: (0b100,) * (size == 1) + minimal_sets(self, i0, size),
+    )
+    with pytest.raises(AssertionError, match="internal"):
+        verify_bac(build(), 2, model)
+    with pytest.raises(AssertionError, match="internal"):
+        find_plan(build(), (1, 1), model)
 
 
 def test_check_subset_spanning(c2_code):
@@ -464,17 +521,35 @@ def stored_code(draw):
     return CodeSpec(PrimeField(p), n, tuple(buckets))
 
 
-@given(stored_code(), st.integers(1, 3))
-@example(CodeSpec(GF2, 2, (((1, 0),), ((1, 0),), ((0, 1),))), 2)  # fails on (2, 2)
+@given(stored_code(), st.integers(1, 3), st.randoms(use_true_random=False))
+@example(CodeSpec(GF2, 2, (((1, 0),), ((1, 0),), ((0, 1),))), 2, random.Random(0))  # fails on (2, 2)
 @settings(max_examples=60, deadline=None)
-def test_sweep_verdicts_match_find_plan_and_the_oracle(code, k):
+def test_sweep_verdicts_match_find_plan_and_the_oracle(code, k, rng):
+    """Verdicts agree with `find_plan` and the oracle.  One frontier run
+    over the requests in a drawn order, so that the prefix a request shares
+    with the one before it breaks at every depth, finds the failures of the
+    lexicographic order; another, over the requests of every size up to k
+    in a drawn order, finds the plans of `find_plan`'s fresh frontiers."""
     k = min(k, code.m)
+    requests = list(all_batch_requests(code.n, k))
+    shuffled = rng.sample(requests, len(requests))
+    mixed = [req for size in range(1, k + 1) for req in all_batch_requests(code.n, size)]
+    rng.shuffle(mixed)
     for model, projection in ((LIN, False), (PROJ, True)):
         failed = {req for req, _ in verify_bac(code, k, model).failures}
         fresh = CodeSpec(code.field, code.n, code.buckets)
-        for req in all_batch_requests(code.n, k):
+        for req in requests:
             assert (req in failed) == (find_plan(fresh, req, model) is None), (req, model)
             assert (req in failed) != naive_has_plan(code, req, projection), (req, model)
+        reordered = CodeSpec(code.field, code.n, code.buckets)
+        assert sorted(_failures(reordered, model, shuffled)) == sorted(
+            _failures(CodeSpec(code.field, code.n, code.buckets), model, requests)
+        )
+        frontier = _Frontier(engine_for(reordered, model), code.m)
+        for req in mixed:
+            masks, plan = frontier.first_plan(req), find_plan(fresh, req, model)
+            parts = masks and tuple(frozenset(ell0 + 1 for ell0 in bucket_indices(mask)) for mask in masks)
+            assert parts == (plan and plan.sets), (req, model)
 
 
 @given(small_code(), st.booleans())
