@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, PrimeField, unit_vector
 from .model import CodeSpec, codes_equal
-from .verify import RecoveryPlan, make_part, normalize_request, plan_from_parts
+from .verify import RecoveryPlan, certified_part, make_part, normalize_request, plan_from_parts
 
 
 def _wrap(x: int, n: int) -> int:
@@ -154,6 +154,12 @@ def cyclic_shift_code(n: int, k: int, m: int, field: PrimeField = GF2) -> CodeSp
     return CodeSpec(field, n, tuple(buckets))
 
 
+def _table_part(code: CodeSpec, i: int, combo: dict, picks) -> tuple:
+    """The part `make_part` builds from `combo` and `picks` for a planner
+    table, certified to serve symbol i once, here (`certified_part`)."""
+    return certified_part(code.field.p, code.column_table, make_part(code.bucket_sizes, combo, picks), i - 1)
+
+
 def _augmenting_match(left_count: int, neighbors) -> dict:
     """Perfect matching of [0, left_count) into bucket vertices via augmenting
     paths; neighbors[u] is an ascending list of candidate buckets."""
@@ -182,7 +188,8 @@ def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:
     each symbol it stores to the part in which it serves that symbol by
     itself, and `paired[ell0]` maps each symbol it omits to the parts, one
     per sum bucket in index order, in which the bucket's block-mates of the
-    symbol are subtracted from that sum bucket's block sum."""
+    symbol are subtracted from that sum bucket's block sum.  Each part is
+    certified once, here (`_table_part`)."""
     tables = code.cache.setdefault("cyclic", {})
     hit = tables.get(params)
     if hit is None:
@@ -190,12 +197,12 @@ def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:
             raise ValueError("code does not match the cyclic construction for these parameters")
         n, k, m, block = params.n, params.k, params.m, params.block
         copies = k // (m - k)
-        minus_one, sizes = code.field.p - 1, code.bucket_sizes
+        minus_one = code.field.p - 1
         alone, paired = [], []
         for ell in range(1, k + 1):
             stored = [i for i in range(1, n + 1) if i not in params.omitted(ell)]
             position_of = {i: s for s, i in enumerate(stored)}
-            alone.append({i: make_part(sizes, {ell: 1}, [((ell, s), 1)]) for s, i in enumerate(stored)})
+            alone.append({i: _table_part(code, i, {ell: 1}, [((ell, s), 1)]) for s, i in enumerate(stored)})
             pairs = {}
             for i in params.omitted(ell):
                 b = (i - 1) % block + 1
@@ -203,7 +210,7 @@ def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:
                 mates = [t * block + b for t in range(copies) if t * block + b != i]
                 mates = [((ell, position_of[mate]), 1) for mate in mates]
                 pairs[i] = tuple(
-                    make_part(sizes, {ell: minus_one, ell_sum: 1}, mates + [((ell_sum, b - 1), 1)])
+                    _table_part(code, i, {ell: minus_one, ell_sum: 1}, mates + [((ell_sum, b - 1), 1)])
                     for ell_sum in range(k + 1, m + 1)
                 )
             paired.append(pairs)
@@ -448,16 +455,17 @@ def _goodvec_tables(v: GoodVector, code: CodeSpec) -> tuple:
     """The canonical recovery sets of every symbol (symbol i at index i - 1),
     each as the plan part that serves i from it, and the supported batch size
     `max_batch_k(v.t).exact`; made once per (code, v), after checking the
-    code against the construction, and kept in `code.cache`."""
+    code against the construction, and kept in `code.cache`.  Each part is
+    certified once, here (`_table_part`)."""
     tables = code.cache.setdefault("goodvec", {})
     hit = tables.get(v)
     if hit is None:
         if not codes_equal(good_vector_code(v, code.field), code):
             raise ValueError("code does not match the good-vector construction for this vector")
-        p, sizes = code.field.p, code.bucket_sizes
+        p = code.field.p
         families = tuple(
             tuple(
-                make_part(sizes, {b: sign % p for b, _, sign in spec}, [((b, s), 1) for b, s, _ in spec])
+                _table_part(code, i, {b: sign % p for b, _, sign in spec}, [((b, s), 1) for b, s, _ in spec])
                 for _, spec in canonical_recovery_sets(v, code.n, i)
             )
             for i in range(1, code.n + 1)

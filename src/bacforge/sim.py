@@ -9,8 +9,9 @@ from the code's column table (`CodeSpec.column_table`), so no codeword is
 materialised per batch.  The aggregator combines the answers with the plan's
 coefficients.  `symbols_read` counts the symbols a node reads, i.e. the
 fan-in of its local computation; under the projection regime it is at most 1
-by definition.  Every plan is certified once before it is served, so its
-sets partition the buckets and each node answers exactly once.
+by definition.  Every plan served certifies, so its sets partition the
+buckets and each node answers exactly once: a planner's plan is certified
+where its parts are made (see `verify`), a plan passed in by `certify_plan`.
 
 Nodes are in-process actors, not network processes; a single batch serves
 nodes in bucket order so reports are deterministic.
@@ -36,6 +37,7 @@ from .model import _json_int, _json_list
 from .verify import (
     RecoveryPlan,
     ResponseModel,
+    _unit_or_zero,
     certify_plan,
     find_plan,
     normalize_request,
@@ -52,7 +54,7 @@ class SimReport:
     recovered: tuple
     node_responses: tuple  # field element each node sent
     symbols_read: tuple  # per node, fan-in of its local computation
-    response_counts: tuple  # per node, always 1 (partition property)
+    response_counts: tuple  # per node, always 1: a served plan's sets partition [m]
 
     @property
     def max_symbols_read(self) -> int:
@@ -115,17 +117,29 @@ def _provenance_key(provenance) -> tuple:
     return tuple(key)
 
 
+def _value_types(provenance: dict) -> list:
+    """The exact types of a provenance's values, a list's entry by entry."""
+    return [list(map(type, v)) if isinstance(v, list) else type(v) for v in provenance.values()]
+
+
 def planner_context(code: CodeSpec, provenance) -> object:
     """What the certified planner of a code's construction needs: the
     `CyclicParams`, the `GoodVector`, or the `AffinePlaneCode` rebuilt from
     the provenance and checked to be this code.  Resolved once per (code,
     provenance) and kept in `code.cache`; a malformed provenance raises
-    ValueError."""
+    ValueError.  The last provenance resolved for the code is kept too, as a
+    copy with its value types (`==` holds between True, 1 and 1.0), and one
+    equal to it with the same types is not checked again."""
+    copy, types, context = code.cache.get("planner-provenance", (None, None, None))
+    if type(provenance) is dict and provenance == copy and _value_types(provenance) == types:
+        return context
     key = _provenance_key(provenance)
     contexts = code.cache.setdefault("planner-contexts", {})
     context = contexts.get(key)
     if context is None:
         context = contexts[key] = _resolve_context(code, provenance)
+    copy = {name: list(v) if isinstance(v, list) else v for name, v in provenance.items()}
+    code.cache["planner-provenance"] = (copy, _value_types(provenance), context)
     return context
 
 
@@ -173,30 +187,33 @@ def serve_batch(
     """Serve one batch request against encoded data, whose entries must be
     integers (`model.data_vector`).  planner "exhaustive" runs the exact
     search; "certified" dispatches to the construction-specific planner named
-    by `provenance`.  A pre-built plan may be supplied directly.  Each plan is
-    certified once before it is served (`find_plan` certifies the plans it
-    returns), and every recovered value is checked against the true symbol --
-    exact field arithmetic, no tolerance."""
+    by `provenance`.  A pre-built plan may be supplied directly.  Each plan
+    served certifies: a plan passed in is certified with `certify_plan`; a
+    planner's plan where its parts are made (see `verify`), the certified
+    planners' as linear answers, so in the projection regime they must also
+    answer unit vectors.  Every recovered value is checked against the true
+    symbol -- exact field arithmetic, no tolerance."""
     model = ResponseModel.parse(model)
     data_t = data_vector(code, data)
     req = normalize_request(request, code.n)
-    if plan is None and planner == "exhaustive":
+    p = code.field.p
+    if plan is not None:
+        planner_name = "explicit"
+        if not certify_plan(code, req, plan, model):
+            raise ValueError("plan failed certification")
+    elif planner == "exhaustive":
         planner_name = "exhaustive"
         plan = find_plan(code, req, model)
         if plan is None:
             raise ValueError(f"no recovery plan exists for request {req}")
-    else:
-        if plan is not None:
-            planner_name = "explicit"
-        elif planner == "certified":
-            planner_name = "certified"
-            plan = _certified_plan(code, req, provenance)
-        else:
-            raise ValueError(f"unknown planner {planner!r}")
-        if not certify_plan(code, req, plan, model):
+    elif planner == "certified":
+        planner_name = "certified"
+        plan = _certified_plan(code, req, provenance)
+        if model is ResponseModel.PROJECTION and not all(_unit_or_zero(p, r) for r in plan.responses):
             raise ValueError("plan failed certification")
+    else:
+        raise ValueError(f"unknown planner {planner!r}")
 
-    p = code.field.p
     xmask = vector_to_mask(data_t) if p == 2 else 0
     responses, reads = [], []
     for resp, columns in zip(plan.responses, code.column_table):
@@ -220,7 +237,7 @@ def serve_batch(
             raise AssertionError(f"recovered {acc} for symbol {i} but data holds {data_t[i - 1]}")
         recovered.append(acc)
 
-    # certify_plan checked that the sets partition [m]: each node answers once
+    # the plan certifies, so its sets partition [m]: each node answers once
     return SimReport(
         request=req,
         model=model,

@@ -26,17 +26,20 @@ Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
 combo) and hands them to `plan_from_parts`, the one place that assembles a
 `RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
-the field, independently of how it was found.  Each plan handed out is
-certified once: `find_plan` certifies each whole plan, `sim.serve_batch`
-every other plan it serves and `affine.trial_verify` every greedy plan it
-counts; the construction planners return uncertified plans.  The sweeps of
-`verify_bac` and `verify_pir` hand out no plans: they run the same search,
-one frontier for the whole sweep so that a request shares the search of the
-prefix it has in common with the request before it, and read each part's
-certificate (`SpanEngine.certified`), which is exact for the plans
-`find_plan` would return (see `_failures`).  Orbits enter there: a
-sweep searches only the least request of each orbit under the code's symbol
-shift (`symbol_shift`), and a failing one stands for its orbit (`_sweep`).
+the field, independently of how it was found.  Parts sit on disjoint
+buckets, so a plan certifies iff its parts partition [m] (`_partitions`)
+and each certifies on its own.  Each part is certified once, where it is
+made: the engine's in `_reach` and `part`, the construction planners' when
+their tables are built, the greedy affine planner's per request
+(`certified_part`), and `plan_from_parts` checks the partition, so every
+plan a planner hands out certifies.  The sweeps of `verify_bac` and
+`verify_pir` hand out no plans: they run the same search, one frontier for
+the whole sweep so that a request shares the search of the prefix it has in
+common with the request before it, and read each part's certificate
+(`SpanEngine.certified`), which is exact for the plans `find_plan` would
+return (see `_failures`).  Orbits enter there: a sweep searches only the
+least request of each orbit under the code's symbol shift (`symbol_shift`),
+and a failing one stands for its orbit (`_sweep`).
 """
 
 from __future__ import annotations
@@ -314,27 +317,17 @@ class SpanEngine:
         (bucket set, ((bucket0, response vector), ...) for the buckets that
         answer something nonzero, combo), with the set and the combo 1-based
         as in `RecoveryPlan`.  A linear part is the solve `_reach` certified;
-        a projection part is certified here, once, with `certify_plan`'s
-        checks on its own part of a plan: its bucket set is the mask, its
-        answers and combo lie in it, its answers are unit vectors and they
-        combine to e_i0."""
+        a projection part is certified here, once: its bucket set is the
+        mask, and it passes `certified_part` with unit answers."""
         key = mask * self.n + i0
         part = self._parts.get(key, False)  # False: not solved yet
         if part is False:
             if self.linear:
                 part = self._solve_linear(mask, i0)
             elif (part := self._solve_projection(mask, i0)) is not None:
-                p, table = self.field.p, self.table
-                bucket_set, vectors, combo = part
-                answers = dict(vectors)
-                responses = [answers.get(ell0, ()) for ell0 in range(len(table))]
-                if not (
-                    bucket_set == {ell0 + 1 for ell0 in bucket_indices(mask)}
-                    and {ell0 + 1 for ell0 in answers} | {ell for ell, _ in combo} <= bucket_set
-                    and all(_unit_or_zero(p, vector) for vector in answers.values())
-                    and _sums_to_unit(p, combo, responses, table, i0)
-                ):
+                if part[0] != {ell0 + 1 for ell0 in bucket_indices(mask)}:
                     raise AssertionError(f"internal: part failed certification for {(mask, i0)}")
+                certified_part(self.field.p, self.table, part, i0, projection=True)
             self._parts[key] = part
         return part
 
@@ -451,10 +444,40 @@ def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
     )
 
 
+def certified_part(p: int, table, part: tuple, i0: int, projection: bool = False) -> tuple:
+    """`part` (`make_part`), checked as `certify_plan` checks its share of a
+    plan: its answers and combo lie in its bucket set, its answers are unit
+    vectors (projection regime), and they give e_i0 over the column table
+    `table` of a code over F_p.  A part that fails is an internal error."""
+    bucket_set, vectors, combo = part
+    answers = dict(vectors)
+    responses = [answers.get(ell0, ()) for ell0 in range(len(table))]
+    if not (
+        {ell0 + 1 for ell0 in answers} | {ell for ell, _ in combo} <= bucket_set
+        and (not projection or all(_unit_or_zero(p, vector) for vector in answers.values()))
+        and _sums_to_unit(p, combo, responses, table, i0)
+    ):
+        raise AssertionError(f"internal: part {sorted(bucket_set)} failed certification for x{i0 + 1}")
+    return part
+
+
+def _partitions(parts: Sequence, k: int, everything, size) -> bool:
+    """Whether `parts`, frozensets (`size` is `len`) or bitmasks (`size` is
+    `int.bit_count`), are k non-empty sets whose union is `everything` and
+    whose sizes add up to its size: a partition of `everything`."""
+    return (
+        len(parts) == k
+        and all(parts)
+        and functools.reduce(operator.or_, parts) == everything
+        and sum(map(size, parts)) == size(everything)
+    )
+
+
 def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
     """The plan that serves request j with part j, as `make_part` builds
     it.  Every other bucket answers zero, and the buckets in no part join the
-    last part with coefficient 1."""
+    last part with coefficient 1.  The parts, each certified where it was
+    made, must then partition [m], or it is an internal error."""
     bucket_ids, zeros = _plan_tables(code)
     responses = list(zeros)
     sets, combos = [], []
@@ -467,6 +490,8 @@ def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> Recov
     if leftover:
         sets[-1] = sets[-1] | leftover
         combos[-1] = tuple(sorted(combos[-1] + tuple((ell, 1) for ell in leftover)))
+    if not _partitions(sets, len(req), bucket_ids, len):
+        raise AssertionError(f"internal: parts do not partition the buckets for {req}")
     return RecoveryPlan(
         request=req, sets=tuple(sets), responses=tuple(responses), combos=tuple(combos)
     )
@@ -566,7 +591,7 @@ def find_plan(
     model: ResponseModel = ResponseModel.LINEAR,
 ) -> Optional[RecoveryPlan]:
     """Exact search for a recovery plan (`_Frontier`), or None if no
-    partition works.  The plan is certified before it is returned."""
+    partition works.  Its parts are certified where the engine made them."""
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
     if len(req) > code.m:
@@ -575,10 +600,7 @@ def find_plan(
     masks = _Frontier(engine, code.m).first_plan(req)
     if masks is None:
         return None
-    plan = plan_from_parts(code, req, [engine.part(mask, i - 1) for mask, i in zip(masks, req)])
-    if not certify_plan(code, req, plan, model):
-        raise AssertionError(f"internal: found plan failed certification for {req}")
-    return plan
+    return plan_from_parts(code, req, [engine.part(mask, i - 1) for mask, i in zip(masks, req)])
 
 
 class _Level:
@@ -823,12 +845,7 @@ def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
             failures.append((req, "no-partition"))
             continue
         if masks is not partition:
-            # disjoint and covering [m]: the parts' sizes add up to m, their union is [m]
-            if (
-                len(masks) != len(req)
-                or functools.reduce(operator.or_, masks) != everything
-                or sum(map(int.bit_count, masks)) != code.m
-            ):
+            if not _partitions(masks, len(req), everything, int.bit_count):
                 raise AssertionError(f"internal: found plan failed certification for {req}")
             partition = masks
         if not engine.certified(masks[-1], req[-1] - 1):

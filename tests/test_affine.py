@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -237,18 +236,20 @@ def test_trial_verify_reports():
 
 
 def test_trial_verify_certifies_greedy_plans(monkeypatch):
+    """The greedy planner certifies each part as it makes it, so a part
+    that drops an answer it needs stops `greedy_plan`, and `trial_verify`
+    with it, instead of being counted as a success."""
     apc = random_bac(5, 1, 1.0, 1.0, seed=21)
-    real_greedy_plan = aff.greedy_plan
+    real_make_part = aff.make_part
 
-    def corrupted(apc, req, strict_appendix=False):
-        plan = real_greedy_plan(apc, req, strict_appendix=strict_appendix)
-        responses = list(plan.responses)
-        ell0 = next(ell0 for ell0, resp in enumerate(responses) if any(resp))
-        responses[ell0] = (0,) * len(responses[ell0])  # drop an answer the plan needs
-        return dataclasses.replace(plan, responses=tuple(responses))
+    def corrupted(sizes, combo, picks):
+        bucket_set, _, combo = real_make_part(sizes, combo, picks)
+        return bucket_set, (), combo  # every answer zero
 
-    monkeypatch.setattr(aff, "greedy_plan", corrupted)
-    with pytest.raises(AssertionError, match="failed certification"):
+    monkeypatch.setattr(aff, "make_part", corrupted)
+    with pytest.raises(AssertionError, match="internal: .* failed certification"):
+        greedy_plan(apc, (1,))
+    with pytest.raises(AssertionError, match="internal: .* failed certification"):
         trial_verify(apc, 1, 5, seed=3)
 
 

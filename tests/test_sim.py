@@ -1,11 +1,14 @@
+import copy
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bacforge.affine as affine_mod
+import bacforge.construct as construct_mod
 import bacforge.sim as sim_mod
 import bacforge.verify as verify_mod
 from bacforge import (
@@ -15,9 +18,14 @@ from bacforge import (
     code_from_json,
     code_to_json,
     compare_models,
+    cyclic_certified_plan,
+    cyclic_params,
     cyclic_shift_code,
     encode,
     find_plan,
+    good_vector,
+    good_vector_code,
+    goodvec_certified_plan,
     greedy_plan,
     load_stats,
     random_bac,
@@ -25,6 +33,7 @@ from bacforge import (
     total_length,
 )
 from bacforge.field import PrimeField
+from bacforge.verify import make_part, plan_from_parts
 from oracles import dot, reference_encode
 
 LIN = ResponseModel.LINEAR
@@ -172,45 +181,265 @@ def test_compare_models_requires_same_n(c2_code, gv1_code):
         compare_models(c2_code, gv1_code, [(1,)])
 
 
-def _certified_families(c2_code, gv1_code):
-    """(code, provenance, requests the certified planner serves) per family."""
+def _fresh_families():
+    """(code, provenance, every request of the batch size its certified
+    planner serves) for the small cyclic, good-vector and affine codes,
+    each code built afresh so that no planner table is cached on it yet."""
     apc = random_bac(5, 2, 0.6, 0.7, 7)
-    affine_reqs = [
-        req for req in itertools.combinations_with_replacement(range(1, apc.code.n + 1), 2)
-        if greedy_plan(apc, req) is not None
-    ][:20]
     return [
-        (c2_code, {"family": "cyclic", "n": 4, "k": 4, "m": 5},
+        (cyclic_shift_code(4, 4, 5), {"family": "cyclic", "n": 4, "k": 4, "m": 5},
          list(itertools.combinations_with_replacement(range(1, 5), 4))),
-        (gv1_code, {"family": "goodvec", "t": 1, "v": [1, 1]},
+        (good_vector_code(good_vector((1, 1))), {"family": "goodvec", "t": 1, "v": [1, 1]},
          list(itertools.combinations_with_replacement(range(1, 6), 3))),
-        (apc.code, apc.provenance(), affine_reqs),
+        (apc.code, apc.provenance(), list(itertools.combinations_with_replacement(range(1, 26), 2))),
     ]
 
 
+def _table_parts(code) -> list:
+    """(symbol0, part) for every part of the planner tables cached on a code."""
+    out = []
+    for alone, paired in code.cache.get("cyclic", {}).values():
+        for ell0 in range(len(alone)):
+            out += [(i - 1, part) for i, part in alone[ell0].items()]
+            out += [(i - 1, part) for i, parts in paired[ell0].items() for part in parts]
+    for families, _ in code.cache.get("goodvec", {}).values():
+        out += [(i0, part) for i0, family in enumerate(families) for part in family]
+    return out
+
+
 @pytest.mark.parametrize("planner", ["exhaustive", "certified", "explicit"])
-def test_serve_batch_certifies_each_plan_once(monkeypatch, c2_code, gv1_code, planner):
-    calls = []
-    real_certify = verify_mod.certify_plan
+def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
+    """Where a served plan is certified.  A planner table's parts are each
+    certified once, when the table is built, and never again per batch; the
+    greedy affine planner certifies the k parts it makes per request; no
+    certified or exhaustive batch runs a whole-plan `certify_plan`, and an
+    explicit plan is certified exactly once per batch.  Every plan served
+    passes `certify_plan` when checked here, and every request the planner
+    cannot serve is refused."""
+    real_certify, real_part = verify_mod.certify_plan, verify_mod.certified_part
+    real_find, real_certified_plan = sim_mod.find_plan, sim_mod._certified_plan
+    certify_calls, part_calls, served_plans = [], [], []
 
-    def spy(*args, **kwargs):
-        calls.append(real_certify(*args, **kwargs))
-        return calls[-1]
+    def certify_spy(*args, **kwargs):
+        certify_calls.append(real_certify(*args, **kwargs))
+        return certify_calls[-1]
 
-    monkeypatch.setattr(verify_mod, "certify_plan", spy)
-    monkeypatch.setattr(sim_mod, "certify_plan", spy)
-    served = 0
-    for code, prov, requests in _certified_families(c2_code, gv1_code):
+    def part_spy(p, table, part, i0, projection=False):
+        part_calls.append((i0, part))
+        return real_part(p, table, part, i0, projection)
+
+    def recorded(planner_fn):
+        def run(*args):
+            served_plans.append(planner_fn(*args))
+            return served_plans[-1]
+
+        return run
+
+    monkeypatch.setattr(verify_mod, "certify_plan", certify_spy)
+    monkeypatch.setattr(sim_mod, "certify_plan", certify_spy)
+    for module in (verify_mod, construct_mod, affine_mod):
+        monkeypatch.setattr(module, "certified_part", part_spy)
+    monkeypatch.setattr(sim_mod, "find_plan", recorded(real_find))
+    monkeypatch.setattr(sim_mod, "_certified_plan", recorded(real_certified_plan))
+    served = refused = 0
+    for code, prov, requests in _fresh_families():
         data = tuple(i % 2 for i in range(code.n))
-        for req in requests:
-            plan = find_plan(code, req) if planner == "explicit" else None
-            calls.clear()
-            rep = serve_batch(code, data, req, planner=planner, plan=plan, provenance=prov)
-            # certified exactly once, and the plan passed
-            assert calls == [True]
+        affine = prov["family"] == "affine"
+        for number, req in enumerate(requests):
+            plan = real_find(code, req) if planner == "explicit" else None
+            if planner == "explicit" and plan is None:
+                continue
+            certify_calls.clear(), part_calls.clear(), served_plans.clear()
+            try:
+                rep = serve_batch(code, data, req, planner=planner, plan=plan, provenance=prov)
+            except ValueError as exc:
+                # only the search and the greedy planner may find no plan on these codes
+                assert affine and planner != "explicit", (req, exc)
+                context = sim_mod.planner_context(code, prov)
+                assert (real_find(code, req) if planner == "exhaustive" else greedy_plan(context, req)) is None
+                refused += 1
+                continue
+            if planner == "explicit":
+                assert certify_calls == [True] and part_calls == []
+                served_plans.append(plan)
+            else:
+                assert certify_calls == []
+                if planner == "certified" and affine:
+                    assert [i0 for i0, _ in part_calls] == [i - 1 for i in rep.request]
+                elif planner == "certified" and number == 0:
+                    # the table is built on the first batch, each part certified once
+                    table = _table_parts(code)
+                    assert len(table) > len(req)
+                    assert sorted(part_calls, key=repr) == sorted(table, key=repr)
+                else:
+                    assert part_calls == []
+            [served_plan] = served_plans
+            assert real_certify(code, req, served_plan)
             assert rep.recovered == tuple(data[i - 1] for i in rep.request)
             served += 1
-    assert served > 50
+    assert served > 300 and (refused > 0) == (planner != "explicit")
+
+
+def test_certified_planner_is_refused_in_the_projection_regime_as_before():
+    """A certified planner's parts are certified as linear answers; under
+    the projection regime a plan with a non-unit answer is still refused,
+    exactly when `certify_plan` refuses it in that regime: on the
+    (4, 13, 4, 5) cyclic code the requests (i, i, i, i) subtract block-mates
+    and are refused, the other 31 served."""
+    proj_refused = {}
+    for code, prov, requests in _fresh_families():
+        data = tuple(i % 2 for i in range(code.n))
+        context = sim_mod.planner_context(code, prov)
+        for req in requests:
+            try:
+                plan = sim_mod._certified_plan(code, req, prov)
+            except ValueError:
+                continue  # the greedy planner found no plan
+            if certify_plan(code, req, plan, PROJ):
+                rep = serve_batch(code, data, req, "certified", PROJ, provenance=prov)
+                assert rep.recovered == tuple(data[i - 1] for i in rep.request)
+                assert rep.max_symbols_read <= 1
+            else:
+                with pytest.raises(ValueError, match="plan failed certification"):
+                    serve_batch(code, data, req, "certified", PROJ, provenance=prov)
+                proj_refused.setdefault(type(context).__name__, []).append(req)
+    assert proj_refused["CyclicParams"] == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4)]
+    assert "GoodVector" not in proj_refused  # every good-vector part answers one column
+    assert proj_refused["AffinePlaneCode"]  # a line may cross one bucket twice
+
+
+@pytest.mark.parametrize("family", ["cyclic", "goodvec", "cyclic-f3"])
+@pytest.mark.parametrize("flip", ["coefficient", "response"])
+def test_a_wrong_table_part_is_refused_when_the_table_is_built(monkeypatch, family, flip):
+    """Each part of a planner table in turn, made wrong in its first combo
+    coefficient or the first entry of its first answer, stops the table
+    from being built."""
+    if family == "goodvec":
+        field, v = PrimeField(2), good_vector((1, 1))
+
+        def build_and_plan():
+            code = good_vector_code(v, field)
+            return code, goodvec_certified_plan(v, code, (1,))
+    else:
+        field = PrimeField(3 if family == "cyclic-f3" else 2)
+        params = cyclic_params(*((12, 6, 8) if family == "cyclic-f3" else (4, 4, 5)))
+
+        def build_and_plan():
+            code = cyclic_shift_code(params.n, params.k, params.m, field)
+            return code, cyclic_certified_plan(params, code, (1,) * params.k)
+
+    code, plan = build_and_plan()
+    assert certify_plan(code, plan.request, plan)
+    p, parts = field.p, len(_table_parts(code))
+    real_make_part = construct_mod.make_part
+    for target in range(parts):
+        calls = itertools.count()
+
+        def wrong(sizes, combo, picks):
+            bucket_set, vectors, combo = real_make_part(sizes, combo, picks)
+            if next(calls) == target:
+                if flip == "coefficient":
+                    (ell, c), *rest = combo
+                    combo = ((ell, (c + 1) % p), *rest)
+                else:
+                    (ell0, vector), *rest = vectors
+                    vectors = ((ell0, ((vector[0] + 1) % p,) + vector[1:]), *rest)
+            return bucket_set, vectors, combo
+
+        monkeypatch.setattr(construct_mod, "make_part", wrong)
+        with pytest.raises(AssertionError, match="internal: part .* failed certification"):
+            build_and_plan()
+        assert next(calls) == target + 1  # refused at the wrong part, as it was made
+
+
+def test_plan_from_parts_refuses_parts_that_do_not_partition(c2_code):
+    """The parts a planner hands over must partition the buckets: two parts
+    on one bucket, a bucket outside [m], a part more or less than the
+    request has, or an empty part are internal errors, even when each part
+    serves x1 on its own."""
+    sizes = c2_code.bucket_sizes
+    x1_from = {ell: make_part(sizes, {ell: 1}, [((ell, 0), 1)]) for ell in (1, 2, 3)}
+    x1_from[1, 2] = make_part(sizes, {1: 1, 2: 1}, [((1, 0), 1)])
+    outside = (frozenset({1, 6}),) + x1_from[1][1:]
+    empty = (frozenset(), (), ())
+    plan = plan_from_parts(c2_code, (1, 1), [x1_from[1], x1_from[2]])
+    assert certify_plan(c2_code, (1, 1), plan)
+    for parts in (
+        [x1_from[1], x1_from[1]],
+        [x1_from[1, 2], x1_from[2]],
+        [outside, x1_from[2]],
+        [x1_from[1]],
+        [x1_from[1], x1_from[2], x1_from[3]],
+        [empty, x1_from[2]],
+    ):
+        with pytest.raises(AssertionError, match="internal: parts do not partition"):
+            plan_from_parts(c2_code, (1, 1), parts)
+
+
+def test_a_wrong_explicit_plan_is_refused(c2_code):
+    plan = find_plan(c2_code, (1, 2, 3, 4))
+    assert serve_batch(c2_code, (1, 0, 1, 1), (1, 2, 3, 4), plan=plan).recovered == (1, 0, 1, 1)
+    responses = list(plan.responses)
+    ell0 = next(ell0 for ell0, resp in enumerate(responses) if any(resp))
+    responses[ell0] = tuple(1 - r for r in responses[ell0])
+    for wrong in (dataclasses.replace(plan, responses=tuple(responses)),
+                  dataclasses.replace(plan, sets=(plan.sets[0] | plan.sets[1],) + plan.sets[1:])):
+        for planner in ("exhaustive", "certified"):
+            with pytest.raises(ValueError, match="plan failed certification"):
+                serve_batch(c2_code, (1, 0, 1, 1), (1, 2, 3, 4), planner=planner, plan=wrong)
+
+
+def _goodvec_t1():
+    return good_vector_code(good_vector((1, 1))), {"family": "goodvec", "t": 1, "v": [1, 1]}
+
+
+def _affine_q5():
+    apc = random_bac(5, 2, 0.6, 0.7, 7)
+    return apc.code, apc.provenance()
+
+
+# (a fresh code and its provenance, a change to make in place, the message
+# refusing it: `_provenance_key`'s, or for a well-formed provenance of
+# another code the construction's)
+PROVENANCE_CHANGES = {
+    "t-True": (_goodvec_t1, lambda prov: prov.update(t=True), '"t" must be an integer, got True'),
+    "v-True": (_goodvec_t1, lambda prov: prov["v"].__setitem__(1, True),
+               'an entry of "v" must be an integer, got True'),
+    "t-float": (_goodvec_t1, lambda prov: prov.update(t=1.0), '"t" must be an integer, got 1.0'),
+    "extra-key": (_goodvec_t1, lambda prov: prov.update(extra=1),
+                  "unexpected keys in goodvec provenance: ['extra']"),
+    "missing-key": (_goodvec_t1, lambda prov: prov.pop("v"), "missing keys in goodvec provenance: ['v']"),
+    "v-other": (_goodvec_t1, lambda prov: prov["v"].__setitem__(1, 2), "(1, 2) is not a good vector for t = 1"),
+    "seed-float": (_affine_q5, lambda prov: prov.update(seed=7.0), '"seed" must be an integer, got 7.0'),
+    "p1-True": (_affine_q5, lambda prov: prov.update(p1=True), '"p1" must be a number, got True'),
+    "missing-rng": (_affine_q5, lambda prov: prov.pop("rng"), "missing keys in affine provenance: ['rng']"),
+    "seed-other": (_affine_q5, lambda prov: prov.update(seed=8), "code does not match its affine provenance"),
+}
+
+
+@pytest.mark.parametrize("change", PROVENANCE_CHANGES)
+def test_a_changed_provenance_is_refused_on_every_batch(monkeypatch, change):
+    """A provenance is checked once while it is unchanged; one dict object
+    changed in place between batches, even to a value `==` holds equal, is
+    refused with today's message on every batch, after a valid batch with
+    the same code as well; and a copy of the changed dict is refused too."""
+    build, change, message = PROVENANCE_CHANGES[change]
+    code, valid = build()  # a fresh code: no provenance kept on it
+    checks = []
+    real_key = sim_mod._provenance_key
+    monkeypatch.setattr(sim_mod, "_provenance_key", lambda prov: checks.append(1) or real_key(prov))
+    data, req = (1,) * code.n, (1, 2)
+    for _ in range(2):
+        prov = copy.deepcopy(valid)
+        serve_batch(code, data, req, "certified", provenance=prov)
+        checks.clear()
+        assert serve_batch(code, data, req, "certified", provenance=prov).recovered == (1, 1)
+        assert checks == []  # unchanged since the batch before: not checked again
+        change(prov)
+        for changed in (prov, prov, copy.deepcopy(prov)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                serve_batch(code, data, req, "certified", provenance=changed)
+        assert len(checks) == 3
 
 
 @st.composite
