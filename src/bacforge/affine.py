@@ -334,8 +334,15 @@ def greedy_plan(
     point, and touches only unused buckets.  Candidate lines are scanned in
     ascending slope order.  Returns the plan, certified (each part as it is
     made, with `certified_part`), or None."""
+    req = normalize_request(request, apc.code.n)
+    parts = _greedy_parts(apc, req, strict_appendix)
+    return None if parts is None else plan_from_parts(apc.code, req, parts)
+
+
+def _greedy_parts(apc: AffinePlaneCode, req: tuple, strict_appendix: bool = False) -> Optional[list]:
+    """`greedy_plan`'s parts, one per request of the sorted, range-checked
+    `req` (`normalize_request`), or None."""
     code = apc.code
-    req = normalize_request(request, code.n)
     if len(req) > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
     plane, sizes = apc.plane, code.bucket_sizes
@@ -361,7 +368,7 @@ def greedy_plan(
             return None
         used |= part[0]
         parts.append(certified_part(code.field.p, code.column_table, part, i - 1))
-    return plan_from_parts(code, req, parts)
+    return parts
 
 
 @dataclass(frozen=True)

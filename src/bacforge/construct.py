@@ -226,9 +226,15 @@ def cyclic_certified_plan(
     store their symbol; each remaining request takes one unused information
     bucket, alone if it stores the symbol and otherwise paired with the next
     unused sum bucket."""
+    req = normalize_request(request, params.n)
+    return plan_from_parts(code, req, _cyclic_parts(params, code, req))
+
+
+def _cyclic_parts(params: CyclicParams, code: CodeSpec, req: tuple) -> list:
+    """`cyclic_certified_plan`'s parts, one per request of the sorted,
+    range-checked `req` (`normalize_request`)."""
     alone, paired = _cyclic_tables(params, code)
     k, m = params.k, params.m
-    req = normalize_request(request, params.n)
     if len(req) != k:
         raise ValueError(f"cyclic planner serves exactly k = {k} requests, got {len(req)}")
 
@@ -249,7 +255,7 @@ def cyclic_certified_plan(
         else:
             parts.append(paired[ell0][i][sums_taken])
             sums_taken += 1
-    return plan_from_parts(code, req, parts)
+    return parts
 
 
 def uniform_code(n: int, k: int, field: PrimeField = GF2) -> CodeSpec:
@@ -483,37 +489,35 @@ def goodvec_certified_plan(
     still disjoint from everything chosen."""
     if not isinstance(v, GoodVector):
         v = good_vector(v)
-    families, bound = _goodvec_tables(v, code)
     req = normalize_request(request, code.n)
+    return plan_from_parts(code, req, _goodvec_parts(v, code, req))
+
+
+def _goodvec_parts(v: GoodVector, code: CodeSpec, req: tuple) -> list:
+    """`goodvec_certified_plan`'s parts, one per request of the sorted,
+    range-checked `req` (`normalize_request`)."""
+    families, bound = _goodvec_tables(v, code)
     k = len(req)
     if k > bound:
         raise ValueError(f"k = {k} exceeds the supported batch size {bound} for t = {v.t}")
 
-    groups = sorted(
-        ((req.count(i), i) for i in sorted(set(req))),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    used: set = set(i for _, i in groups)
-    chosen: dict = {i: [] for _, i in groups}
-    for mult, i in groups:
+    used = set(req)  # the singleton buckets of the requested symbols
+    chosen: dict = {}
+    for mult, i in sorted((req.count(i), i) for i in used):
         family = families[i - 1]
-        chosen[i].append(family[0])
-        needed = mult - 1
+        picked = chosen[i] = [family[0]]
         for part in family[1:]:
-            if needed == 0:
+            if len(picked) == mult:
                 break
-            if part[0] & used:
-                continue
-            used |= part[0]
-            chosen[i].append(part)
-            needed -= 1
-        if needed:
+            if not part[0] & used:
+                used |= part[0]
+                picked.append(part)
+        if len(picked) < mult:
             raise AssertionError(
                 f"greedy ran out of disjoint recovery sets for symbol {i} (k = {k})"
             )
-
-    queues = {i: iter(parts) for i, parts in chosen.items()}
-    return plan_from_parts(code, req, [next(queues[i]) for i in req])
+    # `req` is sorted, so its positions for symbol i follow each other
+    return [part for i in sorted(chosen) for part in chosen[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from it alone, built on first use and freed with the code: the bucket ids and
 all-zero responses that `verify.plan_from_parts` starts each plan from, one
 span engine of `verify` per response regime, the per-parameter tables of the
 cyclic and good-vector planners (each made after checking the code against
-its construction) and the planner context `sim` resolves from each
-provenance.  Nothing in it refers back to the code.
+its construction), the planner context `sim` resolves from each provenance,
+and the node answers `sim.serve_batch` evaluates, one functional of the data
+and its fan-in per (bucket, response) served.  Nothing in it refers back to
+the code.
 """
 
 from __future__ import annotations

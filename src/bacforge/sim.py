@@ -1,17 +1,22 @@
-"""End-to-end storage semantics: serve a batch request, under a recovery
-plan, against data encoded across simulated nodes, and account for per-node
-load.
+"""End-to-end storage semantics: serve a batch request, from the parts of
+its recovery plan, against data encoded across simulated nodes, and account
+for per-node load.
 
-Each node computes exactly one field element per served batch: the
-combination, weighted by its response vector, of the stored symbols <x, g>
-whose response entries are nonzero mod p.  It computes each symbol it reads
-from the code's column table (`CodeSpec.column_table`), so no codeword is
-materialised per batch.  The aggregator combines the answers with the plan's
-coefficients.  `symbols_read` counts the symbols a node reads, i.e. the
-fan-in of its local computation; under the projection regime it is at most 1
-by definition.  Every plan served certifies, so its sets partition the
-buckets and each node answers exactly once: a planner's plan is certified
-where its parts are made (see `verify`), a plan passed in by `certify_plan`.
+Each node computes exactly one field element per served batch: its response
+applied to its stored symbols, one linear functional of the data.
+`_node_answer` builds it once per (bucket, response) from the code's column
+table and keeps it in `code.cache`, so no codeword is materialised and a
+node costs one AND and popcount, or one sparse dot product.  The aggregator
+combines the answers with each part's combo.  `symbols_read` counts the
+symbols a node's response weighs, i.e. the fan-in of its local computation;
+under the projection regime it is at most 1 by definition.
+
+A batch is served from its parts (`verify.make_part`), one per request, and
+no `RecoveryPlan` is assembled for it.  A planner's parts are certified
+where they are made (see `verify`); a plan passed in is certified with
+`certify_plan` and then read as parts.  The parts must partition the buckets
+(`verify._partition_sets`), so each node answers exactly once; a node in no
+part answers zero and reads nothing.
 
 Nodes are in-process actors, not network processes; a single batch serves
 nodes in bucket order so reports are deterministic.
@@ -19,27 +24,23 @@ nodes in bucket order so reports are deterministic.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import affine
-from .construct import (
-    CyclicParams,
-    GoodVector,
-    cyclic_certified_plan,
-    cyclic_params,
-    good_vector,
-    goodvec_certified_plan,
-)
+from .construct import CyclicParams, GoodVector, _cyclic_parts, _goodvec_parts, cyclic_params, good_vector
 from .field import vector_to_mask
 from .model import CodeSpec, codes_equal, data_vector, total_length
 from .model import _json_int, _json_list
 from .verify import (
     RecoveryPlan,
     ResponseModel,
+    _partition_sets,
+    _search_parts,
     _unit_or_zero,
     certify_plan,
-    find_plan,
     normalize_request,
 )
 
@@ -54,7 +55,7 @@ class SimReport:
     recovered: tuple
     node_responses: tuple  # field element each node sent
     symbols_read: tuple  # per node, fan-in of its local computation
-    response_counts: tuple  # per node, always 1: a served plan's sets partition [m]
+    response_counts: tuple  # per node, always 1: a served batch's parts partition [m]
 
     @property
     def max_symbols_read(self) -> int:
@@ -163,16 +164,43 @@ def _resolve_context(code: CodeSpec, prov: dict) -> object:
     return apc
 
 
-def _certified_plan(code: CodeSpec, request, provenance) -> RecoveryPlan:
+def _certified_parts(code: CodeSpec, req: tuple, provenance) -> list:
+    """The parts the certified planner of the code's construction serves the
+    sorted, range-checked `req` with."""
     context = planner_context(code, provenance)
     if isinstance(context, CyclicParams):
-        return cyclic_certified_plan(context, code, request)
+        return _cyclic_parts(context, code, req)
     if isinstance(context, GoodVector):
-        return goodvec_certified_plan(context, code, request)
-    plan = affine.greedy_plan(context, request)
-    if plan is None:
-        raise ValueError(f"greedy planner found no plan for request {tuple(request)}")
-    return plan
+        return _goodvec_parts(context, code, req)
+    parts = affine._greedy_parts(context, req)
+    if parts is None:
+        raise ValueError(f"greedy planner found no plan for request {req}")
+    return parts
+
+
+def _plan_parts(p: int, plan: RecoveryPlan) -> list:
+    """A plan read as parts (`verify.make_part`): per request, its bucket
+    set, the answers in it that are nonzero mod p, and its combo."""
+    answers = {ell0: tuple(r) for ell0, r in enumerate(plan.responses) if any(v % p for v in r)}
+    return [
+        (frozenset(ids), tuple([(ell - 1, answers[ell - 1]) for ell in sorted(ids) if ell - 1 in answers]), combo)
+        for ids, combo in zip(plan.sets, plan.combos)
+    ]
+
+
+def _node_answer(p: int, columns: tuple, response: tuple) -> tuple:
+    """What a node whose bucket stores `columns` (`CodeSpec.column_table`)
+    computes for `response`, as one functional of the data, and its fan-in,
+    the number of stored symbols it reads: over GF(2) the XOR of the packed
+    columns with odd entries, otherwise the sparse combined column."""
+    picked = [(r % p, col) for r, col in zip(response, columns) if r % p]
+    if p == 2:
+        return functools.reduce(operator.xor, [col for _, col in picked], 0), len(picked)
+    combined: dict = {}
+    for r, col in picked:
+        for d, v in col:
+            combined[d] = (combined.get(d, 0) + r * v) % p
+    return tuple(sorted((d, v) for d, v in combined.items() if v)), len(picked)
 
 
 def serve_batch(
@@ -187,61 +215,64 @@ def serve_batch(
     """Serve one batch request against encoded data, whose entries must be
     integers (`model.data_vector`).  planner "exhaustive" runs the exact
     search; "certified" dispatches to the construction-specific planner named
-    by `provenance`.  A pre-built plan may be supplied directly.  Each plan
-    served certifies: a plan passed in is certified with `certify_plan`; a
-    planner's plan where its parts are made (see `verify`), the certified
-    planners' as linear answers, so in the projection regime they must also
-    answer unit vectors.  Every recovered value is checked against the true
-    symbol -- exact field arithmetic, no tolerance."""
+    by `provenance`.  A pre-built plan may be supplied directly; it is
+    certified with `certify_plan` and read as parts.  The certified
+    planners' parts are certified as linear answers, so in the projection
+    regime they must also answer unit vectors.  Every recovered value is
+    checked against the true symbol -- exact field arithmetic, no
+    tolerance."""
     model = ResponseModel.parse(model)
     data_t = data_vector(code, data)
     req = normalize_request(request, code.n)
     p = code.field.p
     if plan is not None:
-        planner_name = "explicit"
+        planner = "explicit"
         if not certify_plan(code, req, plan, model):
             raise ValueError("plan failed certification")
+        parts = _plan_parts(p, plan)
     elif planner == "exhaustive":
-        planner_name = "exhaustive"
-        plan = find_plan(code, req, model)
-        if plan is None:
+        parts = _search_parts(code, req, model)
+        if parts is None:
             raise ValueError(f"no recovery plan exists for request {req}")
     elif planner == "certified":
-        planner_name = "certified"
-        plan = _certified_plan(code, req, provenance)
-        if model is ResponseModel.PROJECTION and not all(_unit_or_zero(p, r) for r in plan.responses):
+        parts = _certified_parts(code, req, provenance)
+        if model is ResponseModel.PROJECTION and not all(
+            _unit_or_zero(p, r) for _, answers, _ in parts for _, r in answers
+        ):
             raise ValueError("plan failed certification")
     else:
         raise ValueError(f"unknown planner {planner!r}")
+    _partition_sets(code, req, parts)
 
+    table, functionals = code.column_table, code.cache.setdefault("node-answers", {})
     xmask = vector_to_mask(data_t) if p == 2 else 0
-    responses, reads = [], []
-    for resp, columns in zip(plan.responses, code.column_table):
-        value = count = 0
-        for r, col in zip(resp, columns):
-            if r % p:
-                count += 1
-                if p == 2:
-                    value += (xmask & col).bit_count()
-                else:
-                    value += r * sum([data_t[d] * v for d, v in col])
-        responses.append(value % p)
-        reads.append(count)
+    responses, reads = [0] * code.m, [0] * code.m
+    for _, answers, _ in parts:
+        for ell0, response in answers:
+            entry = functionals.get((ell0, response))
+            if entry is None:
+                entry = functionals[ell0, response] = _node_answer(p, table[ell0], response)
+            functional, reads[ell0] = entry
+            if p == 2:
+                responses[ell0] = (xmask & functional).bit_count() & 1
+            else:
+                responses[ell0] = sum([data_t[d] * v for d, v in functional]) % p
 
     recovered = []
-    for j, i in enumerate(req):
+    for (_, _, combo), i in zip(parts, req):
         acc = 0
-        for ell, coeff in plan.combos[j]:
-            acc = (acc + coeff * responses[ell - 1]) % p
+        for ell, coeff in combo:
+            acc += coeff * responses[ell - 1]
+        acc %= p
         if acc != data_t[i - 1]:
             raise AssertionError(f"recovered {acc} for symbol {i} but data holds {data_t[i - 1]}")
         recovered.append(acc)
 
-    # the plan certifies, so its sets partition [m]: each node answers once
+    # the parts partition [m]: each node answers once
     return SimReport(
         request=req,
         model=model,
-        planner=planner_name,
+        planner=planner,
         recovered=tuple(recovered),
         node_responses=tuple(responses),
         symbols_read=tuple(reads),

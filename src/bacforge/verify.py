@@ -24,15 +24,20 @@ projection regime, `part` the part it solved.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
-combo) and hands them to `plan_from_parts`, the one place that assembles a
-`RecoveryPlan`.  `certify_plan` checks a plan as a coefficient identity over
-the field, independently of how it was found.  Parts sit on disjoint
+combo).  Each has an internal entry that takes the sorted request and
+returns its parts: `_search_parts` here, `construct._goodvec_parts`,
+`construct._cyclic_parts` and `affine._greedy_parts`.  The public planners
+hand those parts to `plan_from_parts`, the one place that assembles a
+`RecoveryPlan`; `sim.serve_batch` serves a batch from the parts themselves
+and assembles none.  `certify_plan` checks a plan as a coefficient identity
+over the field, independently of how it was found.  Parts sit on disjoint
 buckets, so a plan certifies iff its parts partition [m] (`_partitions`)
 and each certifies on its own.  Each part is certified once, where it is
 made: the engine's in `_reach` and `part`, the construction planners' when
 their tables are built, the greedy affine planner's per request
-(`certified_part`), and `plan_from_parts` checks the partition, so every
-plan a planner hands out certifies.  The sweeps of `verify_bac` and
+(`certified_part`); `plan_from_parts` and `serve_batch` check the partition
+(`_partition_sets`), so every plan a planner hands out, and every batch it
+serves, certifies.  The sweeps of `verify_bac` and
 `verify_pir` hand out no plans: they run the same search, one frontier for
 the whole sweep so that a request shares the search of the prefix it has in
 common with the request before it, and read each part's certificate
@@ -473,25 +478,33 @@ def _partitions(parts: Sequence, k: int, everything, size) -> bool:
     )
 
 
-def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
-    """The plan that serves request j with part j, as `make_part` builds
-    it.  Every other bucket answers zero, and the buckets in no part join the
-    last part with coefficient 1.  The parts, each certified where it was
-    made, must then partition [m], or it is an internal error."""
-    bucket_ids, zeros = _plan_tables(code)
-    responses = list(zeros)
-    sets, combos = [], []
-    for bucket_set, vectors, combo in parts:
-        sets.append(bucket_set)
-        combos.append(combo)
-        for ell0, vector in vectors:
-            responses[ell0] = vector
+def _partition_sets(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> tuple:
+    """The bucket sets of the plan that serves request j with part j, as
+    `make_part` builds it, and the buckets in no part, which join the last
+    set.  The parts, each certified where it was made, must then partition
+    [m] (`_partitions`), or it is an internal error."""
+    bucket_ids = _plan_tables(code)[0]
+    sets = [part[0] for part in parts]
     leftover = bucket_ids.difference(*sets)
     if leftover:
         sets[-1] = sets[-1] | leftover
-        combos[-1] = tuple(sorted(combos[-1] + tuple((ell, 1) for ell in leftover)))
     if not _partitions(sets, len(req), bucket_ids, len):
         raise AssertionError(f"internal: parts do not partition the buckets for {req}")
+    return sets, leftover
+
+
+def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
+    """The plan that serves request j with part j (`_partition_sets`).  Every
+    other bucket answers zero, and the leftover buckets join the last part
+    with coefficient 1."""
+    sets, leftover = _partition_sets(code, req, parts)
+    responses = list(_plan_tables(code)[1])
+    for _, vectors, _ in parts:
+        for ell0, vector in vectors:
+            responses[ell0] = vector
+    combos = [combo for _, _, combo in parts]
+    if leftover:
+        combos[-1] = tuple(sorted(combos[-1] + tuple((ell, 1) for ell in leftover)))
     return RecoveryPlan(
         request=req, sets=tuple(sets), responses=tuple(responses), combos=tuple(combos)
     )
@@ -594,13 +607,20 @@ def find_plan(
     partition works.  Its parts are certified where the engine made them."""
     model = ResponseModel.parse(model)
     req = normalize_request(request, code.n)
+    parts = _search_parts(code, req, model)
+    return None if parts is None else plan_from_parts(code, req, parts)
+
+
+def _search_parts(code: CodeSpec, req: tuple, model: ResponseModel) -> Optional[list]:
+    """`find_plan`'s parts, one per request of the sorted, range-checked
+    `req` (`normalize_request`), or None."""
     if len(req) > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
     engine = engine_for(code, model)
     masks = _Frontier(engine, code.m).first_plan(req)
     if masks is None:
         return None
-    return plan_from_parts(code, req, [engine.part(mask, i - 1) for mask, i in zip(masks, req)])
+    return [engine.part(mask, i - 1) for mask, i in zip(masks, req)]
 
 
 class _Level:

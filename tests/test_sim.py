@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import re
 
@@ -24,6 +25,7 @@ from bacforge import (
     encode,
     find_plan,
     good_vector,
+    good_vector_2t1,
     good_vector_code,
     goodvec_certified_plan,
     greedy_plan,
@@ -209,16 +211,17 @@ def _table_parts(code) -> list:
 
 @pytest.mark.parametrize("planner", ["exhaustive", "certified", "explicit"])
 def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
-    """Where a served plan is certified.  A planner table's parts are each
+    """Where a served batch is certified.  A planner table's parts are each
     certified once, when the table is built, and never again per batch; the
     greedy affine planner certifies the k parts it makes per request; no
-    certified or exhaustive batch runs a whole-plan `certify_plan`, and an
-    explicit plan is certified exactly once per batch.  Every plan served
-    passes `certify_plan` when checked here, and every request the planner
-    cannot serve is refused."""
+    certified or exhaustive batch runs a whole-plan `certify_plan` or
+    assembles a plan (`plan_from_parts`), and an explicit plan is certified
+    exactly once per batch.  The plan of every batch's parts passes
+    `certify_plan` when checked here, and every request the planner cannot
+    serve is refused."""
     real_certify, real_part = verify_mod.certify_plan, verify_mod.certified_part
-    real_find, real_certified_plan = sim_mod.find_plan, sim_mod._certified_plan
-    certify_calls, part_calls, served_plans = [], [], []
+    real_search, real_certified_parts = sim_mod._search_parts, sim_mod._certified_parts
+    certify_calls, part_calls, served_parts, assembled = [], [], [], []
 
     def certify_spy(*args, **kwargs):
         certify_calls.append(real_certify(*args, **kwargs))
@@ -228,40 +231,46 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
         part_calls.append((i0, part))
         return real_part(p, table, part, i0, projection)
 
-    def recorded(planner_fn):
+    def recorded(parts_fn):
         def run(*args):
-            served_plans.append(planner_fn(*args))
-            return served_plans[-1]
+            served_parts.append(parts_fn(*args))
+            return served_parts[-1]
 
         return run
+
+    def assemble_spy(*args):
+        assembled.append(args)
+        return plan_from_parts(*args)
 
     monkeypatch.setattr(verify_mod, "certify_plan", certify_spy)
     monkeypatch.setattr(sim_mod, "certify_plan", certify_spy)
     for module in (verify_mod, construct_mod, affine_mod):
         monkeypatch.setattr(module, "certified_part", part_spy)
-    monkeypatch.setattr(sim_mod, "find_plan", recorded(real_find))
-    monkeypatch.setattr(sim_mod, "_certified_plan", recorded(real_certified_plan))
+        monkeypatch.setattr(module, "plan_from_parts", assemble_spy)
+    monkeypatch.setattr(sim_mod, "_search_parts", recorded(real_search))
+    monkeypatch.setattr(sim_mod, "_certified_parts", recorded(real_certified_parts))
     served = refused = 0
     for code, prov, requests in _fresh_families():
         data = tuple(i % 2 for i in range(code.n))
         affine = prov["family"] == "affine"
         for number, req in enumerate(requests):
-            plan = real_find(code, req) if planner == "explicit" else None
+            plan = find_plan(code, req) if planner == "explicit" else None
             if planner == "explicit" and plan is None:
                 continue
-            certify_calls.clear(), part_calls.clear(), served_plans.clear()
+            certify_calls.clear(), part_calls.clear(), served_parts.clear(), assembled.clear()
             try:
                 rep = serve_batch(code, data, req, planner=planner, plan=plan, provenance=prov)
             except ValueError as exc:
                 # only the search and the greedy planner may find no plan on these codes
                 assert affine and planner != "explicit", (req, exc)
                 context = sim_mod.planner_context(code, prov)
-                assert (real_find(code, req) if planner == "exhaustive" else greedy_plan(context, req)) is None
+                assert (find_plan(code, req) if planner == "exhaustive" else greedy_plan(context, req)) is None
                 refused += 1
                 continue
+            assert assembled == []
             if planner == "explicit":
-                assert certify_calls == [True] and part_calls == []
-                served_plans.append(plan)
+                assert certify_calls == [True] and part_calls == [] and served_parts == []
+                served_plan = plan
             else:
                 assert certify_calls == []
                 if planner == "certified" and affine:
@@ -273,7 +282,8 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
                     assert sorted(part_calls, key=repr) == sorted(table, key=repr)
                 else:
                     assert part_calls == []
-            [served_plan] = served_plans
+                [parts] = served_parts
+                served_plan = plan_from_parts(code, rep.request, parts)
             assert real_certify(code, req, served_plan)
             assert rep.recovered == tuple(data[i - 1] for i in rep.request)
             served += 1
@@ -282,20 +292,20 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
 
 def test_certified_planner_is_refused_in_the_projection_regime_as_before():
     """A certified planner's parts are certified as linear answers; under
-    the projection regime a plan with a non-unit answer is still refused,
-    exactly when `certify_plan` refuses it in that regime: on the
-    (4, 13, 4, 5) cyclic code the requests (i, i, i, i) subtract block-mates
-    and are refused, the other 31 served."""
+    the projection regime a batch with a non-unit answer is still refused,
+    exactly when `certify_plan` refuses the plan of its parts in that
+    regime: on the (4, 13, 4, 5) cyclic code the requests (i, i, i, i)
+    subtract block-mates and are refused, the other 31 served."""
     proj_refused = {}
     for code, prov, requests in _fresh_families():
         data = tuple(i % 2 for i in range(code.n))
         context = sim_mod.planner_context(code, prov)
         for req in requests:
             try:
-                plan = sim_mod._certified_plan(code, req, prov)
+                parts = sim_mod._certified_parts(code, req, prov)
             except ValueError:
                 continue  # the greedy planner found no plan
-            if certify_plan(code, req, plan, PROJ):
+            if certify_plan(code, req, plan_from_parts(code, req, parts), PROJ):
                 rep = serve_batch(code, data, req, "certified", PROJ, provenance=prov)
                 assert rep.recovered == tuple(data[i - 1] for i in rep.request)
                 assert rep.max_symbols_read <= 1
@@ -306,6 +316,52 @@ def test_certified_planner_is_refused_in_the_projection_regime_as_before():
     assert proj_refused["CyclicParams"] == [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4)]
     assert "GoodVector" not in proj_refused  # every good-vector part answers one column
     assert proj_refused["AffinePlaneCode"]  # a line may cross one bucket twice
+
+
+def test_a_certified_batch_normalizes_its_request_once(monkeypatch):
+    """The public planners normalize a request; `serve_batch` normalizes it
+    once and hands the sorted tuple to the planners' internal entries."""
+    calls = []
+    real_normalize = verify_mod.normalize_request
+
+    def normalize_spy(*args):
+        calls.append(args)
+        return real_normalize(*args)
+
+    for module in (verify_mod, construct_mod, affine_mod, sim_mod):
+        monkeypatch.setattr(module, "normalize_request", normalize_spy)
+    served = 0
+    for code, prov, requests in _fresh_families():
+        data = (1,) * code.n
+        for req in requests:
+            calls.clear()
+            try:
+                serve_batch(code, data, req[::-1], "certified", provenance=prov)
+                served += 1
+            except ValueError:
+                pass  # the greedy planner found no plan
+            assert calls == [(req[::-1], code.n)]
+    assert served > 300
+
+
+def test_node_answers_are_kept_once_per_bucket_and_answer(monkeypatch):
+    """Serving every request of the fresh (4, 13, 4, 5) cyclic code and of
+    the t = 1 good-vector code builds one node functional per distinct
+    (bucket, answer) pair of the parts served, and keeps it in the code's
+    own cache only: an equal fresh code builds its own."""
+    built = []
+    real_node_answer = sim_mod._node_answer
+    monkeypatch.setattr(sim_mod, "_node_answer", lambda *args: built.append(args) or real_node_answer(*args))
+    for code, prov, requests in _fresh_families()[:2]:
+        for fresh in (code, copy.deepcopy(code)):
+            assert "node-answers" not in fresh.cache
+            built.clear()
+            served = []
+            for req in requests:
+                serve_batch(fresh, (1,) * fresh.n, req, "certified", provenance=prov)
+                served += [answer for _, answers, _ in sim_mod._certified_parts(fresh, req, prov) for answer in answers]
+            cached = fresh.cache["node-answers"]
+            assert set(cached) == set(served) and len(built) == len(cached) < len(served)
 
 
 @pytest.mark.parametrize("family", ["cyclic", "goodvec", "cyclic-f3"])
@@ -466,16 +522,72 @@ def explicit_batches(draw):
     return code, model, req, dataclasses.replace(plan, responses=responses), data
 
 
-@given(explicit_batches())
+@functools.lru_cache(maxsize=None)
+def _planner_code(family: str, p: int):
+    """(code, provenance, public planner (code, request, model) -> plan or
+    None, batch size) for the small codes with a certified planner, each
+    built once for the module."""
+    field = PrimeField(p)
+    if family == "cyclic":
+        params = (12, 6, 8) if p == 3 else (4, 4, 5)
+        code = cyclic_shift_code(*params, field)
+        plan = functools.partial(cyclic_certified_plan, cyclic_params(*params), code)
+        return code, dict(zip(("family", "n", "k", "m"), ("cyclic", *params))), plan, params[1]
+    if family == "goodvec":
+        v = good_vector_2t1(2) if p == 5 else good_vector((1, 1))
+        code = good_vector_code(v, field)
+        plan = functools.partial(goodvec_certified_plan, v, code)
+        return code, {"family": "goodvec", "t": v.t, "v": list(v.entries)}, plan, 3
+    apc = random_bac(5, 2, 0.6, 0.7, 7)
+    return apc.code, apc.provenance(), functools.partial(greedy_plan, apc), 2
+
+
+@st.composite
+def planner_batches(draw):
+    """A certified or exhaustive batch on a small planner code over F_2, F_3
+    or F_5 in a drawn regime, with data that has negative and unreduced
+    entries, and the public planner's plan for it (None if it finds none)."""
+    family = draw(st.sampled_from(["cyclic", "goodvec", "affine"]))
+    p = 2 if family == "affine" else draw(st.sampled_from([2, 3, 5]))
+    code, prov, public_plan, k = _planner_code(family, p)
+    model, planner = draw(st.sampled_from([LIN, PROJ])), draw(st.sampled_from(["certified", "exhaustive"]))
+    req = tuple(draw(st.lists(st.integers(1, code.n), min_size=k, max_size=k)))
+    data = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=code.n, max_size=code.n))
+    plan = public_plan(req) if planner == "certified" else find_plan(code, req, model)
+    return code, prov, model, planner, req, data, plan
+
+
+@given(planner_batches())
 @settings(max_examples=200, deadline=None)
-def test_node_answers_match_dense_reference(case):
-    code, model, req, plan, data = case
+def test_planner_node_answers_match_dense_reference(case):
+    """A planner batch answers what the public planner's plan asks of each
+    node, on the dense codeword, and reads the symbols its answers weigh;
+    it is refused exactly when there is no plan, or in the projection regime
+    when the plan does not certify there."""
+    code, prov, model, planner, req, data, plan = case
+    if plan is None or not certify_plan(code, req, plan, model):
+        with pytest.raises(ValueError):
+            serve_batch(code, data, req, planner, model, provenance=prov)
+        return
+    _assert_dense_answers(code, data, serve_batch(code, data, req, planner, model, provenance=prov), plan)
+
+
+def _assert_dense_answers(code, data, rep, plan):
+    """Each node answered its plan response applied to its dense encoded
+    symbols, read the symbols the response weighs, and every symbol came
+    back, each node answering once."""
     p = code.field.p
     word = reference_encode(code, data)
-    rep = serve_batch(code, data, req, model=model, plan=plan)
     assert rep.node_responses == tuple(
         dot(values, resp, code.field) for values, resp in zip(word.values, plan.responses)
     )
     assert rep.symbols_read == tuple(sum(1 for r in resp if r % p) for resp in plan.responses)
     assert rep.recovered == tuple(data[i - 1] % p for i in rep.request)
     assert rep.response_counts == (1,) * code.m
+
+
+@given(explicit_batches())
+@settings(max_examples=200, deadline=None)
+def test_node_answers_match_dense_reference(case):
+    code, model, req, plan, data = case
+    _assert_dense_answers(code, data, serve_batch(code, data, req, model=model, plan=plan), plan)
