@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, is_prime, unit_vector
 from .model import CodeSpec
-from .verify import RecoveryPlan, certified_part, make_part, normalize_request, plan_from_parts
+from .verify import RecoveryPlan, _partition_sets, certified_part, make_part, normalize_request, plan_from_parts
 
 RNG_ID = "numpy-pcg64-seedseq-v1"
 
@@ -346,13 +346,13 @@ def _greedy_parts(apc: AffinePlaneCode, req: tuple, strict_appendix: bool = Fals
     if len(req) > code.m:
         raise ValueError(f"cannot partition {code.m} buckets into {len(req)} non-empty parts")
     plane, sizes = apc.plane, code.bucket_sizes
-    used: set = set()
+    used = 0  # bucket bitmask
     parts: list = []
     # each bucket answers the sum of its slots, and the user adds the answers up
     for i in req:
         part = None
         own = apc.info_position(i)
-        if not strict_appendix and own[0] not in used:
+        if not strict_appendix and not used >> (own[0] - 1) & 1:
             part = make_part(sizes, {own[0]: 1}, [(own, 1)])
         else:
             others = set(req) - {i}
@@ -361,7 +361,7 @@ def _greedy_parts(apc: AffinePlaneCode, req: tuple, strict_appendix: bool = Fals
                 if slot is None or i not in pts or others & set(plane.lines[line_idx].points):
                     continue
                 slots = [slot] + [apc.info_position(pt) for pt in pts if pt != i]
-                if all(bucket not in used for bucket, _ in slots):
+                if not any(used >> (bucket - 1) & 1 for bucket, _ in slots):
                     part = make_part(sizes, {b: 1 for b, _ in slots}, [(s, 1) for s in slots])
                     break
         if part is None:
@@ -405,8 +405,10 @@ def trial_verify(
     strict_appendix: bool = False,
 ) -> TrialReport:
     """Sample `trials` uniform size-k requests and run the greedy planner,
-    which certifies every plan it returns.  Trial seeds are derived per
-    index, so the report is reproducible."""
+    which certifies every part it makes; a trial succeeds when its parts
+    partition the buckets (`verify._partition_sets`), as `greedy_plan`
+    requires of a plan, and no plan is assembled.  Trial seeds are derived
+    per index, so the report is reproducible."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k < 1:
@@ -417,10 +419,11 @@ def trial_verify(
     successes, failures = 0, []
     for child in range(trials):
         req = tuple(sorted(_PCG64(seed, child).integers(code.n, k)))
-        plan = greedy_plan(apc, req, strict_appendix=strict_appendix)
-        if plan is None:
+        parts = _greedy_parts(apc, req, strict_appendix)
+        if parts is None:
             failures.append((req, "greedy-stuck"))
         else:
+            _partition_sets(code, req, parts)
             successes += 1
     return TrialReport(
         k=k,

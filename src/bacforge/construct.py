@@ -501,9 +501,10 @@ def _goodvec_parts(v: GoodVector, code: CodeSpec, req: tuple) -> list:
     if k > bound:
         raise ValueError(f"k = {k} exceeds the supported batch size {bound} for t = {v.t}")
 
-    used = set(req)  # the singleton buckets of the requested symbols
+    symbols = set(req)
+    used = sum([1 << (i - 1) for i in symbols])  # bitmask; bucket i is symbol i's singleton
     chosen: dict = {}
-    for mult, i in sorted((req.count(i), i) for i in used):
+    for mult, i in sorted((req.count(i), i) for i in symbols):
         family = families[i - 1]
         picked = chosen[i] = [family[0]]
         for part in family[1:]:

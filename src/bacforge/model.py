@@ -12,14 +12,13 @@ Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
 CodeSpec reduces its columns when it is made and tabulates them on first use
 (`column_table`, `bucket_sizes`).  Its `cache` holds the other state derived
-from it alone, built on first use and freed with the code: the bucket ids and
-all-zero responses that `verify.plan_from_parts` starts each plan from, one
-span engine of `verify` per response regime, the per-parameter tables of the
-cyclic and good-vector planners (each made after checking the code against
-its construction), the planner context `sim` resolves from each provenance,
-and the node answers `sim.serve_batch` evaluates, one functional of the data
-and its fan-in per (bucket, response) served.  Nothing in it refers back to
-the code.
+from it alone, built on first use and freed with the code: one span engine
+of `verify` per response regime, the per-parameter tables of the cyclic and
+good-vector planners (each made after checking the code against its
+construction), one planner context, which `sim` resolved from the last
+provenance it was given, and the node answers `sim.serve_batch` evaluates,
+one functional of the data and its fan-in per (bucket, response) served.
+Nothing in it refers back to the code.
 """
 
 from __future__ import annotations

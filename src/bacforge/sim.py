@@ -13,8 +13,9 @@ under the projection regime it is at most 1 by definition.
 
 A batch is served from its parts (`verify.make_part`), one per request, and
 no `RecoveryPlan` is assembled for it.  A planner's parts are certified
-where they are made (see `verify`); a plan passed in is certified with
-`certify_plan` and then read as parts.  The parts must partition the buckets
+where they are made (see `verify`); a plan passed in is read as parts and
+certified once, as `certify_plan` does (`verify._plan_parts`), and those
+parts are served.  The parts must partition the buckets
 (`verify._partition_sets`), so each node answers exactly once; a node in no
 part answers zero and reads nothing.
 
@@ -38,9 +39,9 @@ from .verify import (
     RecoveryPlan,
     ResponseModel,
     _partition_sets,
+    _plan_parts,
     _search_parts,
     _unit_or_zero,
-    certify_plan,
     normalize_request,
 )
 
@@ -81,10 +82,10 @@ _PROVENANCE_FIELDS = {
 }
 
 
-def _provenance_key(provenance) -> tuple:
+def _provenance_key(provenance) -> None:
     """Check a construction provenance the way `code_from_dict` checks a
-    code (the key set, ints that are not bool, lists of them, numbers,
-    strings) and return it as a hashable (family, value, ...) key."""
+    code: the key set, ints that are not bool, lists of them, numbers,
+    strings."""
     if not provenance:
         raise ValueError("certified planner needs construction provenance")
     if not isinstance(provenance, dict):
@@ -103,19 +104,17 @@ def _provenance_key(provenance) -> tuple:
     extra = set(provenance) - names - {"family"}
     if extra:
         raise ValueError(f"unexpected keys in {family} provenance: {sorted(extra, key=repr)}")
-    key = [family]
     for name, kind in fields:
         value, what = provenance[name], f'"{name}"'
         if kind is int:
-            value = _json_int(value, what)
+            _json_int(value, what)
         elif kind is list:
-            value = tuple(_json_int(v, f"an entry of {what}") for v in _json_list(value, what))
+            for v in _json_list(value, what):
+                _json_int(v, f"an entry of {what}")
         elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{what} must be a number, got {value!r}")
         elif kind is str and not isinstance(value, str):
             raise ValueError(f"{what} must be a string, got {value!r}")
-        key.append(value)
-    return tuple(key)
 
 
 def _value_types(provenance: dict) -> list:
@@ -126,19 +125,16 @@ def _value_types(provenance: dict) -> list:
 def planner_context(code: CodeSpec, provenance) -> object:
     """What the certified planner of a code's construction needs: the
     `CyclicParams`, the `GoodVector`, or the `AffinePlaneCode` rebuilt from
-    the provenance and checked to be this code.  Resolved once per (code,
-    provenance) and kept in `code.cache`; a malformed provenance raises
-    ValueError.  The last provenance resolved for the code is kept too, as a
-    copy with its value types (`==` holds between True, 1 and 1.0), and one
-    equal to it with the same types is not checked again."""
+    the provenance and checked to be this code; a malformed provenance
+    raises ValueError.  The code's cache keeps the last provenance resolved
+    for it, as a copy with its value types (`==` holds between True, 1 and
+    1.0), and its context: one equal to it with the same types is not
+    checked again, and any other is checked and resolved anew."""
     copy, types, context = code.cache.get("planner-provenance", (None, None, None))
     if type(provenance) is dict and provenance == copy and _value_types(provenance) == types:
         return context
-    key = _provenance_key(provenance)
-    contexts = code.cache.setdefault("planner-contexts", {})
-    context = contexts.get(key)
-    if context is None:
-        context = contexts[key] = _resolve_context(code, provenance)
+    _provenance_key(provenance)
+    context = _resolve_context(code, provenance)
     copy = {name: list(v) if isinstance(v, list) else v for name, v in provenance.items()}
     code.cache["planner-provenance"] = (copy, _value_types(provenance), context)
     return context
@@ -178,16 +174,6 @@ def _certified_parts(code: CodeSpec, req: tuple, provenance) -> list:
     return parts
 
 
-def _plan_parts(p: int, plan: RecoveryPlan) -> list:
-    """A plan read as parts (`verify.make_part`): per request, its bucket
-    set, the answers in it that are nonzero mod p, and its combo."""
-    answers = {ell0: tuple(r) for ell0, r in enumerate(plan.responses) if any(v % p for v in r)}
-    return [
-        (frozenset(ids), tuple([(ell - 1, answers[ell - 1]) for ell in sorted(ids) if ell - 1 in answers]), combo)
-        for ids, combo in zip(plan.sets, plan.combos)
-    ]
-
-
 def _node_answer(p: int, columns: tuple, response: tuple) -> tuple:
     """What a node whose bucket stores `columns` (`CodeSpec.column_table`)
     computes for `response`, as one functional of the data, and its fan-in,
@@ -215,21 +201,21 @@ def serve_batch(
     """Serve one batch request against encoded data, whose entries must be
     integers (`model.data_vector`).  planner "exhaustive" runs the exact
     search; "certified" dispatches to the construction-specific planner named
-    by `provenance`.  A pre-built plan may be supplied directly; it is
-    certified with `certify_plan` and read as parts.  The certified
-    planners' parts are certified as linear answers, so in the projection
-    regime they must also answer unit vectors.  Every recovered value is
-    checked against the true symbol -- exact field arithmetic, no
-    tolerance."""
+    by `provenance`.  A pre-built plan may be supplied directly; it is read
+    as parts, certified once as `certify_plan` certifies it, and those parts
+    are served.  The certified planners' parts are certified as linear
+    answers, so in the projection regime they must also answer unit vectors.
+    Every recovered value is checked against the true symbol -- exact field
+    arithmetic, no tolerance."""
     model = ResponseModel.parse(model)
     data_t = data_vector(code, data)
     req = normalize_request(request, code.n)
     p = code.field.p
     if plan is not None:
         planner = "explicit"
-        if not certify_plan(code, req, plan, model):
+        parts = _plan_parts(code, req, plan, model)
+        if parts is None:
             raise ValueError("plan failed certification")
-        parts = _plan_parts(p, plan)
     elif planner == "exhaustive":
         parts = _search_parts(code, req, model)
         if parts is None:

@@ -23,28 +23,28 @@ is certified once, where it is made: `_reach` checks its solve and, in the
 projection regime, `part` the part it solved.
 
 Every planner, this search and the construction planners alike, builds a
-plan's parts, one per request, with `make_part` (bucket set, nonzero answers,
-combo).  Each has an internal entry that takes the sorted request and
-returns its parts: `_search_parts` here, `construct._goodvec_parts`,
-`construct._cyclic_parts` and `affine._greedy_parts`.  The public planners
-hand those parts to `plan_from_parts`, the one place that assembles a
-`RecoveryPlan`; `sim.serve_batch` serves a batch from the parts themselves
-and assembles none.  `certify_plan` checks a plan as a coefficient identity
-over the field, independently of how it was found.  Parts sit on disjoint
-buckets, so a plan certifies iff its parts partition [m] (`_partitions`)
-and each certifies on its own.  Each part is certified once, where it is
-made: the engine's in `_reach` and `part`, the construction planners' when
-their tables are built, the greedy affine planner's per request
-(`certified_part`); `plan_from_parts` and `serve_batch` check the partition
-(`_partition_sets`), so every plan a planner hands out, and every batch it
-serves, certifies.  The sweeps of `verify_bac` and
-`verify_pir` hand out no plans: they run the same search, one frontier for
-the whole sweep so that a request shares the search of the prefix it has in
-common with the request before it, and read each part's certificate
-(`SpanEngine.certified`), which is exact for the plans `find_plan` would
-return (see `_failures`).  Orbits enter there: a sweep searches only the
-least request of each orbit under the code's symbol shift (`symbol_shift`),
-and a failing one stands for its orbit (`_sweep`).
+plan's parts, one per request, with `make_part`: (bucket bitmask, the
+search's form; nonzero answers; combo).  Each has an internal entry that
+takes the sorted request and returns its parts: `_search_parts` here,
+`construct._goodvec_parts`, `construct._cyclic_parts` and
+`affine._greedy_parts`.  The public planners hand those parts to
+`plan_from_parts`, the one place that assembles a `RecoveryPlan`;
+`sim.serve_batch` serves a batch from the parts themselves.  Parts sit on
+disjoint buckets, so a plan certifies iff its parts partition [m]
+(`_partitions`) and each passes the part check (`_certifies`) on its own.
+A planner's part is certified once, where it is made: the engine's in
+`_reach` and `part`, the construction planners' when their tables are
+built, the greedy affine planner's per request (`certified_part`);
+`plan_from_parts` and `serve_batch` check the partition (`_partition_sets`).
+`certify_plan` reads a plan as parts (`_plan_parts`) and decides it by the
+same two checks.  The sweeps of `verify_bac` and `verify_pir` hand out no
+plans: they run the same search, one frontier for the whole sweep so that a
+request shares the search of the prefix it has in common with the request
+before it, and read each part's certificate (`SpanEngine.recovers`), which
+is exact for the plans `find_plan` would return (see `_failures`).  Orbits
+enter there: a sweep searches only the least request of each orbit under
+the code's symbol shift (`symbol_shift`), and a failing one stands for its
+orbit (`_sweep`).
 """
 
 from __future__ import annotations
@@ -233,17 +233,17 @@ class SpanEngine:
             if reach is not None:
                 columns = [col for ell0 in bucket_indices(mask) for col in self.table[ell0]]
                 coeffs = reach.solve(unit_vector(i0, self.n))
-                if coeffs is None or not _sums_to_unit(
-                    self.field.p, ((1, 1),), (coeffs,), (columns,), i0
-                ):
+                if coeffs is None or not _sums_to_unit(self.field.p, ((1, 1),), {0: coeffs}, (columns,), i0):
                     raise AssertionError(f"internal: solve failed certification for {(mask, i0)}")
             self._reaches[key] = reach
         return reach
 
     def recovers(self, mask: int, i0: int) -> bool:
+        """Whether `mask` serves symbol i0, by an answer certified where it
+        was made: `_reach`'s in the linear regime, `part`'s otherwise."""
         if not self.linear:
             return self.part(mask, i0) is not None
-        # `_reach`'s memo read in place: the search asks at each last part
+        # `_reach`'s memo read in place: the search asks at each part it makes
         reach = self._reaches.get(mask * self.n + i0, False)
         return (self._reach(mask, i0) if reach is False else reach) is not None
 
@@ -319,27 +319,22 @@ class SpanEngine:
 
     def part(self, mask: int, i0: int) -> Optional[tuple]:
         """How the buckets in `mask` serve symbol i0, or None if they cannot:
-        (bucket set, ((bucket0, response vector), ...) for the buckets that
-        answer something nonzero, combo), with the set and the combo 1-based
-        as in `RecoveryPlan`.  A linear part is the solve `_reach` certified;
-        a projection part is certified here, once: its bucket set is the
-        mask, and it passes `certified_part` with unit answers."""
+        (bucket bitmask, ((bucket0, response vector), ...) for the buckets
+        that answer something nonzero, 1-based combo), as `make_part` builds
+        it.  A linear part is the solve `_reach`
+        certified; a projection part is certified here, once: its bucket set
+        is the mask, and it passes `certified_part` with unit answers."""
         key = mask * self.n + i0
         part = self._parts.get(key, False)  # False: not solved yet
         if part is False:
             if self.linear:
                 part = self._solve_linear(mask, i0)
             elif (part := self._solve_projection(mask, i0)) is not None:
-                if part[0] != {ell0 + 1 for ell0 in bucket_indices(mask)}:
+                if part[0] != mask:
                     raise AssertionError(f"internal: part failed certification for {(mask, i0)}")
                 certified_part(self.field.p, self.table, part, i0, projection=True)
             self._parts[key] = part
         return part
-
-    def certified(self, mask: int, i0: int) -> bool:
-        """Whether `mask` serves symbol i0 by an answer certified where it was
-        made (`_reach`, `part`), read without `recovers`."""
-        return (self._reach(mask, i0) if self.linear else self.part(mask, i0)) is not None
 
     def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
         """Any combination of each bucket's columns: the lowest-index solve
@@ -410,18 +405,6 @@ def engine_for(code: CodeSpec, model: ResponseModel) -> SpanEngine:
     return engine
 
 
-def _plan_tables(code: CodeSpec) -> tuple:
-    """The code's 1-based bucket indices and its all-zero responses, kept in
-    `code.cache` (its sizes and columns are `CodeSpec` properties)."""
-    tables = code.cache.get("plan-tables")
-    if tables is None:
-        tables = code.cache["plan-tables"] = (
-            frozenset(range(1, code.m + 1)),
-            tuple((0,) * len(b) for b in code.buckets),
-        )
-    return tables
-
-
 def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
     """The plan part in which the buckets of `combo`, {bucket: coefficient}
     (1-based), serve one request: bucket ell answers the response vector
@@ -429,7 +412,7 @@ def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
     positions, set (zero elsewhere; `sizes` gives each bucket's length), and
     the user weighs each answer by the bucket's coefficient.  The part is the
     triple
-        (1-based bucket set,
+        (bucket bitmask, with bit ell - 1 for bucket ell,
          ((bucket0, response), ...) for the nonzero answers only,
          ((bucket, coefficient), ...)),
     both tuples in ascending bucket order; every planner builds its parts
@@ -443,70 +426,81 @@ def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
             vector[s] = value
     order = sorted(combo)
     return (
-        frozenset(order),
+        sum([1 << (ell - 1) for ell in order]),
         tuple([(ell - 1, tuple(vectors[ell])) for ell in order if ell in vectors]),
         tuple([(ell, combo[ell]) for ell in order]),
     )
 
 
+def _certifies(p: int, table, part: tuple, i0: int, projection: bool) -> bool:
+    """The part check, of a planner's parts and of a plan's alike: whether
+    `part` (`make_part`) has its answers and combo in its bucket set, answers
+    only unit vectors in the projection regime, and serves e_i0 by the
+    coefficient identity (`_sums_to_unit`) over the column table `table` of
+    a code over F_p."""
+    bucket_set, answers, combo = part
+    for ell0, vector in answers:
+        if not bucket_set >> ell0 & 1 or projection and not _unit_or_zero(p, vector):
+            return False
+    for ell, _ in combo:
+        if not bucket_set >> (ell - 1) & 1:
+            return False
+    return _sums_to_unit(p, combo, dict(answers), table, i0)
+
+
 def certified_part(p: int, table, part: tuple, i0: int, projection: bool = False) -> tuple:
-    """`part` (`make_part`), checked as `certify_plan` checks its share of a
-    plan: its answers and combo lie in its bucket set, its answers are unit
-    vectors (projection regime), and they give e_i0 over the column table
-    `table` of a code over F_p.  A part that fails is an internal error."""
-    bucket_set, vectors, combo = part
-    answers = dict(vectors)
-    responses = [answers.get(ell0, ()) for ell0 in range(len(table))]
-    if not (
-        {ell0 + 1 for ell0 in answers} | {ell for ell, _ in combo} <= bucket_set
-        and (not projection or all(_unit_or_zero(p, vector) for vector in answers.values()))
-        and _sums_to_unit(p, combo, responses, table, i0)
-    ):
-        raise AssertionError(f"internal: part {sorted(bucket_set)} failed certification for x{i0 + 1}")
+    """`part`, which must pass the part check (`_certifies`) where a planner
+    makes it; a part that fails is an internal error."""
+    if not _certifies(p, table, part, i0, projection):
+        buckets = [ell0 + 1 for ell0 in bucket_indices(part[0])]
+        raise AssertionError(f"internal: part {buckets} failed certification for x{i0 + 1}")
     return part
 
 
-def _partitions(parts: Sequence, k: int, everything, size) -> bool:
-    """Whether `parts`, frozensets (`size` is `len`) or bitmasks (`size` is
-    `int.bit_count`), are k non-empty sets whose union is `everything` and
-    whose sizes add up to its size: a partition of `everything`."""
+def _partitions(parts: Sequence[int], k: int, everything: int) -> bool:
+    """Whether the bucket bitmasks `parts` are k non-empty sets whose union
+    is `everything` and whose sizes add up to its size: a partition of
+    `everything`, the one partition check of plans, planners and sweeps."""
     return (
         len(parts) == k
         and all(parts)
         and functools.reduce(operator.or_, parts) == everything
-        and sum(map(size, parts)) == size(everything)
+        and sum(map(int.bit_count, parts)) == everything.bit_count()
     )
 
 
 def _partition_sets(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> tuple:
-    """The bucket sets of the plan that serves request j with part j, as
-    `make_part` builds it, and the buckets in no part, which join the last
-    set.  The parts, each certified where it was made, must then partition
-    [m] (`_partitions`), or it is an internal error."""
-    bucket_ids = _plan_tables(code)[0]
+    """The bucket bitmasks of the plan that serves request j with part j,
+    and the bitmask of the buckets in no part, which join the last set.  The
+    parts, each certified where it was made, must then partition [m]
+    (`_partitions`), or it is an internal error."""
+    everything = (1 << code.m) - 1
     sets = [part[0] for part in parts]
-    leftover = bucket_ids.difference(*sets)
+    leftover = everything & ~functools.reduce(operator.or_, sets, 0)
     if leftover:
-        sets[-1] = sets[-1] | leftover
-    if not _partitions(sets, len(req), bucket_ids, len):
+        sets[-1] |= leftover
+    if not _partitions(sets, len(req), everything):
         raise AssertionError(f"internal: parts do not partition the buckets for {req}")
     return sets, leftover
 
 
 def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
-    """The plan that serves request j with part j (`_partition_sets`).  Every
-    other bucket answers zero, and the leftover buckets join the last part
-    with coefficient 1."""
+    """The plan that serves request j with part j (`_partition_sets`), with
+    1-based bucket-index sets.  Every other bucket answers zero, and the
+    leftover buckets join the last part with coefficient 1."""
     sets, leftover = _partition_sets(code, req, parts)
-    responses = list(_plan_tables(code)[1])
+    responses = [(0,) * size for size in code.bucket_sizes]
     for _, vectors, _ in parts:
         for ell0, vector in vectors:
             responses[ell0] = vector
     combos = [combo for _, _, combo in parts]
     if leftover:
-        combos[-1] = tuple(sorted(combos[-1] + tuple((ell, 1) for ell in leftover)))
+        combos[-1] = tuple(sorted(combos[-1] + tuple((ell0 + 1, 1) for ell0 in bucket_indices(leftover))))
     return RecoveryPlan(
-        request=req, sets=tuple(sets), responses=tuple(responses), combos=tuple(combos)
+        request=req,
+        sets=tuple(frozenset(ell0 + 1 for ell0 in bucket_indices(mask)) for mask in sets),
+        responses=tuple(responses),
+        combos=tuple(combos),
     )
 
 
@@ -517,21 +511,26 @@ def certify_plan(
     model: ResponseModel = ResponseModel.LINEAR,
 ) -> bool:
     """Check a plan against the code: partition shape, the per-request
-    coefficient identity, and (projection mode) unit responses.
+    coefficient identity, and (projection mode) unit responses, by the
+    planners' partition and part checks (`_plan_parts`).
 
     Shape mismatches raise ValueError; a well-shaped but invalid plan
     returns False.
     """
     model = ResponseModel.parse(model)
-    req = normalize_request(request, code.n)
-    m = code.m
-    p = code.field.p
-    sizes, columns = code.bucket_sizes, code.column_table
-    bucket_ids, _ = _plan_tables(code)
-    if len(plan.responses) != m:
-        raise ValueError(f"plan has {len(plan.responses)} responses, code has {m} buckets")
-    if tuple(map(len, plan.responses)) != sizes:
-        for ell0, resp in enumerate(plan.responses):
+    return _plan_parts(code, normalize_request(request, code.n), plan, model) is not None
+
+
+def _plan_parts(code: CodeSpec, req: tuple, plan: RecoveryPlan, model: ResponseModel) -> Optional[list]:
+    """`plan` read as parts (`make_part`), one per request of the sorted
+    `req`, each with the answers of its buckets that are not all zero, if
+    the plan certifies, else None; a plan of the wrong shape raises
+    ValueError."""
+    m, sizes, responses = code.m, code.bucket_sizes, plan.responses
+    if len(responses) != m:
+        raise ValueError(f"plan has {len(responses)} responses, code has {m} buckets")
+    if tuple(map(len, responses)) != sizes:
+        for ell0, resp in enumerate(responses):
             if len(resp) != sizes[ell0]:
                 raise ValueError(
                     f"response for bucket {ell0 + 1} has length {len(resp)}, "
@@ -539,33 +538,29 @@ def certify_plan(
                 )
     if len(plan.sets) != len(plan.combos):
         raise ValueError("plan sets and combos disagree in length")
-    union = frozenset().union(*plan.sets)
-    if not union <= bucket_ids:
-        for part in plan.sets:
-            for ell in part:
-                if not 1 <= ell <= m:
-                    raise ValueError(f"bucket index {ell} out of range [1, {m}]")
-    for part, combo in zip(plan.sets, plan.combos):
+    masks, parts = [], []
+    for ids, combo in zip(plan.sets, plan.combos):
+        mask, answers = 0, []
+        for ell in ids:
+            if not 1 <= ell <= m:
+                raise ValueError(f"bucket index {ell} out of range [1, {m}]")
+            mask |= 1 << (ell - 1)
+            if any(response := responses[ell - 1]):
+                answers.append((ell - 1, tuple(response)))
+        masks.append(mask)
+        parts.append((mask, tuple(sorted(answers)), combo))
+    for ids, combo in zip(plan.sets, plan.combos):
         for ell, _ in combo:
-            if ell not in part:
+            if ell not in ids:
                 raise ValueError(f"combo references bucket {ell} outside its recovery set")
-
-    # (a) partition of [m] into exactly k non-empty parts: no bucket twice
-    # (the part sizes add up to the union's) and none left out
-    if len(plan.sets) != len(req) or not all(plan.sets):
-        return False
-    if len(union) != m or sum(map(len, plan.sets)) != m:
-        return False
-
-    # (c) projection regime: nonzero responses must be unit vectors
-    if model is ResponseModel.PROJECTION and not all(_unit_or_zero(p, r) for r in plan.responses):
-        return False
-
-    # (b) coefficient identity per request, over the generator columns
-    for combo, i in zip(plan.combos, req):
-        if not _sums_to_unit(p, combo, plan.responses, columns, i - 1):
-            return False
-    return True
+    # a set that lists a bucket twice is no set
+    if not _partitions(masks, len(req), (1 << m) - 1) or any(
+        mask.bit_count() != len(ids) for mask, ids in zip(masks, plan.sets)
+    ):
+        return None
+    p, projection = code.field.p, model is ResponseModel.PROJECTION
+    certifies = all(_certifies(p, code.column_table, part, i - 1, projection) for part, i in zip(parts, req))
+    return parts if certifies else None
 
 
 def _unit_or_zero(p: int, vector) -> bool:
@@ -573,16 +568,17 @@ def _unit_or_zero(p: int, vector) -> bool:
     return [v % p for v in vector if v % p] in ([], [1])
 
 
-def _sums_to_unit(p: int, combo, responses, columns, i0: int) -> bool:
+def _sums_to_unit(p: int, combo, answers: dict, columns, i0: int) -> bool:
     """The coefficient identity: whether the answers the combo's
     (bucket, coefficient) pairs weigh, each answer applied to its bucket's
-    columns, sum to e_i0 over F_p.  Bucket ell answers responses[ell - 1]
-    and stores columns[ell - 1], as `CodeSpec.column_table` holds them: XOR
-    of packed columns over GF(2), one reduction per coordinate otherwise."""
+    columns, sum to e_i0 over F_p.  Bucket ell answers answers[ell - 1]
+    (zero if absent) and stores columns[ell - 1], as `column_table` holds
+    them: XOR of packed columns over GF(2), one reduction per coordinate
+    otherwise."""
     acc = 0 if p == 2 else {i0: -1}  # F_p: coordinate -> unreduced sum
     for ell, coeff in combo:
-        resp = responses[ell - 1]
-        if not any(resp):
+        resp = answers.get(ell - 1)
+        if resp is None:
             continue
         for r, col in zip(resp, columns[ell - 1]):
             w = (coeff * r) % p
@@ -667,7 +663,7 @@ class _Frontier:
     Level d depends only on the first d requests and on k, so a request
     keeps the levels of the prefix it shares with the request before it and
     rebuilds only the deeper ones.  A part is the XOR of a leftover and its
-    parent, and each is certified once (`SpanEngine.certified`), when its
+    parent, and each is certified once (`SpanEngine.recovers`), when its
     leftover is made; one that fails is an internal error."""
 
     def __init__(self, engine: SpanEngine, m: int):
@@ -718,7 +714,7 @@ class _Frontier:
         leftover that spans e_i0 gives up, in the search's order, each
         minimal set for symbol i0 that leaves at least one bucket for each
         of the `later` requests after this one."""
-        engine = self.engine
+        engine, recovers = self.engine, self.engine.recovers
         leftovers, parents, seen = level.leftovers, level.parents, level.seen
         free, j = above.leftovers, 0
         while j < len(free) or above.more():
@@ -727,7 +723,7 @@ class _Frontier:
                 for size in range(1, left.bit_count() - later + 1):
                     for mask in engine.minimal_sets(i0, size):
                         if mask & left == mask and (child := left ^ mask) not in seen:
-                            if not engine.certified(mask, i0):
+                            if not recovers(mask, i0):
                                 raise AssertionError(
                                     f"internal: frontier part failed certification for {(mask, i0)}"
                                 )
@@ -848,8 +844,8 @@ def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
     serve, all decided by one `_Frontier`, so a request shares the search
     of the prefix it has in common with the request before it.  A served
     request is certified without building its plan: its part masks must
-    partition [m] into k parts, and each part must pass
-    `SpanEngine.certified`, read independently of the search's pruning (the
+    partition [m] into k parts (`_partitions`), and each part must pass
+    `SpanEngine.recovers`, read independently of the search's pruning (the
     frontier checked every part but the last when it made it).  That is
     exact: parts sit on disjoint buckets, and request j's identity and unit
     responses depend only on part j's responses and combo, so a plan
@@ -865,10 +861,10 @@ def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
             failures.append((req, "no-partition"))
             continue
         if masks is not partition:
-            if not _partitions(masks, len(req), everything, int.bit_count):
+            if not _partitions(masks, len(req), everything):
                 raise AssertionError(f"internal: found plan failed certification for {req}")
             partition = masks
-        if not engine.certified(masks[-1], req[-1] - 1):
+        if not engine.recovers(masks[-1], req[-1] - 1):
             raise AssertionError(f"internal: found plan failed certification for {req}")
     return failures
 

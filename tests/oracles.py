@@ -1,15 +1,17 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Six references are the exception: `reference_span_solve`, a plain
+Seven references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `Echelon.solve`
 must return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
 over every column of a bucket subset that pins the engine's linear parts,
 `reference_projection_part`, the earlier projection DFS that pins the
 engine's projection parts, and `reference_encode`, the dense inner products (`dot`) `encode` and the answers
-of `serve_batch`'s nodes must agree with, and `reference_is_good_vector`,
-the earlier check that rescans the vector once per value.
+of `serve_batch`'s nodes must agree with, `reference_is_good_vector`,
+the earlier check that rescans the vector once per value, and
+`reference_certify_plan`, the earlier whole-plan check whose verdicts and
+errors `certify_plan` must give.
 """
 
 from __future__ import annotations
@@ -332,5 +334,56 @@ def reference_is_good_vector(entries, t: int) -> bool:
         if len(positions) != 2:
             return False
         if positions[1] - positions[0] != j:
+            return False
+    return True
+
+
+def reference_certify_plan(code, request, plan, model=ResponseModel.LINEAR) -> bool:
+    """The earlier `certify_plan`, which checked a whole plan with its own
+    partition, projection-unit and coefficient-identity code: the same
+    shape ValueErrors, then (a) k non-empty sets that partition [m], (c) in
+    the projection regime every response zero or a unit vector, and (b) per
+    request the combo's answers applied to the bucket columns summing to the
+    unit vector, over the dense columns here rather than `column_table`."""
+    model = ResponseModel.parse(model)
+    req = normalize_request(request, code.n)
+    m, p, sizes = code.m, code.field.p, code.bucket_sizes
+    bucket_ids = frozenset(range(1, m + 1))
+    if len(plan.responses) != m:
+        raise ValueError(f"plan has {len(plan.responses)} responses, code has {m} buckets")
+    if tuple(map(len, plan.responses)) != sizes:
+        for ell0, resp in enumerate(plan.responses):
+            if len(resp) != sizes[ell0]:
+                raise ValueError(
+                    f"response for bucket {ell0 + 1} has length {len(resp)}, "
+                    f"bucket stores {sizes[ell0]}"
+                )
+    if len(plan.sets) != len(plan.combos):
+        raise ValueError("plan sets and combos disagree in length")
+    union = frozenset().union(*plan.sets)
+    if not union <= bucket_ids:
+        for part in plan.sets:
+            for ell in part:
+                if not 1 <= ell <= m:
+                    raise ValueError(f"bucket index {ell} out of range [1, {m}]")
+    for part, combo in zip(plan.sets, plan.combos):
+        for ell, _ in combo:
+            if ell not in part:
+                raise ValueError(f"combo references bucket {ell} outside its recovery set")
+    if len(plan.sets) != len(req) or not all(plan.sets):
+        return False
+    if len(union) != m or sum(map(len, plan.sets)) != m:
+        return False
+    if model is ResponseModel.PROJECTION and not all(
+        [v % p for v in r if v % p] in ([], [1]) for r in plan.responses
+    ):
+        return False
+    for combo, i in zip(plan.combos, req):
+        total = [0] * code.n
+        for ell, coeff in combo:
+            for r, column in zip(plan.responses[ell - 1], code.buckets[ell - 1]):
+                for d, g in enumerate(column):
+                    total[d] += coeff * r * g
+        if [v % p for v in total] != list(_unit(i - 1, code.n)):
             return False
     return True

@@ -44,7 +44,7 @@ from bacforge import (
     verify_bac,
 )
 from bacforge.field import PrimeField
-from bacforge.verify import all_batch_requests, plan_from_parts
+from bacforge.verify import all_batch_requests, bucket_indices, plan_from_parts
 from bacforge import affine as affine_module, construct as construct_module, verify as verify_module
 from conftest import col
 
@@ -249,11 +249,13 @@ def test_every_planner_emits_certified_ascending_combos(monkeypatch):
         parts = handed_over.pop()
         assert not handed_over and len(parts) == len(req)
         for bucket_set, answers, combo in parts:
-            assert isinstance(bucket_set, frozenset) and bucket_set <= set(range(1, code.m + 1))
+            # the search's bitmask: bit ell - 1 for bucket ell
+            assert type(bucket_set) is int and 0 < bucket_set <= (1 << code.m) - 1, (req, parts)
+            buckets = [ell0 + 1 for ell0 in bucket_indices(bucket_set)]
             answered = [ell0 + 1 for ell0, _ in answers]
-            assert answered == sorted(set(answered)) and set(answered) <= bucket_set, (req, parts)
+            assert answered == sorted(set(answered)) and set(answered) <= set(buckets), (req, parts)
             assert all(any(v % code.field.p for v in vector) for _, vector in answers), (req, parts)
-            assert [ell for ell, _ in combo] == sorted(bucket_set), (req, parts)
+            assert [ell for ell, _ in combo] == buckets, (req, parts)
     assert served > 1000
     assert regimes == {LIN, PROJ}  # the engine's parts in both regimes
 

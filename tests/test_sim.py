@@ -214,18 +214,20 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
     """Where a served batch is certified.  A planner table's parts are each
     certified once, when the table is built, and never again per batch; the
     greedy affine planner certifies the k parts it makes per request; no
-    certified or exhaustive batch runs a whole-plan `certify_plan` or
-    assembles a plan (`plan_from_parts`), and an explicit plan is certified
-    exactly once per batch.  The plan of every batch's parts passes
-    `certify_plan` when checked here, and every request the planner cannot
-    serve is refused."""
-    real_certify, real_part = verify_mod.certify_plan, verify_mod.certified_part
+    certified or exhaustive batch certifies a whole plan (`_plan_parts`, by
+    which `certify_plan` decides) or assembles a plan (`plan_from_parts`),
+    and an explicit plan is certified exactly once per batch.  The plan of
+    every batch's parts passes `certify_plan` when checked here, and every
+    request the planner cannot serve is refused."""
+    real_certify, real_plan_parts = verify_mod.certify_plan, verify_mod._plan_parts
+    real_part = verify_mod.certified_part
     real_search, real_certified_parts = sim_mod._search_parts, sim_mod._certified_parts
     certify_calls, part_calls, served_parts, assembled = [], [], [], []
 
-    def certify_spy(*args, **kwargs):
-        certify_calls.append(real_certify(*args, **kwargs))
-        return certify_calls[-1]
+    def certify_spy(*args):
+        parts = real_plan_parts(*args)
+        certify_calls.append(parts is not None)
+        return parts
 
     def part_spy(p, table, part, i0, projection=False):
         part_calls.append((i0, part))
@@ -242,8 +244,8 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
         assembled.append(args)
         return plan_from_parts(*args)
 
-    monkeypatch.setattr(verify_mod, "certify_plan", certify_spy)
-    monkeypatch.setattr(sim_mod, "certify_plan", certify_spy)
+    monkeypatch.setattr(verify_mod, "_plan_parts", certify_spy)
+    monkeypatch.setattr(sim_mod, "_plan_parts", certify_spy)
     for module in (verify_mod, construct_mod, affine_mod):
         monkeypatch.setattr(module, "certified_part", part_spy)
         monkeypatch.setattr(module, "plan_from_parts", assemble_spy)
@@ -365,11 +367,12 @@ def test_node_answers_are_kept_once_per_bucket_and_answer(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["cyclic", "goodvec", "cyclic-f3"])
-@pytest.mark.parametrize("flip", ["coefficient", "response"])
+@pytest.mark.parametrize("flip", ["coefficient", "response", "bucket"])
 def test_a_wrong_table_part_is_refused_when_the_table_is_built(monkeypatch, family, flip):
     """Each part of a planner table in turn, made wrong in its first combo
-    coefficient or the first entry of its first answer, stops the table
-    from being built."""
+    coefficient, the first entry of its first answer, or its bucket set
+    (without the bucket of its first answer, which still serves the
+    symbol), stops the table from being built."""
     if family == "goodvec":
         field, v = PrimeField(2), good_vector((1, 1))
 
@@ -397,6 +400,8 @@ def test_a_wrong_table_part_is_refused_when_the_table_is_built(monkeypatch, fami
                 if flip == "coefficient":
                     (ell, c), *rest = combo
                     combo = ((ell, (c + 1) % p), *rest)
+                elif flip == "bucket":
+                    bucket_set &= ~(1 << vectors[0][0])
                 else:
                     (ell0, vector), *rest = vectors
                     vectors = ((ell0, ((vector[0] + 1) % p,) + vector[1:]), *rest)
@@ -409,15 +414,17 @@ def test_a_wrong_table_part_is_refused_when_the_table_is_built(monkeypatch, fami
 
 
 def test_plan_from_parts_refuses_parts_that_do_not_partition(c2_code):
-    """The parts a planner hands over must partition the buckets: two parts
-    on one bucket, a bucket outside [m], a part more or less than the
-    request has, or an empty part are internal errors, even when each part
-    serves x1 on its own."""
+    """The parts a planner hands over, their bucket sets as bitmasks (bit
+    ell - 1 for bucket ell), must partition the buckets: two parts on one
+    bucket, a bucket outside [m] (a bit above m), a part more or less than
+    the request has, or an empty part are internal errors, even when each
+    part serves x1 on its own."""
     sizes = c2_code.bucket_sizes
     x1_from = {ell: make_part(sizes, {ell: 1}, [((ell, 0), 1)]) for ell in (1, 2, 3)}
     x1_from[1, 2] = make_part(sizes, {1: 1, 2: 1}, [((1, 0), 1)])
-    outside = (frozenset({1, 6}),) + x1_from[1][1:]
-    empty = (frozenset(), (), ())
+    assert [x1_from[ell][0] for ell in (1, 2, 3)] == [0b1, 0b10, 0b100] and x1_from[1, 2][0] == 0b11
+    outside = (0b100001,) + x1_from[1][1:]  # buckets 1 and 6 of 5
+    empty = (0, (), ())
     plan = plan_from_parts(c2_code, (1, 1), [x1_from[1], x1_from[2]])
     assert certify_plan(c2_code, (1, 1), plan)
     for parts in (

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bacforge import (
     CodeSpec,
@@ -48,6 +48,7 @@ from oracles import (
     naive_has_plan,
     naive_recovered,
     naive_recovers,
+    reference_certify_plan,
     reference_find_plan,
     reference_linear_part,
     reference_projection_part,
@@ -292,10 +293,28 @@ def test_engine_refuses_a_wrong_solve_where_it_is_made(monkeypatch, model):
         engine.part(0b1, 0)
 
 
+class _Credulous:
+    """A span engine, as the search sees it, that takes every part to
+    recover its symbol."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def recovers(self, mask, i0):
+        return True
+
+
 @pytest.mark.parametrize("model", [LIN, PROJ])
 def test_sweep_refuses_a_last_part_that_does_not_recover(monkeypatch, c2_code, model):
+    """A search that takes every part to recover its symbol claims a plan
+    for (1, 1, 1, 1) whose last part, bucket 4, stores no x1; the sweep
+    certifies the plan by the engine itself and refuses it."""
     truncated = CodeSpec(GF2, 4, c2_code.buckets[:4])  # fails on (1, 1, 1, 1)
-    monkeypatch.setattr(SpanEngine, "recovers", lambda self, mask, i0: True)
+    frontier = _Frontier.__init__
+    monkeypatch.setattr(_Frontier, "__init__", lambda self, engine, m: frontier(self, _Credulous(engine), m))
     with pytest.raises(AssertionError, match="internal"):
         verify_bac(truncated, 4, model)
 
@@ -444,7 +463,7 @@ def test_code_is_freed_after_use(t4_vector):
             for _ in range(2):
                 rep = serve_batch(code, data, req, planner="certified", provenance=prov)
                 assert rep.recovered == (1,) * len(req)
-            assert "planner-contexts" in code.cache
+            assert "planner-provenance" in code.cache
         codes = [cyclic, goodvec, apc.code] + [code for code, _, _ in served]
         return [weakref.ref(code) for code in codes]
 
@@ -478,7 +497,7 @@ def test_find_plan_matches_reference_search(code, data):
 @given(small_code(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_linear_answers_match_the_whole_mask_reference(code, data):
-    """In the linear regime `recovers`, `part` and `certified` read the basis
+    """In the linear regime `recovers` and `part` read the basis
     of the shortest prefix of the mask that spans the symbol; each answer
     equals the one of the solve over all of the mask's columns, whatever the
     engine was asked before."""
@@ -489,7 +508,6 @@ def test_linear_answers_match_the_whole_mask_reference(code, data):
         spans = naive_recovers(code, [ell0 + 1 for ell0 in bucket_indices(mask)], i0 + 1)
         assert engine.recovers(mask, i0) == (expected is not None) == spans
         assert engine.part(mask, i0) == expected, (mask, i0)
-        assert engine.certified(mask, i0) == (expected is not None)
 
 
 @given(small_code(), st.data())
@@ -619,6 +637,12 @@ def test_certify_negative_cases(p):
     # bucket 5 in none
     uncovered = _with(plan, sets=sets[:3] + [frozenset({4})], combos=combos[:3] + [((4, 1),)])
     assert not certify_plan(code, req, uncovered, LIN)
+    # a set given as a list that names bucket 1 twice is no set
+    assert not certify_plan(code, req, _with(plan, sets=[[1, 1]] + sets[1:]), LIN)
+    # bucket 1 in two parts and bucket 2 in none: the sizes add up to m
+    # and bucket 1 serves x1 each time, so only the union tells
+    shared = _with(plan, sets=[sets[0], sets[0]] + sets[2:], combos=[combos[0], combos[0]] + combos[2:])
+    assert sets[0] == frozenset({1}) and not certify_plan(code, req, shared, LIN)
     # an empty part, its buckets merged into another
     empty = _with(
         plan,
@@ -626,6 +650,14 @@ def test_certify_negative_cases(p):
         combos=[(), combos[1] + combos[0]] + combos[2:],
     )
     assert not certify_plan(code, req, empty, LIN)
+    # a non-unit response on a bucket of a part but outside its combo
+    served = find_plan(code, (1, 2), PROJ)
+    *first, last = served.combos
+    assert last[-1] == (5, 1) and not any(served.responses[4])
+    outside = _with(
+        served, responses=served.responses[:4] + ((1, 1),), combos=first + [last[:-1]]
+    )
+    assert certify_plan(code, (1, 2), outside, LIN) and not certify_plan(code, (1, 2), outside, PROJ)
     # one part too few or too many
     assert not certify_plan(code, req + (2,), plan, LIN)
     merged = _with(plan, sets=[sets[0] | sets[1]] + sets[2:], combos=[combos[0] + combos[1]] + combos[2:])
@@ -647,3 +679,93 @@ def test_certify_negative_cases(p):
         doubled = _with(plan, responses=scaled, combos=half)
         assert certify_plan(code, req, doubled, LIN)
         assert not certify_plan(code, req, doubled, PROJ)
+
+
+def _mutant(plan, code, draw):
+    """One drawn change to a plan: a response entry flipped, a combo
+    coefficient changed, a bucket moved to another set, one bucket in two
+    sets and another in none, sets merged, emptied or dropped, a bucket
+    that leaves its combo but not its set answering a drawn vector, a bucket
+    index out of range, a response of the wrong length; or none."""
+    p, m, k = code.field.p, code.m, len(plan.sets)
+    sets, combos, responses = list(plan.sets), list(plan.combos), list(plan.responses)
+    kind = draw(st.sampled_from(
+        ["none", "flip", "coefficient", "move", "swap", "merge", "empty", "drop", "outside", "range", "length"]
+    ))
+    stored = [ell0 for ell0, r in enumerate(responses) if r]
+    if kind == "flip" and stored:
+        ell0 = draw(st.sampled_from(stored))
+        s = draw(st.integers(0, len(responses[ell0]) - 1))
+        flipped = list(responses[ell0])
+        flipped[s] = (flipped[s] + draw(st.integers(1, p - 1))) % p
+        responses[ell0] = tuple(flipped)
+    elif kind == "coefficient":
+        j = draw(st.integers(0, k - 1))
+        if combos[j]:
+            idx = draw(st.integers(0, len(combos[j]) - 1))
+            ell, c = combos[j][idx]
+            changed = (ell, (c + draw(st.integers(1, p))) % p)
+            combos[j] = combos[j][:idx] + (changed,) + combos[j][idx + 1 :]
+    elif kind == "move" and k > 1:
+        j, to = draw(st.permutations(range(k)))[:2]
+        ell = draw(st.sampled_from(sorted(sets[j])))
+        sets[j], sets[to] = sets[j] - {ell}, sets[to] | {ell}
+        if draw(st.booleans()):  # its combo entry moves along
+            entry = [e for e in combos[j] if e[0] == ell]
+            combos[j] = tuple(e for e in combos[j] if e[0] != ell)
+            combos[to] = tuple(sorted(combos[to] + tuple(entry)))
+    elif kind == "swap" and k > 1:  # one bucket in two sets, another in none
+        j, to = draw(st.permutations(range(k)))[:2]
+        ell, gone = draw(st.sampled_from(sorted(sets[j]))), draw(st.sampled_from(sorted(sets[to])))
+        sets[to] = sets[to] - {gone} | {ell}
+        combos[to] = tuple(e for e in combos[to] if e[0] != gone)
+    elif kind in ("merge", "empty") and k > 1:
+        j, to = draw(st.permutations(range(k)))[:2]
+        sets[to], combos[to] = sets[to] | sets[j], tuple(sorted(combos[to] + combos[j]))
+        if kind == "merge":
+            del sets[j], combos[j]
+        else:
+            sets[j], combos[j] = frozenset(), ()
+    elif kind == "drop":
+        j = draw(st.integers(0, k - 1))
+        del sets[j], combos[j]
+    elif kind == "outside":  # a bucket leaves its combo, not its set, and answers a drawn vector
+        j = draw(st.integers(0, k - 1))
+        ell = draw(st.sampled_from(sorted(sets[j])))
+        combos[j] = tuple(e for e in combos[j] if e[0] != ell)
+        size = len(responses[ell - 1])
+        responses[ell - 1] = tuple(draw(st.lists(st.integers(0, 2 * p), min_size=size, max_size=size)))
+    elif kind == "range":
+        j = draw(st.integers(0, k - 1))
+        sets[j] = sets[j] | {draw(st.sampled_from([0, -1, m + 1, m + 2]))}
+    elif kind == "length":
+        ell0 = draw(st.integers(0, m - 1))
+        responses[ell0] = responses[ell0][:-1] if responses[ell0] and draw(st.booleans()) else responses[ell0] + (0,)
+    return _with(plan, sets=sets, responses=responses, combos=combos)
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(small_code(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_certify_plan_matches_the_reference_on_mutated_plans(code, data):
+    """`certify_plan`, which decides through the planners' partition and
+    part checks, gives the earlier whole-plan check's verdict, or raises
+    its ValueError, on plans `find_plan` hands out and on drawn mutants of
+    them, in both regimes over F_2, F_3 and F_5."""
+    k = data.draw(st.integers(1, min(code.m, 4)))
+    req = tuple(sorted(data.draw(st.integers(1, code.n)) for _ in range(k)))
+    model = data.draw(st.sampled_from([LIN, PROJ]))
+    plan = find_plan(code, req, model)
+    if plan is None:
+        req, plan = req[:1], find_plan(code, req[:1], LIN)
+    assume(plan is not None)
+    mutant = _mutant(plan, code, data.draw)
+    for regime in (LIN, PROJ):
+        expected = _verdict(reference_certify_plan, code, req, mutant, regime)
+        assert _verdict(certify_plan, code, req, mutant, regime) == expected, (mutant, regime)
