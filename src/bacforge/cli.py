@@ -219,6 +219,8 @@ def _cmd_bounds(args) -> int:
         reports = bound_table(
             _range(args.n_range), _range(args.k_range), args.m_rule, args.m_max
         )
+        if not reports:
+            raise ValueError(f"empty table: --m-max {args.m_max} is below every k in {args.k_range!r}")
         print(json.dumps([r.to_json_dict() for r in reports]))
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:

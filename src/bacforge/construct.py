@@ -20,6 +20,7 @@ verbatim, which the golden tests pin down.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional, Sequence
@@ -285,12 +286,13 @@ def uniform_code(n: int, k: int, field: PrimeField = GF2) -> CodeSpec:
 def is_good_vector(entries: Sequence[int], t: int) -> bool:
     """Check the defining conditions: length 2t over [1, t] or 2t+1 over
     [0, t], every j in [1, t] appearing exactly twice at distance exactly j
-    (and, in the odd-length regime, a single 0)."""
+    (and, in the odd-length regime, a single 0); a float or a string entry
+    is not an integer (`operator.index`), so that vector is not good."""
     if t < 1:
         return False
     try:
-        vals = [int(v) for v in entries]
-    except (TypeError, ValueError):
+        vals = [operator.index(v) for v in entries]
+    except TypeError:
         return False
     if len(vals) not in (2 * t, 2 * t + 1):
         return False
@@ -312,13 +314,14 @@ def is_good_vector(entries: Sequence[int], t: int) -> bool:
 
 @dataclass(frozen=True)
 class GoodVector:
-    """A validated good vector with its per-value last-occurrence map."""
+    """A validated good vector with its per-value last-occurrence map; a
+    float or a string entry raises TypeError (`operator.index`)."""
 
     t: int
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
+        object.__setattr__(self, "entries", tuple(map(operator.index, self.entries)))
         if not is_good_vector(self.entries, self.t):
             raise ValueError(f"{self.entries} is not a good vector for t = {self.t}")
 
@@ -333,7 +336,7 @@ class GoodVector:
 
 
 def good_vector(entries: Sequence[int], t: Optional[int] = None) -> GoodVector:
-    entries = tuple(int(v) for v in entries)
+    entries = tuple(map(operator.index, entries))
     if t is None:
         if not entries:
             raise ValueError("empty vector")
@@ -343,7 +346,8 @@ def good_vector(entries: Sequence[int], t: Optional[int] = None) -> GoodVector:
 
 def enumerate_good_vectors(t: int, length: int) -> list:
     """All good vectors of the given length, exhaustive backtracking in
-    lexicographic order."""
+    lexicographic order.  t and length must be integers (`operator.index`)."""
+    t, length = operator.index(t), operator.index(length)
     if t < 1:
         raise ValueError("t must be >= 1")
     if length not in (2 * t, 2 * t + 1):

@@ -8,6 +8,10 @@ combination of its stored symbols, hence everything observable about a bucket
 is its column span; `cap_and_reduce` exploits that to shrink buckets without
 changing recoverability.
 
+All arithmetic on `CodeSpec.column_table` lives here: `combine` weighs its
+columns into one functional, `unit` is e_i and `apply` evaluates a
+functional on data packed by `pack`.  `encode`, `sim` and `verify` use them.
+
 Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
 CodeSpec reduces its columns when it is made and tabulates them on first use
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .field import Echelon, PrimeField, vector_to_mask
+from .field import Echelon, PrimeField
 
 CODE_FORMAT = "bacforge-code-v1"
 
@@ -81,12 +85,11 @@ class CodeSpec:
 
     @cached_property
     def column_table(self) -> tuple:
-        """Per bucket, its columns as `encode`, `sim.serve_batch`, the span
-        engines and `certify_plan` read them: packed ints over GF(2) (bit d =
-        coordinate d), otherwise sparse ((coordinate, value), ...) tuples of
-        the nonzero entries."""
+        """Per bucket, its columns in the form `combine` and `apply` read:
+        packed ints over GF(2) (`pack`), otherwise sparse
+        ((coordinate, value), ...) tuples of the nonzero entries."""
         if self.field.p == 2:
-            return tuple(tuple(map(vector_to_mask, b)) for b in self.buckets)
+            return tuple(tuple([pack(2, col) for col in b]) for b in self.buckets)
         return tuple(
             tuple(tuple((d, v) for d, v in enumerate(col) if v) for col in b)
             for b in self.buckets
@@ -114,21 +117,55 @@ def data_vector(code: CodeSpec, x: Sequence[int]) -> tuple:
     return tuple([operator.index(v) % p for v in x])
 
 
-def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
-    """Encode a data vector: bucket entry s is <x, column s>, read off the
-    code's column table (a parity of the AND over GF(2), a sparse sum
-    otherwise)."""
-    xv = data_vector(code, x)
-    p = code.field.p
-    table = code.column_table
+# a reduced GF(2) vector's bytes, 0 and 1, as the digits of a base-2 literal
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack(p: int, vector: Sequence[int]):
+    """A reduced vector as `apply` reads data: over GF(2) an int, bit d =
+    entry d, packed in one C-level pass, otherwise the tuple itself."""
+    return int(b"0" + bytes(vector)[::-1].translate(_BITS), 2) if p == 2 else vector
+
+
+def combine(p: int, pairs) -> object:
+    """The sum of weight * column over (weight, column) pairs, in
+    `column_table` form: over GF(2) the XOR of the columns with odd weight,
+    otherwise the ascending tuple of the nonzero (coordinate, sum mod p)."""
     if p == 2:
-        xmask = vector_to_mask(xv)
-        values = [tuple([(xmask & col).bit_count() & 1 for col in bucket]) for bucket in table]
-    else:
-        values = [
-            tuple([sum([xv[d] * v for d, v in col]) % p for col in bucket]) for bucket in table
-        ]
-    return Codeword(tuple(values))
+        acc = 0
+        for w, col in pairs:
+            if w % 2:
+                acc ^= col
+        return acc
+    acc: dict = {}
+    for w, col in pairs:
+        w %= p
+        if w:
+            for d, v in col:
+                acc[d] = (acc.get(d, 0) + w * v) % p
+    return tuple(sorted([item for item in acc.items() if item[1]]))
+
+
+def unit(p: int, i0: int) -> object:
+    """The functional e_i0 (0-based) as `combine` gives it."""
+    return 1 << i0 if p == 2 else ((i0, 1),)
+
+
+def apply(p: int, functional, data) -> int:
+    """A functional (`combine`) evaluated on data packed by `pack`."""
+    if p == 2:
+        return (data & functional).bit_count() & 1
+    acc = 0
+    for d, v in functional:
+        acc += data[d] * v
+    return acc % p
+
+
+def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
+    """Encode a data vector: bucket entry s is column s applied to it."""
+    p, table = code.field.p, code.column_table
+    data = pack(p, data_vector(code, x))
+    return Codeword(tuple([tuple([apply(p, col, data) for col in bucket]) for bucket in table]))
 
 
 def cap_and_reduce(code: CodeSpec) -> CodeSpec:

@@ -3,13 +3,12 @@ its recovery plan, against data encoded across simulated nodes, and account
 for per-node load.
 
 Each node computes exactly one field element per served batch: its response
-applied to its stored symbols, one linear functional of the data.
-`_node_answer` builds it once per (bucket, response) from the code's column
-table and keeps it in `code.cache`, so no codeword is materialised and a
-node costs one AND and popcount, or one sparse dot product.  The aggregator
-combines the answers with each part's combo.  `symbols_read` counts the
-symbols a node's response weighs, i.e. the fan-in of its local computation;
-under the projection regime it is at most 1 by definition.
+applied to its stored symbols, one linear functional of the data, which
+`model.combine` builds once per (bucket, response) and `code.cache` keeps;
+a node then costs one `model.apply`, and no codeword is materialised.  The
+aggregator combines the answers with each part's combo.  `symbols_read`
+counts the symbols a node's response weighs, i.e. the fan-in of its local
+computation; under the projection regime it is at most 1 by definition.
 
 A batch is served from its parts (`verify.make_part`), one per request, and
 no `RecoveryPlan` is assembled for it.  A planner's parts are certified
@@ -25,15 +24,12 @@ nodes in bucket order so reports are deterministic.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import affine
 from .construct import CyclicParams, GoodVector, _cyclic_parts, _goodvec_parts, cyclic_params, good_vector
-from .field import vector_to_mask
-from .model import CodeSpec, codes_equal, data_vector, total_length
+from .model import CodeSpec, apply, codes_equal, combine, data_vector, pack, total_length
 from .model import _json_int, _json_list
 from .verify import (
     RecoveryPlan,
@@ -174,21 +170,6 @@ def _certified_parts(code: CodeSpec, req: tuple, provenance) -> list:
     return parts
 
 
-def _node_answer(p: int, columns: tuple, response: tuple) -> tuple:
-    """What a node whose bucket stores `columns` (`CodeSpec.column_table`)
-    computes for `response`, as one functional of the data, and its fan-in,
-    the number of stored symbols it reads: over GF(2) the XOR of the packed
-    columns with odd entries, otherwise the sparse combined column."""
-    picked = [(r % p, col) for r, col in zip(response, columns) if r % p]
-    if p == 2:
-        return functools.reduce(operator.xor, [col for _, col in picked], 0), len(picked)
-    combined: dict = {}
-    for r, col in picked:
-        for d, v in col:
-            combined[d] = (combined.get(d, 0) + r * v) % p
-    return tuple(sorted((d, v) for d, v in combined.items() if v)), len(picked)
-
-
 def serve_batch(
     code: CodeSpec,
     data: Sequence[int],
@@ -231,18 +212,16 @@ def serve_batch(
     _partition_sets(code, req, parts)
 
     table, functionals = code.column_table, code.cache.setdefault("node-answers", {})
-    xmask = vector_to_mask(data_t) if p == 2 else 0
+    packed = pack(p, data_t)
     responses, reads = [0] * code.m, [0] * code.m
     for _, answers, _ in parts:
         for ell0, response in answers:
             entry = functionals.get((ell0, response))
             if entry is None:
-                entry = functionals[ell0, response] = _node_answer(p, table[ell0], response)
+                pairs = [(r, col) for r, col in zip(response, table[ell0]) if r % p]
+                entry = functionals[ell0, response] = combine(p, pairs), len(pairs)
             functional, reads[ell0] = entry
-            if p == 2:
-                responses[ell0] = (xmask & functional).bit_count() & 1
-            else:
-                responses[ell0] = sum([data_t[d] * v for d, v in functional]) % p
+            responses[ell0] = apply(p, functional, packed)
 
     recovered = []
     for (_, _, combo), i in zip(parts, req):

@@ -20,7 +20,7 @@ free-bucket sets per request depth (`_Frontier`).  A code has one
 linear answer from the basis of the subset's shortest prefix that spans the
 symbol (`_reach`), by which the search prunes in both regimes.  Each answer
 is certified once, where it is made: `_reach` checks its solve and, in the
-projection regime, `part` the part it solved.
+projection regime, `part` the part it solved, by `model`'s column arithmetic.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part`: (bucket bitmask, the
@@ -60,7 +60,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .field import Echelon, unit_vector
-from .model import CodeSpec
+from .model import CodeSpec, combine, unit
 
 
 class ResponseModel(Enum):
@@ -223,9 +223,9 @@ class SpanEngine:
         enlarged the span when inserted form a basis, so e_i0 has exactly one
         combination of them, and the prefix holds every column it uses (its
         independent columns are the mask's first ones and span e_i0).  The
-        solve is certified when the prefix is found: the subset as one bucket
-        whose answer is the solve over its columns (those of the prefix; zip
-        drops the rest) must give e_i0."""
+        solve is certified when the prefix is found: weighing the mask's
+        columns by it (those of the prefix; zip drops the rest) must give
+        e_i0 (`model.combine`)."""
         key = mask * self.n + i0
         reach = self._reaches.get(key, False)  # False: not looked for yet
         if reach is False:
@@ -233,7 +233,7 @@ class SpanEngine:
             if reach is not None:
                 columns = [col for ell0 in bucket_indices(mask) for col in self.table[ell0]]
                 coeffs = reach.solve(unit_vector(i0, self.n))
-                if coeffs is None or not _sums_to_unit(self.field.p, ((1, 1),), {0: coeffs}, (columns,), i0):
+                if coeffs is None or combine(self.field.p, zip(coeffs, columns)) != unit(self.field.p, i0):
                     raise AssertionError(f"internal: solve failed certification for {(mask, i0)}")
             self._reaches[key] = reach
         return reach
@@ -435,17 +435,22 @@ def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
 def _certifies(p: int, table, part: tuple, i0: int, projection: bool) -> bool:
     """The part check, of a planner's parts and of a plan's alike: whether
     `part` (`make_part`) has its answers and combo in its bucket set, answers
-    only unit vectors in the projection regime, and serves e_i0 by the
-    coefficient identity (`_sums_to_unit`) over the column table `table` of
-    a code over F_p."""
+    only unit vectors in the projection regime, and serves e_i0: its answers
+    weigh the columns in `table` of a code over F_p to e_i0 (`combine`)."""
     bucket_set, answers, combo = part
     for ell0, vector in answers:
         if not bucket_set >> ell0 & 1 or projection and not _unit_or_zero(p, vector):
             return False
-    for ell, _ in combo:
+    answers, pairs = dict(answers), []
+    for ell, coeff in combo:
         if not bucket_set >> (ell - 1) & 1:
             return False
-    return _sums_to_unit(p, combo, dict(answers), table, i0)
+        response = answers.get(ell - 1)
+        if response is not None:
+            for r, col in zip(response, table[ell - 1]):
+                if r:
+                    pairs.append((coeff * r, col))
+    return combine(p, pairs) == unit(p, i0)
 
 
 def certified_part(p: int, table, part: tuple, i0: int, projection: bool = False) -> tuple:
@@ -553,10 +558,8 @@ def _plan_parts(code: CodeSpec, req: tuple, plan: RecoveryPlan, model: ResponseM
         for ell, _ in combo:
             if ell not in ids:
                 raise ValueError(f"combo references bucket {ell} outside its recovery set")
-    # a set that lists a bucket twice is no set
-    if not _partitions(masks, len(req), (1 << m) - 1) or any(
-        mask.bit_count() != len(ids) for mask, ids in zip(masks, plan.sets)
-    ):
+    # a set listing a bucket twice has more entries than bits, so they add up past m
+    if not _partitions(masks, len(req), (1 << m) - 1) or sum(map(len, plan.sets)) != m:
         return None
     p, projection = code.field.p, model is ResponseModel.PROJECTION
     certifies = all(_certifies(p, code.column_table, part, i - 1, projection) for part, i in zip(parts, req))
@@ -566,32 +569,6 @@ def _plan_parts(code: CodeSpec, req: tuple, plan: RecoveryPlan, model: ResponseM
 def _unit_or_zero(p: int, vector) -> bool:
     """Whether a response is zero or a unit vector over F_p."""
     return [v % p for v in vector if v % p] in ([], [1])
-
-
-def _sums_to_unit(p: int, combo, answers: dict, columns, i0: int) -> bool:
-    """The coefficient identity: whether the answers the combo's
-    (bucket, coefficient) pairs weigh, each answer applied to its bucket's
-    columns, sum to e_i0 over F_p.  Bucket ell answers answers[ell - 1]
-    (zero if absent) and stores columns[ell - 1], as `column_table` holds
-    them: XOR of packed columns over GF(2), one reduction per coordinate
-    otherwise."""
-    acc = 0 if p == 2 else {i0: -1}  # F_p: coordinate -> unreduced sum
-    for ell, coeff in combo:
-        resp = answers.get(ell - 1)
-        if resp is None:
-            continue
-        for r, col in zip(resp, columns[ell - 1]):
-            w = (coeff * r) % p
-            if not w:
-                continue
-            if p == 2:
-                acc ^= col
-            else:
-                for d, v in col:
-                    acc[d] = acc.get(d, 0) + w * v
-    if p == 2:
-        return acc == 1 << i0
-    return not any(a % p for a in acc.values())
 
 
 def find_plan(

@@ -1,14 +1,15 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Seven references are the exception: `reference_span_solve`, a plain
+Eight references are the exception: `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `Echelon.solve`
 must return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
 over every column of a bucket subset that pins the engine's linear parts,
 `reference_projection_part`, the earlier projection DFS that pins the
-engine's projection parts, and `reference_encode`, the dense inner products (`dot`) `encode` and the answers
-of `serve_batch`'s nodes must agree with, `reference_is_good_vector`,
+engine's projection parts, `reference_encode`, the dense inner products (`dot`) `encode` and the answers
+of `serve_batch`'s nodes must agree with, `reference_weighted_sum`, the
+dense sum `model.combine` must agree with, `reference_is_good_vector`,
 the earlier check that rescans the vector once per value, and
 `reference_certify_plan`, the earlier whole-plan check whose verdicts and
 errors `certify_plan` must give.
@@ -17,6 +18,7 @@ errors `certify_plan` must give.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from bacforge.field import Echelon
 from bacforge.model import Codeword
@@ -303,6 +305,16 @@ def dot(a, b, field) -> int:
     return sum(x * y for x, y in zip(a, b)) % field.p
 
 
+def reference_weighted_sum(pairs, p: int, n: int) -> tuple:
+    """The dense sum of weight * column over (weight, column) pairs of
+    length-n columns, reduced mod p."""
+    total = [0] * n
+    for w, column in pairs:
+        for d, g in enumerate(column):
+            total[d] += w * g
+    return tuple(v % p for v in total)
+
+
 def reference_encode(code, x):
     """The earlier `encode`: one dense n-length inner product per column."""
     if len(x) != code.n:
@@ -315,12 +327,13 @@ def reference_encode(code, x):
 
 def reference_is_good_vector(entries, t: int) -> bool:
     """The earlier `is_good_vector`: the positions of each j in [1, t] by a
-    scan of the whole vector, O(t^2)."""
+    scan of the whole vector, O(t^2).  Entries are integers as in Python
+    indexing, so a float or a string entry makes the vector not good."""
     if t < 1:
         return False
     try:
-        vals = [int(v) for v in entries]
-    except (TypeError, ValueError):
+        vals = [operator.index(v) for v in entries]
+    except TypeError:
         return False
     if len(vals) not in (2 * t, 2 * t + 1):
         return False

@@ -79,6 +79,20 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     assert captured.err == "error: empty range '5..4': its end is below its start\n"
 
 
+def test_an_empty_bounds_table_exits_2(tmp_path, capsys):
+    """`--m-max` below every k leaves no row: refused like an empty range,
+    and no CSV is written; a table with some rows left is served."""
+    csv_path = tmp_path / "table.csv"
+    argv = ["bounds", "table", "--n-range", "1..2", "--k-range", "1..2", "--m-rule", "all"]
+    assert run(argv + ["--m-max", "0", "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty table: --m-max 0 is below every k in '1..2'\n"
+    assert not csv_path.exists()
+    assert run(argv + ["--m-max", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+
 def _verify_with_jobs_exits_2(tmp_path, capsys, jobs):
     # sweeps run in one process: there is no --jobs flag, whatever its value
     out = tmp_path / "c2.json"

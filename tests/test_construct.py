@@ -29,7 +29,7 @@ from bacforge import (
     uniform_code,
     verify_bac,
 )
-from bacforge.construct import canonical_recovery_sets
+from bacforge.construct import GoodVector, canonical_recovery_sets
 from bacforge.field import PrimeField
 from conftest import col
 from oracles import reference_is_good_vector
@@ -179,6 +179,34 @@ def test_is_good_vector():
     assert not is_good_vector((1, 1, 0, 0), 1)
     assert not is_good_vector((), 1)
     assert not is_good_vector(("a", "b"), 1)
+
+
+def test_is_good_vector_refuses_non_integer_entries():
+    assert not is_good_vector(["1", "1"], 1)
+    assert not is_good_vector([1.0, 1.0], 1)
+    assert is_good_vector([True, True], 1)
+
+
+def test_good_vector_refuses_non_integer_entries():
+    with pytest.raises(TypeError):
+        good_vector([1.7, 1.2])
+    with pytest.raises(TypeError):
+        good_vector(["1", "1"])
+
+
+def test_good_vector_class_refuses_non_integer_entries():
+    with pytest.raises(TypeError):
+        GoodVector(1, (1.0, 1.0))
+    with pytest.raises(TypeError):
+        GoodVector(1, ("1", "1"))
+    assert GoodVector(1, [1, 1]).entries == (1, 1)
+
+
+def test_enumerate_good_vectors_refuses_a_float_t_up_front():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        enumerate_good_vectors(2.0, 4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        enumerate_good_vectors(2, 4.0)
 
 
 def test_enumerate_good_vectors():

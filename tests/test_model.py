@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,11 @@ from bacforge import (
     encode,
     total_length,
 )
-from bacforge.field import PrimeField
+from bacforge.field import PrimeField, vector_to_mask
+from bacforge.model import apply, combine, pack, unit
 from bacforge.verify import ResponseModel, engine_for
 from conftest import col
-from oracles import naive_recovers, reference_encode
+from oracles import dot, naive_recovers, reference_encode, reference_weighted_sum
 
 
 def test_code_spec_normalizes_and_validates():
@@ -74,6 +76,54 @@ def test_encode_matches_dense_reference(case):
     assert encode(code, data) == reference_encode(code, data)
     # and again from the column table the first call built
     assert encode(code, tuple(data)) == reference_encode(code, data)
+
+
+def _table_form(p: int, vector) -> object:
+    """A dense reduced vector in `column_table` form, built here without
+    the library's packer."""
+    return vector_to_mask(vector) if p == 2 else tuple((d, v) for d, v in enumerate(vector) if v)
+
+
+@st.composite
+def weighted_columns(draw):
+    """A prime p in {2, 3, 5}, n <= 8, reduced data and (weight, column)
+    pairs of dense reduced columns with weights in [-2p, 2p]."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    pairs = draw(st.lists(st.tuples(st.integers(-2 * p, 2 * p), vector), max_size=6))
+    return p, n, pairs, draw(vector)
+
+
+@given(weighted_columns())
+@settings(max_examples=300, deadline=None)
+def test_column_arithmetic_matches_the_dense_references(case):
+    """`combine` is the dense weighted sum in table form, `apply` of it on
+    packed data is the dense dot product, one column of weight 1 combines
+    to itself, and `unit` is e_i in table form, over F_2, F_3 and F_5."""
+    p, n, pairs, data = case
+    field = PrimeField(p)
+    table_pairs = [(w, _table_form(p, column)) for w, column in pairs]
+    total = reference_weighted_sum(pairs, p, n)
+    functional = combine(p, table_pairs)
+    assert functional == _table_form(p, total)
+    assert apply(p, functional, pack(p, data)) == dot(total, data, field)
+    for _, column in table_pairs:
+        assert combine(p, [(1, column)]) == column
+    for i0 in range(n):
+        assert unit(p, i0) == _table_form(p, tuple(int(d == i0) for d in range(n)))
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 301])
+def test_pack_matches_vector_to_mask(length):
+    """The C-level packer equals the bit loop of `field.vector_to_mask` on
+    reduced GF(2) vectors around the 64-bit word boundary, and leaves an
+    F_p vector as it is."""
+    rng = random.Random(length)
+    for vector in ((0,) * length, (1,) * length, tuple(rng.randrange(2) for _ in range(length))):
+        assert pack(2, vector) == vector_to_mask(vector)
+    vector = tuple(rng.randrange(3) for _ in range(length))
+    assert pack(3, vector) is vector
 
 
 def test_encode_dimension_mismatch(c2_code):

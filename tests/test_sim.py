@@ -352,8 +352,8 @@ def test_node_answers_are_kept_once_per_bucket_and_answer(monkeypatch):
     (bucket, answer) pair of the parts served, and keeps it in the code's
     own cache only: an equal fresh code builds its own."""
     built = []
-    real_node_answer = sim_mod._node_answer
-    monkeypatch.setattr(sim_mod, "_node_answer", lambda *args: built.append(args) or real_node_answer(*args))
+    real_combine = sim_mod.combine
+    monkeypatch.setattr(sim_mod, "combine", lambda *args: built.append(args) or real_combine(*args))
     for code, prov, requests in _fresh_families()[:2]:
         for fresh in (code, copy.deepcopy(code)):
             assert "node-answers" not in fresh.cache
