@@ -54,22 +54,32 @@ def _words(n: int) -> list:
     return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool and hashmix multiplier after the seed's words, which
+    all its children share: the words padded to 4, mixed in, then any past 4."""
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    const = [0x43B0D7E5]
+    pool = [_hashmix(entropy[i], const) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    return tuple(pool), tuple(const)
+
+
 class _PCG64:
     """numpy's `Generator(PCG64(SeedSequence(seed).spawn(...)[child]))`,
-    reduced to the two draws this module makes."""
+    reduced to the two draws this module makes; `pool`, `_seed_pool(seed)`,
+    lets the children of one seed share its mixing."""
 
-    def __init__(self, seed: int, child: int):
-        # the child's SeedSequence: the seed's words padded to the pool size
-        # of 4, then its spawn key, mixed into a pool of 4 words
-        entropy = _words(seed)
-        entropy += [0] * (4 - len(entropy)) + _words(child)
-        const = [0x43B0D7E5]
-        pool = [_hashmix(entropy[i], const) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
-        for word in entropy[4:]:
+    def __init__(self, seed: int, child: int, pool: Optional[tuple] = None):
+        # the child's SeedSequence: the seed's pool with the spawn key mixed in
+        pool, const = map(list, _seed_pool(seed) if pool is None else pool)
+        for word in _words(child):
             for dst in range(4):
                 pool[dst] = _mix(pool[dst], _hashmix(word, const))
         # generate_state(4, uint64): 8 words out of the pool, paired low first
@@ -415,10 +425,10 @@ def trial_verify(
         raise ValueError("k must be >= 1")
     seed = _seed(seed)
     start = time.monotonic()
-    code = apc.code
+    code, pool = apc.code, _seed_pool(seed)
     successes, failures = 0, []
     for child in range(trials):
-        req = tuple(sorted(_PCG64(seed, child).integers(code.n, k)))
+        req = tuple(sorted(_PCG64(seed, child, pool).integers(code.n, k)))
         parts = _greedy_parts(apc, req, strict_appendix)
         if parts is None:
             failures.append((req, "greedy-stuck"))

@@ -15,12 +15,13 @@ answers.  Two response regimes are supported:
 recovery sets of each requested symbol that keeps one frontier of distinct
 free-bucket sets per request depth (`_Frontier`).  A code has one
 `SpanEngine` per response regime (`engine_for`), kept in the code's own
-`cache` and freed with the code.  It builds those sets one size at a time
-(`SpanEngine._grow`), solves each (subset, symbol) part once, and reads every
-linear answer from the basis of the subset's shortest prefix that spans the
-symbol (`_reach`), by which the search prunes in both regimes.  Each answer
-is certified once, where it is made: `_reach` checks its solve and, in the
-projection regime, `part` the part it solved, by `model`'s column arithmetic.
+`cache` and freed with the code.  It builds those sets one size at a time,
+each level from the one below (`SpanEngine._grow`), solves each (subset,
+symbol) part once, and reads every linear answer from the basis of the
+subset's shortest prefix that spans the symbol (`_reach`), by which the
+search prunes in both regimes.  Each answer is certified once, where it is
+made: `_reach` checks its solve and, in the projection regime, `part` the
+part it solved, by `model`'s column arithmetic.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part`: (bucket bitmask, the
@@ -164,12 +165,12 @@ class SpanEngine:
     `column_table`: `_reach` checks its solve, and in the projection regime
     `part` checks the part it solved; one that fails is an internal error.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
-    draws its parts from; `_grow` makes each level from the symbols that the
-    subsets of the level below serve.  The engine holds the code's field, n,
-    buckets and column table but not the code, and lives in the code's own
-    cache, one per regime (see `engine_for`), so it is freed together with
-    the code.  It grows its minimal-set levels in place, so it is for one
-    thread at a time.
+    draws its parts from; `_grow` makes each level from the one below, whose
+    bases it holds, and only the subsets whose one-smaller subsets all miss
+    an open symbol.  The engine holds the code's field, n, buckets and column
+    table but not the code, and lives in the code's own cache, one per regime
+    (see `engine_for`), so it is freed together with the code.  It grows its
+    minimal-set levels in place, so it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec, model: ResponseModel):
@@ -188,11 +189,12 @@ class SpanEngine:
         self._suffixes: dict = {}
         # minimal recovery sets: level s holds per symbol the minimal masks of
         # s buckets; `_open` has the symbols that may still have minimal sets
-        # above the last level built
+        # above the last level built, and `_served` and `_level_bases` map each
+        # subset there that misses one to its served symbols and basis (`_grow`)
         self._levels: list = [((),) * self.n]
         self._open = (1 << self.n) - 1
-        # the last level built: mask -> served symbols (`_grow`)
         self._served: dict = {0: 0}
+        self._level_bases: dict = {0: self._bases[0]}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
         """A copy of `ech` with bucket ell0's columns inserted, in one pass."""
@@ -251,70 +253,51 @@ class SpanEngine:
         """The bucket bitmasks of `size` buckets that recover symbol i0 while
         no proper subset does, ordered by their ascending bucket-index tuples
         (`itertools.combinations` order).  Sizes are built lazily, one level
-        for all symbols at a time, and only as far as asked; above the size
-        at which every subset recovers i0 there are none, and nothing more
-        is built."""
+        for all symbols at a time, each from the one below (`_grow`), and
+        only as far as asked; above the size at which every subset recovers
+        i0 there are none, and nothing more is built."""
         levels = self._levels
         while len(levels) <= size:
-            if not (self._open >> i0) & 1 or len(levels) > len(self.columns):
+            if not (self._open >> i0) & 1:
                 return ()
             self._grow(len(levels))
         return levels[size][i0]
 
-    def _subsets(self, size: int, done):
-        """(mask, symbols) for each subset of `size` buckets in combinations
-        order, with bit i of `symbols` set when its columns span e_i.  A DFS
-        keeps one `Echelon` per depth and caches none; it does not extend a
-        smaller subset for which done(mask, symbols) holds."""
-        m = len(self.columns)
-
-        def extend(start: int, depth: int, mask: int, ech: Echelon):
-            for ell0 in range(start, m - size + depth + 1):
-                grown = self._with_bucket(ech, ell0)
-                sub, symbols = mask | 1 << ell0, grown.spanned_units()
-                if depth + 1 == size:
-                    yield sub, symbols
-                elif not done(sub, symbols):
-                    yield from extend(ell0 + 1, depth + 1, sub, grown)
-
-        return extend(0, 0, 0, self._bases[0])
-
     def _grow(self, size: int) -> None:
-        """Level `size` of the minimal sets.  A subset serves a symbol when
-        it spans it and, in the projection regime, `part` finds an answer
-        too; both are monotone, so a subset is minimal for the symbols it
-        serves that none of its (size-1)-subsets serves, and `part` is asked
-        only about those.  Only the served symbols of the previous level are
-        kept, and only of the subsets that miss an open symbol.  In the
-        linear regime a subset that spans every open symbol is not extended,
-        as nothing above it is minimal for one."""
-        linear, open_, below = self.linear, self._open, self._served
+        """Level `size` of the minimal sets, from the level below.  A subset
+        serves a symbol when it spans it and, in the projection regime,
+        `part` finds an answer too; both are monotone, so a subset is minimal
+        for the symbols it serves that none of its (size-1)-subsets serves,
+        and `part` is asked only about those.  A subset is its parent (its
+        lowest size-1 buckets) plus a bucket inserted into the parent's
+        basis, made only if each (size-1)-subset misses an open symbol: else
+        it serves them all, as its supersets do.  Parents, and so children,
+        come in combinations order; a parent's basis goes once its children
+        are made: one level of bases is held, none once no symbol is open."""
+        linear, open_, below, bases = self.linear, self._open, self._served, self._level_bases
         found: list = [[] for _ in range(self.n)]
-        served_at: dict = {}
-        still_open = 0
-
-        def spans_all(_, symbols: int) -> bool:
-            return linear and symbols & open_ == open_
-
-        for mask, symbols in self._subsets(size, spans_all):
-            served = new = symbols & open_
-            rest = mask
-            while new and rest:
-                low = rest & -rest
-                # a subset missing from `below` serves every open symbol
-                new &= ~below.get(mask ^ low, open_)
-                rest ^= low
-            for i0 in bucket_indices(new):
-                if linear or self.part(mask, i0) is not None:
-                    found[i0].append(mask)
+        served_at, grown_bases, still_open = {}, {}, 0
+        for parent, parent_served in below.items():
+            ech, lows = bases.pop(parent), [1 << ell0 for ell0 in bucket_indices(parent)]
+            for ell0 in range(parent.bit_length(), len(self.columns)):
+                mask, seen = parent | 1 << ell0, parent_served
+                for low in lows:
+                    sub = below.get(mask ^ low)
+                    if sub is None:
+                        break
+                    seen |= sub
                 else:
-                    served ^= 1 << i0
-            missing = open_ & ~served
-            if missing:
-                still_open |= missing
-                served_at[mask] = served
-        self._served = served_at
-        self._open = still_open
+                    grown = self._with_bucket(ech, ell0)
+                    served = grown.spanned_units() & open_
+                    for i0 in bucket_indices(served & ~seen):
+                        if linear or self.part(mask, i0) is not None:
+                            found[i0].append(mask)
+                        else:
+                            served ^= 1 << i0
+                    if open_ & ~served:
+                        still_open |= open_ & ~served
+                        served_at[mask], grown_bases[mask] = served, grown
+        self._served, self._level_bases, self._open = served_at, grown_bases, still_open
         self._levels.append(tuple(map(tuple, found)))
 
     def part(self, mask: int, i0: int) -> Optional[tuple]:
@@ -873,6 +856,13 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    everything = (1 << code.n) - 1
-    subsets = engine_for(code, ResponseModel.LINEAR)._subsets(code.m - k + 1, lambda mask, symbols: False)
-    return all(symbols == everything for _, symbols in subsets)
+    grow, m = engine_for(code, ResponseModel.LINEAR)._with_bucket, code.m
+    # a DFS in combinations order, one `Echelon` per depth, that stops at the
+    # first subset of rank < n: whether each subset of `ech`'s buckets and
+    # `need` more from bucket `start` on has rank n
+    def spanning(start: int, need: int, ech: Echelon) -> bool:
+        if not need:
+            return ech.rank == code.n
+        return all(spanning(ell0 + 1, need - 1, grow(ech, ell0)) for ell0 in range(start, m - need + 1))
+
+    return spanning(0, m - k + 1, Echelon(code.field, code.n))

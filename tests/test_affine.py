@@ -119,7 +119,7 @@ def test_seed_range():
     assert random_bac(5, 2, 0.5, 0.5, seed=2**64 - 1).seed == 2**64 - 1
 
 
-_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 99999999999999999999999] + [
+_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 99999999999999999999999, 2**130] + [
     random.Random(2019).getrandbits(64) for _ in range(200)
 ]
 # 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of the draws
@@ -139,6 +139,17 @@ def test_streams_match_numpy():
             assert ours.random() == theirs.random(), seed
     with pytest.raises(ValueError):
         aff._PCG64(0, 0).integers(2**32, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 99999999999999999999999, 2**130])
+def test_a_seed_pool_mixed_once_gives_every_child_its_stream(seed):
+    """`trial_verify` mixes the seed's words once (`_seed_pool`) and each
+    trial's child words into it: the streams are `_PCG64(seed, child)`'s,
+    also past four seed words (2**130 has five) and past one child word."""
+    pool = aff._seed_pool(seed)
+    for child in [*range(2001), 2**32, 2**70 + 3]:
+        shared, fresh = aff._PCG64(seed, child, pool), aff._PCG64(seed, child)
+        assert shared.integers(169, 3) + [shared.random()] == fresh.integers(169, 3) + [fresh.random()], child
 
 
 # sha256 of `code_to_json(code, provenance)` and of a `TrialReport`'s JSON,

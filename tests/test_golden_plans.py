@@ -270,6 +270,7 @@ GOLDEN_SWEEP = {
     "cyclic-12-6-8-f3-k6-linear": "e8ec75c33fedbf18481583304392b2c7e16194eab07084005a9dadddc513be67",
     "affine-q7-k2-linear": "b2c702e38bd5deb1ac439f2653427fcdaf669f05cd6d0ef6f142ad3f8c19ad0d",
     "affine-q7-k2-projection": "8073674183c01e7695e6d6d7a88a5a8d528197c7cffe0d5020e79e51e7d9d700",
+    "affine-q11-k2-linear": "cf531db5c13de022be231d7956bafd7c9ffd4e8545cfc66e41798fd5999b3e8f",
 }
 
 # name -> (code, k, model, number of failing requests)
@@ -280,6 +281,7 @@ SWEEP_CASES = {
     "cyclic-12-6-8-f3-k6-linear": (lambda: cyclic_shift_code(12, 6, 8, PrimeField(3)), 6, LIN, 0),
     "affine-q7-k2-linear": (lambda: random_bac(7, 2, 1.0, 1.0, 11).code, 2, LIN, 315),
     "affine-q7-k2-projection": (lambda: random_bac(7, 2, 1.0, 1.0, 7).code, 2, PROJ, 343),
+    "affine-q11-k2-linear": (lambda: random_bac(11, 2, 1.0, 1.0, 11).code, 2, LIN, 1265),
 }
 
 

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import pickle
 import random
 import resource
+import sys
 import time
 import weakref
 
@@ -48,6 +51,7 @@ from oracles import (
     naive_has_plan,
     naive_recovered,
     naive_recovers,
+    naive_span,
     reference_certify_plan,
     reference_find_plan,
     reference_linear_part,
@@ -593,6 +597,75 @@ def test_minimal_sets_are_the_brute_force_antichain(code, descending):
                     for mask in engine.minimal_sets(i - 1, size)
                 ]
                 assert got == expected, (i, size, model)
+
+
+@given(small_code(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subset_spanning_matches_the_brute_force_span(code, data):
+    """`check_subset_spanning` holds iff every (m-k+1)-subset's columns
+    span all of F_p^n, counted by enumerating the span (the combinations of
+    `naive_rank` would number up to 5^14 here)."""
+    k = data.draw(st.integers(1, code.m))
+    p, n = code.field.p, code.n
+    expected = all(
+        len(naive_span([c for ell in subset for c in code.buckets[ell]], p, n)) == p**n
+        for subset in itertools.combinations(range(code.m), code.m - k + 1)
+    )
+    assert check_subset_spanning(code, k) == expected
+
+
+@pytest.mark.parametrize(
+    "name, model",
+    # the projection levels of the (17,85) code take seconds to build, so
+    # that code runs in the linear regime only
+    [("affine-7", LIN), ("affine-7", PROJ), ("goodvec-17", LIN)],
+)
+def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(name, model, t4_code):
+    """Level s makes one basis (`_with_bucket`) per s-subset whose every
+    (s-1)-subset misses a symbol that some (s-1)-subset misses, and no other;
+    once every symbol is closed no basis is held.  The brute force takes
+    every subset's spanned symbols from its own `Echelon` and, in the
+    projection regime, its served ones from another engine's parts."""
+    code = random_bac(7, 2, 1.0, 1.0, 11).code if name == "affine-7" else t4_code
+    engine, m, everything = SpanEngine(code, model), code.m, (1 << code.n) - 1
+    made = [0] * (m + 1)
+    with_bucket = engine._with_bucket
+
+    def spy(ech, ell0):
+        if sys._getframe(1).f_code is SpanEngine._grow.__code__:
+            made[len(engine._levels)] += 1
+        return with_bucket(ech, ell0)
+
+    engine._with_bucket = spy
+    for size in range(m + 1):
+        for i0 in range(code.n):
+            engine.minimal_sets(i0, size)
+    assert engine._open == 0 and not engine._level_bases
+
+    other = SpanEngine(code, model)
+    expected, below = [0], {0: (0, Echelon(code.field, code.n))}
+    for size in range(1, m + 1):
+        open_ = functools.reduce(operator.or_, (everything & ~served for served, _ in below.values()))
+        level = [sum(1 << ell0 for ell0 in s) for s in itertools.combinations(range(m), size)]
+        expected.append(
+            sum(all(below[mask ^ 1 << ell0][0] & open_ != open_ for ell0 in bucket_indices(mask)) for mask in level)
+        )
+        if not open_:
+            break
+        grown = {}
+        for mask in level:
+            top = mask.bit_length() - 1
+            ech = below[mask ^ 1 << top][1].copy()
+            ech.extend(code.buckets[top])
+            served = ech.spanned_units()
+            if model is PROJ:
+                # serving is monotone: only what no smaller subset serves is asked
+                known = functools.reduce(operator.or_, (below[mask ^ 1 << b][0] for b in bucket_indices(mask)))
+                new = [i0 for i0 in bucket_indices(served & ~known) if other.part(mask, i0) is not None]
+                served = known | sum(1 << i0 for i0 in new)
+            grown[mask] = (served, ech)
+        below = grown
+    assert made == expected + [0] * (m + 1 - len(expected))
 
 
 def _code_c1(p):
