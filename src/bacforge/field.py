@@ -11,7 +11,9 @@ pivot), so they apply in any order.  For p = 2 a row is packed into one Python
 int (bit i = coordinate i, the combination in the bits above), which is what
 makes the exhaustive verifiers fast enough in pure Python; otherwise it is a
 list of residues.  Correctness is defined by the generic path; the packed
-path is an equivalent specialization.
+path is an equivalent specialization.  `pack` is the one packer of that
+layout, and every `Echelon` method reads its vector through `_packed`: dense,
+or over GF(2) packed once by the caller.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -80,13 +82,14 @@ class PrimeField:
 GF2 = PrimeField(2)
 
 
-def vector_to_mask(vec: Sequence[int]) -> int:
-    """Pack a 0/1 vector into an int, bit i = entry i."""
-    mask = 0
-    for i, v in enumerate(vec):
-        if v & 1:
-            mask |= 1 << i
-    return mask
+# a reduced GF(2) vector's bytes, 0 and 1, as the digits of a base-2 literal
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack(p: int, vector: Sequence[int]):
+    """A reduced vector in the packed layout: over GF(2) an int, bit d =
+    entry d, packed in one C-level pass, otherwise the tuple itself."""
+    return int(b"0" + bytes(vector)[::-1].translate(_BITS), 2) if p == 2 else vector
 
 
 class Echelon:
@@ -185,22 +188,23 @@ class Echelon:
         """`vec` reduced by the rows, scaled to lead with 1 (a packed int over
         GF(2), where `vec` may be packed): falsy iff `vec` is in the span, and
         equal for two vectors iff each is in the span of the rows and the other."""
+        vec = self._packed(vec)
         if self.field.p == 2:
-            return self._reduce2(vec if isinstance(vec, int) else vector_to_mask(vec)) & self.coords
+            return self._reduce2(vec) & self.coords
         p = self.field.p
         work = self._reduce_generic([v % p for v in vec])
         inv = next((self.field.inv(v) for v in work if v), 0)
         return [v * inv % p for v in work] if inv else []
 
-    def solve(self, vec: Sequence[int]) -> Optional[tuple]:
+    def solve(self, vec) -> Optional[tuple]:
         """Coefficients c over the inserted vectors, in insertion order, with
-        sum_i c_i * inserted[i] = vec, or None if vec is outside the span.
-        Only independent vectors get nonzero coefficients."""
-        if len(vec) != self.length:
-            raise ValueError(f"vector length {len(vec)} != {self.length}")
+        sum_i c_i * inserted[i] = vec, or None if vec is outside the span
+        (packed over GF(2) or not, see `_packed`).  Only independent vectors
+        get nonzero coefficients."""
+        vec = self._packed(vec)
         out = [0] * self.inserted
         if self.field.p == 2:
-            mask = self._reduce2(vector_to_mask(vec))
+            mask = self._reduce2(vec)
             if mask & self.coords:
                 return None
             bits = mask >> self.length
@@ -222,15 +226,16 @@ class Echelon:
         return self.extend((vec,)) == 1
 
     def _packed(self, vec):
-        """`vec` checked against the length; packed into an int over GF(2),
-        where it may also be given already packed (see `vector_to_mask`)."""
+        """`vec` checked against the length, the one way a vector enters the
+        rows: over GF(2) its entries mod 2 packed into an int (`pack`), unless
+        it is given packed already."""
         if isinstance(vec, int):
             if self.field.p != 2 or vec < 0 or vec >> self.length:
                 raise ValueError(f"packed vector {vec!r} needs GF(2) and length {self.length}")
             return vec
         if len(vec) != self.length:
             raise ValueError(f"vector length {len(vec)} != {self.length}")
-        return vector_to_mask(vec) if self.field.p == 2 else vec
+        return pack(2, [v & 1 for v in vec]) if self.field.p == 2 else vec
 
     def extend(self, vectors) -> int:
         """Insert vectors in order, in one pass; returns how many enlarged the

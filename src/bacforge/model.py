@@ -10,7 +10,8 @@ changing recoverability.
 
 All arithmetic on `CodeSpec.column_table` lives here: `combine` weighs its
 columns into one functional, `unit` is e_i and `apply` evaluates a
-functional on data packed by `pack`.  `encode`, `sim` and `verify` use them.
+functional on data packed by `pack`, which comes from `field`, the one packer
+of that layout.  `encode`, `sim` and `verify` use them.
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .field import Echelon, PrimeField
+from .field import Echelon, PrimeField, pack
 
 CODE_FORMAT = "bacforge-code-v1"
 
@@ -115,16 +116,6 @@ def data_vector(code: CodeSpec, x: Sequence[int]) -> tuple:
         raise ValueError(f"data length {len(x)} != n = {code.n}")
     p = code.field.p
     return tuple([operator.index(v) % p for v in x])
-
-
-# a reduced GF(2) vector's bytes, 0 and 1, as the digits of a base-2 literal
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def pack(p: int, vector: Sequence[int]):
-    """A reduced vector as `apply` reads data: over GF(2) an int, bit d =
-    entry d, packed in one C-level pass, otherwise the tuple itself."""
-    return int(b"0" + bytes(vector)[::-1].translate(_BITS), 2) if p == 2 else vector
 
 
 def combine(p: int, pairs) -> object:

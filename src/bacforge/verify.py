@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, unit_vector
+from .field import Echelon, pack, unit_vector
 from .model import CodeSpec, combine, unit
 
 
@@ -178,9 +178,10 @@ class SpanEngine:
         self.n = code.n
         self.sizes = code.bucket_sizes
         self.linear = model is ResponseModel.LINEAR
-        # the certificates read the column table, `Echelon.extend` the same ints over GF(2)
+        # the certificates read the column table; `Echelon` reads the columns
+        # and unit targets packed once (`field.pack`), so it never repacks them
         self.table = code.column_table
-        self.columns = self.table if field.p == 2 else code.buckets
+        self.columns = tuple(tuple([pack(field.p, col) for col in b]) for b in code.buckets)
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
         self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
         self._parts: dict = {}  # mask * n + i0 -> part
@@ -234,7 +235,7 @@ class SpanEngine:
             reach = next((ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None)
             if reach is not None:
                 columns = [col for ell0 in bucket_indices(mask) for col in self.table[ell0]]
-                coeffs = reach.solve(unit_vector(i0, self.n))
+                coeffs = reach.solve(pack(self.field.p, unit_vector(i0, self.n)))
                 if coeffs is None or combine(self.field.p, zip(coeffs, columns)) != unit(self.field.p, i0):
                     raise AssertionError(f"internal: solve failed certification for {(mask, i0)}")
             self._reaches[key] = reach
@@ -325,7 +326,7 @@ class SpanEngine:
         reach = self._reach(mask, i0)
         if reach is None:
             return None
-        coeffs = reach.solve(unit_vector(i0, self.n))
+        coeffs = reach.solve(pack(self.field.p, unit_vector(i0, self.n)))
         buckets = [ell0 + 1 for ell0 in bucket_indices(mask)]
         # zip stops at the prefix's columns, the first of the owners
         owners = [(ell, s) for ell in buckets for s in range(self.sizes[ell - 1])]
@@ -341,7 +342,7 @@ class SpanEngine:
         its parent's chosen columns and later buckets cuts it, so the first
         solution is the full DFS's."""
         order = bucket_indices(mask)
-        columns, unit = self.columns, unit_vector(i0, self.n)
+        columns, unit = self.columns, pack(self.field.p, unit_vector(i0, self.n))
         suffix = [self._bases[0]]  # reversed below: suffix[idx] spans order[idx:]
         for ell0 in reversed(order):
             rest = mask >> ell0 << ell0
@@ -856,13 +857,14 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    grow, m = engine_for(code, ResponseModel.LINEAR)._with_bucket, code.m
+    grow, m, n = engine_for(code, ResponseModel.LINEAR)._with_bucket, code.m, code.n
     # a DFS in combinations order, one `Echelon` per depth, that stops at the
     # first subset of rank < n: whether each subset of `ech`'s buckets and
-    # `need` more from bucket `start` on has rank n
+    # `need` more from bucket `start` on has rank n.  It refers to itself, so
+    # it holds n, not the code, which the cycle would keep until a collection
     def spanning(start: int, need: int, ech: Echelon) -> bool:
         if not need:
-            return ech.rank == code.n
+            return ech.rank == n
         return all(spanning(ell0 + 1, need - 1, grow(ech, ell0)) for ell0 in range(start, m - need + 1))
 
-    return spanning(0, m - k + 1, Echelon(code.field, code.n))
+    return spanning(0, m - k + 1, Echelon(code.field, n))

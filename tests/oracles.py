@@ -1,7 +1,8 @@
 """Brute-force oracles, independent of the library's elimination and search
 paths: span membership by enumerating every vector of the span, recovery-plan
 existence by enumerating every labeled partition.  Only usable at toy sizes.
-Eight references are the exception: `reference_span_solve`, a plain
+Nine references are the exception: `reference_pack`, the bit loop
+`field.pack` must agree with, `reference_span_solve`, a plain
 augmented elimination that pins the exact coefficients `Echelon.solve`
 must return, `reference_find_plan`, the earlier search over every subset that pins
 the exact plans `find_plan` must return, `reference_linear_part`, the solve
@@ -226,6 +227,16 @@ def reference_projection_part(code, mask: int, i0: int):
     used = [((ell0 + 1, s), c) for (ell0, s), c in zip(choice, coeffs) if c]
     combo = dict.fromkeys((ell0 + 1 for ell0 in order), 1) | {ell: c for (ell, _), c in used}
     return make_part(code.bucket_sizes, combo, [(pick, 1) for pick, _ in used])
+
+
+def reference_pack(vector) -> int:
+    """A GF(2) vector packed into an int, bit i = entry i mod 2, one bit at
+    a time: the earlier packer `field.pack` must agree with."""
+    mask = 0
+    for i, v in enumerate(vector):
+        if v & 1:
+            mask |= 1 << i
+    return mask
 
 
 def reference_span_solve(target, generators, field):

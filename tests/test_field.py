@@ -10,9 +10,9 @@ from bacforge.field import (
     Echelon,
     PrimeField,
     is_prime,
+    pack,
     rank,
     unit_vector,
-    vector_to_mask,
 )
 from oracles import naive_in_span, naive_rank, reference_span_solve
 
@@ -205,7 +205,39 @@ def test_residue_decides_membership_and_joint_spans(p, data):
     joint = naive_in_span(u, gens + [v], p) and naive_in_span(v, gens + [u], p)
     assert (ech.residue(u) == ech.residue(v)) == joint
     if p == 2:
-        assert ech.residue(vector_to_mask(u)) == ech.residue(u)
+        assert ech.residue(pack(2, u)) == ech.residue(u)
+        assert ech.solve(pack(2, u)) == ech.solve(u)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_malformed_vectors_are_refused(p):
+    """Every `Echelon` method that takes a vector reads it through `_packed`:
+    a dense vector of the wrong length, or a packed int that is negative or
+    has a bit at or above the length, raises ValueError rather than being
+    reduced as if it were in the span (packed ints are GF(2) only)."""
+    ech = Echelon(PrimeField(p), 2)
+    ech.add((1, 0))
+    for bad in ((0, 0, 1), (2,), 0b100, 1 << 70, -1):
+        for method in (ech.residue, ech.solve, ech.add):
+            with pytest.raises(ValueError):
+                method(bad)
+    assert (ech.rank, ech.inserted) == (1, 1)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dense_gf2_entries_are_read_mod_2(n, data):
+    """Over GF(2) a dense entry is read mod 2: entries 2, 3 and -1 give the
+    rows, residues and solves of their residues 0, 1 and 1."""
+    vector = st.lists(st.sampled_from([-1, 0, 1, 2, 3]), min_size=n, max_size=n)
+    vectors, target = data.draw(st.lists(vector, max_size=6)), data.draw(vector)
+    raw, reduced = Echelon(GF2, n), Echelon(GF2, n)
+    raw.extend(vectors)
+    reduced.extend([[v % 2 for v in vec] for vec in vectors])
+    assert (raw.rows, raw.independent) == (reduced.rows, reduced.independent)
+    reduced_target = [v % 2 for v in target]
+    assert raw.residue(target) == reduced.residue(reduced_target)
+    assert raw.solve(target) == reduced.solve(reduced_target)
 
 
 @given(st.integers(1, 8), st.data())
@@ -214,7 +246,7 @@ def test_packed_add_matches_vector_add(n, data):
     vectors = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=8))
     by_vector, packed = Echelon(GF2, n), Echelon(GF2, n)
     for vec in vectors:
-        assert by_vector.add(vec) == packed.add(vector_to_mask(vec))
+        assert by_vector.add(vec) == packed.add(pack(2, vec))
     assert (by_vector.rows, by_vector.pivmask, by_vector.independent, by_vector.inserted) == (
         packed.rows,
         packed.pivmask,
@@ -240,7 +272,7 @@ def test_extend_matches_one_add_at_a_time(p, n, data):
         one_pass.add(vec)
         one_by_one.add(vec)
     packed = p == 2 and data.draw(st.booleans())
-    added = one_pass.extend([vector_to_mask(vec) for vec in batch] if packed else batch)
+    added = one_pass.extend([pack(2, vec) for vec in batch] if packed else batch)
     assert added == sum(one_by_one.add(vec) for vec in batch)
     assert (one_pass.rows, one_pass.pivmask, one_pass.independent, one_pass.inserted) == (
         one_by_one.rows,

@@ -15,11 +15,11 @@ from bacforge import (
     encode,
     total_length,
 )
-from bacforge.field import PrimeField, vector_to_mask
+from bacforge.field import PrimeField, pack as field_pack
 from bacforge.model import apply, combine, pack, unit
 from bacforge.verify import ResponseModel, engine_for
 from conftest import col
-from oracles import dot, naive_recovers, reference_encode, reference_weighted_sum
+from oracles import dot, naive_recovers, reference_encode, reference_pack, reference_weighted_sum
 
 
 def test_code_spec_normalizes_and_validates():
@@ -81,7 +81,7 @@ def test_encode_matches_dense_reference(case):
 def _table_form(p: int, vector) -> object:
     """A dense reduced vector in `column_table` form, built here without
     the library's packer."""
-    return vector_to_mask(vector) if p == 2 else tuple((d, v) for d, v in enumerate(vector) if v)
+    return reference_pack(vector) if p == 2 else tuple((d, v) for d, v in enumerate(vector) if v)
 
 
 @st.composite
@@ -115,15 +115,16 @@ def test_column_arithmetic_matches_the_dense_references(case):
 
 
 @pytest.mark.parametrize("length", [1, 63, 64, 65, 301])
-def test_pack_matches_vector_to_mask(length):
-    """The C-level packer equals the bit loop of `field.vector_to_mask` on
-    reduced GF(2) vectors around the 64-bit word boundary, and leaves an
-    F_p vector as it is."""
+def test_pack_matches_the_reference_packer(length):
+    """The C-level packer `field.pack`, the one `model` imports, equals the
+    bit loop `reference_pack` on reduced GF(2) vectors around the 64-bit
+    word boundary, and leaves an F_p vector as it is."""
+    assert pack is field_pack
     rng = random.Random(length)
     for vector in ((0,) * length, (1,) * length, tuple(rng.randrange(2) for _ in range(length))):
-        assert pack(2, vector) == vector_to_mask(vector)
+        assert field_pack(2, vector) == reference_pack(vector)
     vector = tuple(rng.randrange(3) for _ in range(length))
-    assert pack(3, vector) is vector
+    assert field_pack(3, vector) is vector
 
 
 def test_encode_dimension_mismatch(c2_code):
