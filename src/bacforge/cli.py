@@ -201,10 +201,11 @@ def _cmd_verify(args) -> int:
     else:
         report = verify_bac(code, args.k, model)
     print(json.dumps(report.to_json_dict()))
+    reflection = "" if report.reflection is None else f" and reflection {report.reflection}"
     _eprint(
         f"{report.kind} k={args.k} mode={model.value}: {report.status} "
         f"({report.checked} requests, {report.representatives} orbit representatives "
-        f"under shift {report.shift}, {report.elapsed_s:.2f}s)"
+        f"under shift {report.shift}{reflection}, {report.elapsed_s:.2f}s)"
     )
     return 0 if report.passed else 1
 

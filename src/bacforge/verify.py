@@ -44,8 +44,8 @@ request shares the search of the prefix it has in common with the request
 before it, and read each part's certificate (`SpanEngine.recovers`), which
 is exact for the plans `find_plan` would return (see `_failures`).  Orbits
 enter there: a sweep searches only the least request of each orbit under
-the code's symbol shift (`symbol_shift`), and a failing one stands for its
-orbit (`_sweep`).
+the group of the code's symbol shift (`symbol_shift`) and reflection
+(`symbol_reflection`), and a failing one stands for its orbit (`_sweep`).
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def all_batch_requests(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-def pir_requests(n: int, k: int):
-    """The n identical-index requests <i, ..., i>."""
-    return ((i,) * k for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class RecoveryPlan:
     """A verifiable certificate for one served batch request.
@@ -127,6 +122,7 @@ class VerificationReport:
     failures: tuple  # of (request, reason)
     elapsed_s: float
     shift: int  # the symbol shift d of the code (n: none)
+    reflection: Optional[int]  # the code's symbol reflection b (None: none)
     representatives: int  # the orbit representatives decided
 
     @property
@@ -166,10 +162,11 @@ class SpanEngine:
     `part` checks the part it solved; one that fails is an internal error.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
     draws its parts from; `_grow` makes each level from the one below, whose
-    bases it holds, and only the subsets whose one-smaller subsets all miss
-    an open symbol.  The engine holds the code's field, n, buckets and column
-    table but not the code, and lives in the code's own cache, one per regime
-    (see `engine_for`), so it is freed together with the code.  It grows its
+    bases it holds, and only the subsets whose one-smaller subsets together
+    miss an open symbol.  The engine holds the code's field, n, buckets and
+    column table but not the code, and lives in the code's own cache, one
+    per regime (see `engine_for`), so it is freed together with the code,
+    as nothing it hands the search refers back to it.  It grows its
     minimal-set levels in place, so it is for one thread at a time.
     """
 
@@ -271,8 +268,10 @@ class SpanEngine:
         for the symbols it serves that none of its (size-1)-subsets serves,
         and `part` is asked only about those.  A subset is its parent (its
         lowest size-1 buckets) plus a bucket inserted into the parent's
-        basis, made only if each (size-1)-subset misses an open symbol: else
-        it serves them all, as its supersets do.  Parents, and so children,
+        basis, made only if its (size-1)-subsets, each held as missing an
+        open symbol, together miss one: else each open symbol is served by
+        one of them, so the subset is minimal for none and serves them all,
+        as its supersets do.  Parents, and so children,
         come in combinations order; a parent's basis goes once its children
         are made: one level of bases is held, none once no symbol is open."""
         linear, open_, below, bases = self.linear, self._open, self._served, self._level_bases
@@ -288,6 +287,8 @@ class SpanEngine:
                         break
                     seen |= sub
                 else:
+                    if not open_ & ~seen:  # minimal for no symbol, and serves every open one
+                        continue
                     grown = self._with_bucket(ech, ell0)
                     served = grown.spanned_units() & open_
                     for i0 in bucket_indices(served & ~seen):
@@ -351,32 +352,39 @@ class SpanEngine:
                 span = self._suffixes[rest] = self._with_bucket(suffix[-1], ell0)
             suffix.append(span)
         suffix.reverse()
-
-        def dfs(idx: int, ech: Echelon, chosen: tuple):
-            if ech.contains_unit(i0):
-                return chosen, ech.solve(unit)
-            # a child can succeed iff `joint` and its new column (if any) span e_i0
-            joint = suffix[idx + 1].copy()
-            joint.extend([columns[ell0][s] for ell0, s in chosen])
-            target = joint.residue(unit)
-            if not target and (res := dfs(idx + 1, ech, chosen)) is not None:
-                return res
-            ell0 = order[idx]
-            for s, col in enumerate(columns[ell0]):
-                if target and joint.residue(col) != target:
-                    continue
-                ech2 = ech.copy()
-                if ech2.add(col) and (res := dfs(idx + 1, ech2, chosen + ((ell0, s),))) is not None:
-                    return res
-            return None
-
-        found = suffix[0].contains_unit(i0) and dfs(0, Echelon(self.field, self.n), ())
+        root = Echelon(self.field, self.n)
+        found = suffix[0].contains_unit(i0) and _projection_dfs(order, columns, suffix, i0, unit, 0, root, ())
         if not found:
             return None
         choice, coeffs = found
         used = [((ell0 + 1, s), c) for (ell0, s), c in zip(choice, coeffs) if c]
         combo = dict.fromkeys((ell0 + 1 for ell0 in order), 1) | {ell: c for (ell, _), c in used}
         return make_part(self.sizes, combo, [(pick, 1) for pick, _ in used])
+
+
+def _projection_dfs(order, columns, suffix, i0: int, unit, idx: int, ech: Echelon, chosen: tuple):
+    """`SpanEngine._solve_projection`'s DFS below the node at bucket
+    order[idx] with the chosen (bucket0, position) columns, whose basis is
+    `ech`: the first (chosen columns, solve) that spans e_i0, or None.  A
+    module function, as a closure that calls itself would be a cycle."""
+    if ech.contains_unit(i0):
+        return chosen, ech.solve(unit)
+    # a child can succeed iff `joint` and its new column (if any) span e_i0
+    joint = suffix[idx + 1].copy()
+    joint.extend([columns[ell0][s] for ell0, s in chosen])
+    target = joint.residue(unit)
+    if not target and (res := _projection_dfs(order, columns, suffix, i0, unit, idx + 1, ech, chosen)) is not None:
+        return res
+    ell0 = order[idx]
+    for s, col in enumerate(columns[ell0]):
+        if target and joint.residue(col) != target:
+            continue
+        ech2 = ech.copy()
+        if ech2.add(col) and (
+            res := _projection_dfs(order, columns, suffix, i0, unit, idx + 1, ech2, chosen + ((ell0, s),))
+        ) is not None:
+            return res
+    return None
 
 
 def engine_for(code: CodeSpec, model: ResponseModel) -> SpanEngine:
@@ -649,7 +657,9 @@ class _Frontier:
             self.found = None
             for d in range(shared + 1, k):
                 level = _Level([])
-                level.grow = self._children(levels[d - 1], level, req[d - 1] - 1, k - d)
+                level.grow = _children(
+                    self.engine, levels[d - 1], level.leftovers, level.parents, level.seen, req[d - 1] - 1, k - d
+                )
                 levels.append(level)
         self.req = req
         last, i0, recovers = levels[-1], req[-1] - 1, self.engine.recovers
@@ -670,29 +680,39 @@ class _Frontier:
             j += 1
         return None
 
-    def _children(self, above: _Level, level: _Level, i0: int, later: int):
-        """Make `level`'s leftovers from `above`'s, one per step: each
-        leftover that spans e_i0 gives up, in the search's order, each
-        minimal set for symbol i0 that leaves at least one bucket for each
-        of the `later` requests after this one."""
-        engine, recovers = self.engine, self.engine.recovers
-        leftovers, parents, seen = level.leftovers, level.parents, level.seen
-        free, j = above.leftovers, 0
-        while j < len(free) or above.more():
-            left = free[j]
-            if engine._reach(left, i0) is not None:
-                for size in range(1, left.bit_count() - later + 1):
-                    for mask in engine.minimal_sets(i0, size):
-                        if mask & left == mask and (child := left ^ mask) not in seen:
-                            if not recovers(mask, i0):
-                                raise AssertionError(
-                                    f"internal: frontier part failed certification for {(mask, i0)}"
-                                )
-                            seen.add(child)
-                            leftovers.append(child)
-                            parents.append(j)
-                            yield True
-            j += 1
+
+def _children(
+    engine: SpanEngine, above: _Level, leftovers: list, parents: array, seen: set, i0: int, later: int
+):
+    """Make a level's leftovers, parents and seen set from the level
+    `above`, one leftover per step: each leftover above that spans e_i0
+    gives up, in the search's order, each minimal set for symbol i0 that
+    leaves at least one bucket for each of the `later` requests after this
+    one.  It is handed the level's parts, not the level or its frontier,
+    which hold this generator: so no cycle keeps the engine alive."""
+    recovers, free, j = engine.recovers, above.leftovers, 0
+    while j < len(free) or above.more():
+        left = free[j]
+        if engine._reach(left, i0) is not None:
+            for size in range(1, left.bit_count() - later + 1):
+                for mask in engine.minimal_sets(i0, size):
+                    if mask & left == mask and (child := left ^ mask) not in seen:
+                        if not recovers(mask, i0):
+                            raise AssertionError(f"internal: frontier part failed certification for {(mask, i0)}")
+                        seen.add(child)
+                        leftovers.append(child)
+                        parents.append(j)
+                        yield True
+        j += 1
+
+
+def _shape(code: CodeSpec, s: int, reflect: bool = False) -> list:
+    """The code's multiset of buckets, each a multiset of columns, with every
+    column's coordinates reversed if `reflect`, then rotated by s
+    (coordinate i to i + s mod n), as sorted lists."""
+    return sorted(
+        sorted((c := col[::-1] if reflect else col)[-s:] + c[:-s] for col in bucket) for bucket in code.buckets
+    )
 
 
 def symbol_shift(code: CodeSpec) -> int:
@@ -701,29 +721,47 @@ def symbol_shift(code: CodeSpec) -> int:
     of buckets, each a multiset of columns, onto itself; n, the identity, if
     there is none.  The shifts that map the code onto itself form a subgroup
     of Z_n, generated by its smallest member, which divides n."""
-    n = code.n
-
-    def shape(d):
-        return sorted(sorted(col[-d:] + col[:-d] for col in bucket) for bucket in code.buckets)
-
-    own = shape(0)
-    return next((d for d in range(1, n) if n % d == 0 and shape(d) == own), n)
+    n, own = code.n, _shape(code, 0)
+    return next((d for d in range(1, n) if n % d == 0 and _shape(code, d) == own), n)
 
 
-def orbit_representatives(n: int, k: int, d: int):
+def symbol_reflection(code: CodeSpec, d: int) -> Optional[int]:
+    """The least b < d such that the reflection i0 -> b - i0 (mod n) of
+    every column's 0-based coordinates maps the code onto itself, as
+    `symbol_shift` checks; None if there is none.  With the shifts by d (the
+    code's `symbol_shift`) the reflections that do are those by b + s for s
+    in dZ_n, so b < d is enough.  A b is tried first on the buckets'
+    supports (bit i0 set if a column of the bucket has coordinate i0 nonzero):
+    the reflection must map that multiset of bitmasks onto itself."""
+    n, full, own = code.n, (1 << code.n) - 1, _shape(code, 0)
+    supports = [bytes(map(any, zip(*bucket))) for bucket in code.buckets]
+    held, mirrored = sorted(pack(2, s) for s in supports), [pack(2, s[::-1]) for s in supports]
+    for b in range(d):  # reversing is i0 -> n - 1 - i0; rotating by b + 1 then gives b - i0
+        rotated = sorted((x << b + 1 | x >> n - b - 1) & full for x in mirrored)
+        if rotated == held and _shape(code, b + 1, True) == own:
+            return b
+    return None
+
+
+def orbit_representatives(n: int, k: int, d: int, b: Optional[int] = None):
     """The least member of each orbit of the k-multisets over [1, n] under
-    the symbol shift i -> i + d (mod n), d dividing n, in lexicographic
-    order.  A least member's smallest symbol a is at most d, and none of its
-    symbols is congruent mod d to a symbol below a, or a shift would carry it
-    there; only those candidates are generated.  A candidate is least when
-    no shift carrying one of its symbols x congruent to a onto a makes it
-    smaller: that shift maps its symbols from x on to the front.  The image
-    starts with as many a's as the candidate has x's, then a larger symbol,
-    so it is smaller if x occurs more often than a and larger if less often;
-    with equal counts the next symbols decide, and the whole image is built
-    only if they tie."""
+    the symbol shift i -> i + d (mod n), d dividing n, and, if b is given,
+    the reflection i0 -> b - i0 (mod n) of the 0-based symbols, in
+    lexicographic order.  With b the group also holds the reflections by
+    b + s for s in dZ_n, so the least image of a 0-based symbol x0 = x - 1
+    is then (b - x0) mod d.  A least member's smallest symbol a is at most d,
+    and none of its symbols x is carried below a: x0 mod d >= a0 = a - 1
+    and, with b, (b - x0) mod d >= a0; only those candidates are generated.  A candidate is least when no shift and
+    no reflection carrying one of its symbols x onto a makes it smaller
+    (a reflection may carry a onto itself).  The image starts with as many
+    a's as the candidate has x's, then a larger symbol, so it is smaller if
+    x occurs more often than a and larger if less often; with equal counts
+    the next symbols decide, and the whole image is built only if they tie.
+    With b = None the sequence is the shift-only one."""
     for a in range(1, d + 1):
-        symbols = [x for x in range(a, n + 1) if (x - 1) % d >= a - 1]
+        symbols = [x for x in range(a, n + 1) if (x - 1) % d >= a - 1 and (b is None or (b - x + 1) % d >= a - 1)]
+        if symbols[:1] != [a]:  # a reflection carries a below itself
+            continue
         for rest in itertools.combinations_with_replacement(symbols, k - 1):
             req = (a, *rest)
             c = req.count(a)
@@ -743,28 +781,54 @@ def orbit_representatives(n: int, k: int, d: int):
                     ):
                         break
             else:
-                yield req
+                # the reflections, tried only on the shifts' survivors; x = a
+                # is one unless the request is all a's (x == req[-1])
+                for j in range(k) if b is not None else ():
+                    x = req[j]
+                    if x != req[j - 1] and (b - x + 1) % d == a - 1:
+                        count = req.count(x)
+                        if count > c:
+                            break
+                        if count < c:
+                            continue
+                        # the image y -> a + x - y: the symbols up to x reversed, then the rest
+                        t, after = j + c, a + x - req[j - 1] + (0 if j else n)
+                        if after < req[c] or (
+                            after == req[c]
+                            and tuple(a + x - y for y in reversed(req[:t]))
+                            + tuple(a + x - y + n for y in reversed(req[t:]))
+                            < req
+                        ):
+                            break
+                else:
+                    yield req
 
 
-def orbit(req: tuple, n: int, d: int) -> set:
-    """Every distinct image of a sorted request under the shifts by d."""
-    return {tuple(sorted((i + s - 1) % n + 1 for i in req)) for s in range(0, n, d)}
+def orbit(req: tuple, n: int, d: int, b: Optional[int] = None) -> set:
+    """Every distinct image of a sorted request under the shifts by d and,
+    if b is given, the reflections i0 -> b + s - i0 (mod n), s in dZ_n."""
+    images = {tuple(sorted((i + s - 1) % n + 1 for i in req)) for s in range(0, n, d)}
+    if b is not None:
+        images |= {tuple(sorted((b + s - i + 1) % n + 1 for i in req)) for s in range(0, n, d)}
+    return images
 
 
 def _sweep(code, k, model, kind) -> VerificationReport:
-    """Decide every request of the sweep, one request per orbit of the code's
-    symbol shift (`symbol_shift`), in this process.  The representatives
+    """Decide every request of the sweep, one request per orbit of the group
+    the code's symbol shift (`symbol_shift`) and reflection
+    (`symbol_reflection`) generate, in this process.  The representatives
     are streamed, so no list of them is built.
 
-    A coordinate permutation sigma that maps the code onto itself, with
-    bucket permutation pi (bucket ell's columns rotated are bucket pi(ell)'s),
-    maps a certified plan for R onto one for sigma(R): part j moves to the
-    buckets pi(part j), each bucket's response and combo coefficient move
-    with it, and the identity of request i, rotated, is that of sigma(i);
-    unit responses stay unit.  sigma^-1 maps plans back, so R is served iff
-    sigma(R) is.  Only the least member of each orbit
-    (`orbit_representatives`; the PIR requests (i,)*k for i <= d) is
-    searched, and each failing one stands for its whole orbit."""
+    A coordinate permutation sigma that maps the code onto itself, a shift
+    or a reflection alike, with bucket permutation pi (bucket ell's columns
+    permuted are bucket pi(ell)'s), maps a certified plan for R onto one for
+    sigma(R): part j moves to the buckets pi(part j), each bucket's response
+    and combo coefficient move with it, and the identity of request i,
+    permuted, is that of sigma(i); unit responses stay unit.  sigma^-1 maps
+    plans back, so R is served iff sigma(R) is.  Only the least member of
+    each orbit (`orbit_representatives`; for PIR the requests (a,)*k of its
+    k = 1 members (a,)) is searched, and each failing one stands for its
+    whole orbit."""
     model = ResponseModel.parse(model)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -778,15 +842,16 @@ def _sweep(code, k, model, kind) -> VerificationReport:
             )
     start = time.monotonic()
     n, shift = code.n, symbol_shift(code)
+    reflection = symbol_reflection(code, shift)
     if kind == "bac":
-        checked, reps = math.comb(n + k - 1, k), orbit_representatives(n, k, shift)
+        checked, reps = math.comb(n + k - 1, k), orbit_representatives(n, k, shift, reflection)
     else:
-        checked, reps = n, pir_requests(shift, k)
+        checked, reps = n, ((a,) * k for (a,) in orbit_representatives(n, 1, shift, reflection))
     # zip stops at the end of reps before it advances the tally
     tally = itertools.count()
     reps = (rep for rep, _ in zip(reps, tally))
     failures = sorted(
-        (req, reason) for rep, reason in _failures(code, model, reps) for req in orbit(rep, n, shift)
+        (req, reason) for rep, reason in _failures(code, model, reps) for req in orbit(rep, n, shift, reflection)
     )
     return VerificationReport(
         kind=kind,
@@ -796,6 +861,7 @@ def _sweep(code, k, model, kind) -> VerificationReport:
         failures=tuple(failures),
         elapsed_s=time.monotonic() - start,
         shift=shift,
+        reflection=reflection,
         representatives=next(tally),
     )
 
@@ -857,14 +923,18 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
-    grow, m, n = engine_for(code, ResponseModel.LINEAR)._with_bucket, code.m, code.n
-    # a DFS in combinations order, one `Echelon` per depth, that stops at the
-    # first subset of rank < n: whether each subset of `ech`'s buckets and
-    # `need` more from bucket `start` on has rank n.  It refers to itself, so
-    # it holds n, not the code, which the cycle would keep until a collection
-    def spanning(start: int, need: int, ech: Echelon) -> bool:
-        if not need:
-            return ech.rank == n
-        return all(spanning(ell0 + 1, need - 1, grow(ech, ell0)) for ell0 in range(start, m - need + 1))
+    engine = engine_for(code, ResponseModel.LINEAR)
+    return _spanning(engine, code.m, 0, code.m - k + 1, Echelon(code.field, code.n))
 
-    return spanning(0, m - k + 1, Echelon(code.field, n))
+
+def _spanning(engine: SpanEngine, m: int, start: int, need: int, ech: Echelon) -> bool:
+    """`check_subset_spanning`'s DFS in combinations order, one `Echelon`
+    per depth, that stops at the first subset of rank < n: whether each
+    subset of `ech`'s buckets and `need` more from bucket `start` on has
+    rank n.  A module function, as a closure that calls itself would be a
+    cycle that keeps the engine until a collection."""
+    if not need:
+        return ech.rank == ech.length
+    return all(
+        _spanning(engine, m, ell0 + 1, need - 1, engine._with_bucket(ech, ell0)) for ell0 in range(start, m - need + 1)
+    )

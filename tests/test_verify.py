@@ -484,6 +484,36 @@ def test_code_is_freed_after_use(t4_vector):
             gc.enable()
 
 
+@pytest.mark.parametrize(
+    "use, model",
+    [(use, model) for use in ("find_plan", "verify_bac", "serve_batch") for model in (LIN, PROJ)]
+    + [("check_subset_spanning", LIN)],
+)
+def test_engine_is_freed_with_its_code(use, model):
+    """No reference cycle holds a span engine: with the cyclic collector off
+    it goes when its code goes, after each entry that searches with it."""
+    calls = {
+        "find_plan": lambda code: find_plan(code, (1, 1, 2, 3), model),
+        "verify_bac": lambda code: verify_bac(code, 4, model),
+        "serve_batch": lambda code: serve_batch(code, (1, 0, 1, 1), (1, 2, 3, 4), model=model),
+        "check_subset_spanning": lambda code: check_subset_spanning(code, 4),
+    }
+
+    def used_engine():
+        code = cyclic_shift_code(4, 4, 5)
+        assert calls[use](code)
+        return weakref.ref(code.cache["span-engines"][model]), weakref.ref(code)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine, code = used_engine()
+        assert code() is None and engine() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @st.composite
 def small_code(draw):
     """Codes with 4..7 buckets of 0..2 columns over F_2, F_3 or F_5, n <= 4."""
@@ -631,8 +661,9 @@ def test_subset_spanning_matches_the_brute_force_span(code, data):
 )
 def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(name, model, t4_code):
     """Level s makes one basis (`_with_bucket`) per s-subset whose every
-    (s-1)-subset misses a symbol that some (s-1)-subset misses, and no other;
-    once every symbol is closed no basis is held.  The brute force takes
+    (s-1)-subset is recorded (misses a symbol that some (s-1)-subset misses)
+    and whose (s-1)-subsets together miss such a symbol, and no other; once
+    every symbol is closed no basis is held.  The brute force takes
     every subset's spanned symbols from its own `Echelon` and, in the
     projection regime, its served ones from another engine's parts."""
     code = random_bac(7, 2, 1.0, 1.0, 11).code if name == "affine-7" else t4_code
@@ -656,9 +687,13 @@ def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(na
     for size in range(1, m + 1):
         open_ = functools.reduce(operator.or_, (everything & ~served for served, _ in below.values()))
         level = [sum(1 << ell0 for ell0 in s) for s in itertools.combinations(range(m), size)]
-        expected.append(
-            sum(all(below[mask ^ 1 << ell0][0] & open_ != open_ for ell0 in bucket_indices(mask)) for mask in level)
-        )
+
+        def made_at_level(mask):
+            served = [below[mask ^ 1 << ell0][0] for ell0 in bucket_indices(mask)]
+            together = functools.reduce(operator.or_, served)
+            return all(s & open_ != open_ for s in served) and together & open_ != open_
+
+        expected.append(sum(map(made_at_level, level)))
         if not open_:
             break
         grown = {}
