@@ -165,21 +165,22 @@ def _augmenting_match(left_count: int, neighbors) -> dict:
     """Perfect matching of [0, left_count) into bucket vertices via augmenting
     paths; neighbors[u] is an ascending list of candidate buckets."""
     owner: dict = {}
-
-    def assign(u: int, seen: set) -> bool:
-        for b in neighbors[u]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in owner or assign(owner[b], seen):
-                owner[b] = u
-                return True
-        return False
-
     for u in range(left_count):
-        if not assign(u, set()):
+        if not _assign(u, neighbors, owner, set()):
             raise ValueError(f"no complete matching for request position {u}")
     return {u: b for b, u in owner.items()}
+
+
+def _assign(u: int, neighbors, owner: dict, seen: set) -> bool:
+    """`_augmenting_match`'s augmenting path from u; a closure calling itself would be a cycle."""
+    for b in neighbors[u]:
+        if b in seen:
+            continue
+        seen.add(b)
+        if b not in owner or _assign(owner[b], neighbors, owner, seen):
+            owner[b] = u
+            return True
+    return False
 
 
 def _cyclic_tables(params: CyclicParams, code: CodeSpec) -> tuple:

@@ -3,17 +3,19 @@
 
 Vectors are plain tuples of residues in [0, p).  Everything is exact integer
 arithmetic; there is no floating point anywhere in this module.  `Echelon` is
-the one elimination core: membership, rank and linear solves all go through
-it.  It keeps its rows in one store and one layout for every field, a dict
-from pivot bit to row, each row the vector followed by its combination of the
-inserted vectors; the rows are fully reduced (each is zero at every other
-pivot), so they apply in any order.  For p = 2 a row is packed into one Python
-int (bit i = coordinate i, the combination in the bits above), which is what
-makes the exhaustive verifiers fast enough in pure Python; otherwise it is a
-list of residues.  Correctness is defined by the generic path; the packed
-path is an equivalent specialization.  `pack` is the one packer of that
-layout, and every `Echelon` method reads its vector through `_packed`: dense,
-or over GF(2) packed once by the caller.
+the one solver: membership, rank and every linear solve go through it.  It
+keeps its rows in one store and one layout for every field, a dict from pivot
+bit to row, each row the vector followed by its combination of the inserted
+vectors; the rows are fully reduced (each is zero at every other pivot), so
+they apply in any order.  For p = 2 a row is packed into one Python int (bit
+i = coordinate i, the combination in the bits above), which is what makes the
+exhaustive verifiers fast enough in pure Python; otherwise it is a list of
+residues.  Correctness is defined by the generic path; the packed path is an
+equivalent specialization.  `pack` is the one packer of that layout, and
+every `Echelon` method reads its vector through `_packed`: dense, or over
+GF(2) packed once by the caller.  `annihilator` keeps a span's dual: a basis
+of its n - rank orthogonal vectors, each carrying its products with a fixed
+list of columns, so adding some of them is one elimination pass over it.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -167,23 +169,6 @@ class Echelon:
             return row & self.coords == 1 << i
         return not any(row[1][i + 1 : self.length])
 
-    def spanned_units(self) -> int:
-        """Bitmask of the coordinates i whose unit vector e_i lies in the span,
-        read from the rows in O(rank): the rows are fully reduced, so e_i is
-        in the span exactly when some row's vector part is e_i."""
-        out = 0
-        if self.field.p == 2:
-            coords = self.coords
-            for low, row in self.rows.items():
-                if row & coords == low:
-                    out |= low
-            return out
-        length = self.length
-        for low, (piv, row) in self.rows.items():
-            if not any(row[piv + 1 : length]):
-                out |= low
-        return out
-
     def residue(self, vec):
         """`vec` reduced by the rows, scaled to lead with 1 (a packed int over
         GF(2), where `vec` may be packed): falsy iff `vec` is in the span, and
@@ -322,6 +307,42 @@ class Echelon:
         rows.update(new)
         self.pivmask |= new_pivots
         return len(new)
+
+
+def annihilator(p: int, length: int, basis: Iterable, coords: range) -> list:
+    """The product row of w in F_p^n is (w, w . c_0, w . c_1, ...): the
+    combination w of the rows of [I | C] for the columns c_t.  Given product
+    rows of `length` entries spanning those of V^⊥, returns a basis of those
+    zero at `coords`, the product rows of (V + span of the columns there)^⊥,
+    by one elimination pass on those coordinates (one outside the rows raises
+    ValueError).  Rows are packed ints over GF(2), sequences otherwise.  e_i is
+    in the span iff every row is zero at i, so an empty result is full rank."""
+    if not 0 <= coords.start <= coords.stop <= length:
+        raise ValueError(f"coordinates {coords} outside rows of length {length}")
+    out, pivots = [], {}  # pivots: coordinate (its bit over GF(2)) -> row, zero at the ones before it
+    if p == 2:
+        mask = (1 << coords.stop) - (1 << coords.start)
+        for row in basis:
+            while hits := row & mask:
+                low = hits & -hits
+                if low not in pivots:
+                    pivots[low] = row
+                    break
+                row ^= pivots[low]
+            else:
+                out.append(row)
+        return out
+    for row in basis:
+        for t in coords:
+            if c := row[t]:
+                if t not in pivots:
+                    pivots[t] = row
+                    break
+                c *= pow(pivots[t][t], p - 2, p)
+                row = [(a - c * b) % p for a, b in zip(row, pivots[t])]
+        else:
+            out.append(row)
+    return out
 
 
 def rank(vectors: Iterable[Sequence[int]], field: PrimeField) -> int:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .field import Echelon, pack, unit_vector
+from .field import Echelon, annihilator, pack, unit_vector
 from .model import CodeSpec, combine, unit
 
 
@@ -162,12 +162,12 @@ class SpanEngine:
     `part` checks the part it solved; one that fails is an internal error.
     `minimal_sets` lists, size by size, the minimal recovery sets the search
     draws its parts from; `_grow` makes each level from the one below, whose
-    bases it holds, and only the subsets whose one-smaller subsets together
-    miss an open symbol.  The engine holds the code's field, n, buckets and
-    column table but not the code, and lives in the code's own cache, one
-    per regime (see `engine_for`), so it is freed together with the code,
-    as nothing it hands the search refers back to it.  It grows its
-    minimal-set levels in place, so it is for one thread at a time.
+    span annihilators it holds, and only the subsets whose one-smaller
+    subsets together miss an open symbol.  The engine holds the code's
+    field, n, buckets and column table but not the code, and lives in the
+    code's own cache, one per regime (see `engine_for`), so it is freed with
+    the code, as nothing it hands the search refers back to it.  It grows
+    its minimal-set levels in place, so it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec, model: ResponseModel):
@@ -188,11 +188,16 @@ class SpanEngine:
         # minimal recovery sets: level s holds per symbol the minimal masks of
         # s buckets; `_open` has the symbols that may still have minimal sets
         # above the last level built, and `_served` and `_level_bases` map each
-        # subset there that misses one to its served symbols and basis (`_grow`)
+        # subset there that misses one to its served symbols and its span's
+        # annihilator, product rows (`field.annihilator`) combining `rows`, those
+        # of [I | C] for the columns C, with bucket ell0's products at `coords[ell0]`
         self._levels: list = [((),) * self.n]
         self._open = (1 << self.n) - 1
         self._served: dict = {0: 0}
-        self._level_bases: dict = {0: self._bases[0]}
+        columns = [unit_vector(i0, self.n) for i0 in range(self.n)] + [c for b in code.buckets for c in b]
+        self.rows, self.width = [pack(field.p, row) for row in zip(*columns)], len(columns)
+        self.coords = [range(a, a + s) for s, a in zip(self.sizes, itertools.accumulate(self.sizes, initial=self.n))]
+        self._level_bases: dict = {0: self.rows}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
         """A copy of `ech` with bucket ell0's columns inserted, in one pass."""
@@ -267,18 +272,18 @@ class SpanEngine:
         `part` finds an answer too; both are monotone, so a subset is minimal
         for the symbols it serves that none of its (size-1)-subsets serves,
         and `part` is asked only about those.  A subset is its parent (its
-        lowest size-1 buckets) plus a bucket inserted into the parent's
-        basis, made only if its (size-1)-subsets, each held as missing an
-        open symbol, together miss one: else each open symbol is served by
-        one of them, so the subset is minimal for none and serves them all,
-        as its supersets do.  Parents, and so children,
-        come in combinations order; a parent's basis goes once its children
-        are made: one level of bases is held, none once no symbol is open."""
-        linear, open_, below, bases = self.linear, self._open, self._served, self._level_bases
+        lowest size-1 buckets) plus a bucket, made only if its (size-1)-subsets,
+        each held as missing an open symbol, together miss one: else each open
+        symbol is served by one of them, so the subset is minimal for none and
+        serves them all, as its supersets do; its span's annihilator is the
+        parent's cut by the bucket's products (`field.annihilator`).  Parents
+        come in combinations order, and each one's annihilator goes once its
+        children are made: one level is held, none once no symbol is open."""
+        linear, open_, below, bases, p = self.linear, self._open, self._served, self._level_bases, self.field.p
         found: list = [[] for _ in range(self.n)]
         served_at, grown_bases, still_open = {}, {}, 0
         for parent, parent_served in below.items():
-            ech, lows = bases.pop(parent), [1 << ell0 for ell0 in bucket_indices(parent)]
+            ann, lows = bases.pop(parent), [1 << ell0 for ell0 in bucket_indices(parent)]
             for ell0 in range(parent.bit_length(), len(self.columns)):
                 mask, seen = parent | 1 << ell0, parent_served
                 for low in lows:
@@ -289,8 +294,10 @@ class SpanEngine:
                 else:
                     if not open_ & ~seen:  # minimal for no symbol, and serves every open one
                         continue
-                    grown = self._with_bucket(ech, ell0)
-                    served = grown.spanned_units() & open_
+                    grown = annihilator(p, self.width, ann, self.coords[ell0])
+                    # e_i is spanned iff every row of the annihilator is zero at i
+                    nonzero = functools.reduce(operator.or_, grown, 0) if p == 2 else pack(2, [*map(any, zip(*grown))])
+                    served = open_ & ~nonzero
                     for i0 in bucket_indices(served & ~seen):
                         if linear or self.part(mask, i0) is not None:
                             found[i0].append(mask)
@@ -924,17 +931,18 @@ def check_subset_spanning(code: CodeSpec, k: int) -> bool:
     if k > code.m:
         raise ValueError(f"k = {k} exceeds bucket count m = {code.m}")
     engine = engine_for(code, ResponseModel.LINEAR)
-    return _spanning(engine, code.m, 0, code.m - k + 1, Echelon(code.field, code.n))
+    return _spanning(engine, code.m, 0, code.m - k + 1, engine.rows)
 
 
-def _spanning(engine: SpanEngine, m: int, start: int, need: int, ech: Echelon) -> bool:
-    """`check_subset_spanning`'s DFS in combinations order, one `Echelon`
-    per depth, that stops at the first subset of rank < n: whether each
-    subset of `ech`'s buckets and `need` more from bucket `start` on has
-    rank n.  A module function, as a closure that calls itself would be a
-    cycle that keeps the engine until a collection."""
+def _spanning(engine: SpanEngine, m: int, start: int, need: int, ann: list) -> bool:
+    """`check_subset_spanning`'s DFS in combinations order, one annihilator
+    (`field.annihilator`) per depth, that stops at the first subset of rank
+    < n: whether each subset of `ann`'s buckets and `need` more from bucket
+    `start` on has rank n, an empty annihilator.  A module function, as a
+    closure that calls itself would be a cycle that keeps the engine."""
     if not need:
-        return ech.rank == ech.length
+        return not ann
     return all(
-        _spanning(engine, m, ell0 + 1, need - 1, engine._with_bucket(ech, ell0)) for ell0 in range(start, m - need + 1)
+        _spanning(engine, m, ell0 + 1, need - 1, annihilator(engine.field.p, engine.width, ann, engine.coords[ell0]))
+        for ell0 in range(start, m - need + 1)
     )

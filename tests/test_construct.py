@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -145,6 +146,30 @@ def test_cyclic_certified_plan_exhaustive(c2_code):
     for req in itertools.combinations_with_replacement(range(1, 5), 4):
         plan = cyclic_certified_plan(params, c2_code, req)
         assert certify_plan(c2_code, req, plan)
+
+
+def test_cyclic_certified_plan_leaves_no_garbage(c2_code):
+    """A planner call makes no reference cycle: with the cyclic collector
+    off and every unreachable object it finds saved (`gc.DEBUG_SAVEALL`),
+    a collection after the calls finds nothing.  The first call, which
+    builds the code's tables, runs before."""
+    params = cyclic_params(4, 4, 5)
+    cyclic_certified_plan(params, c2_code, (1, 1, 1, 1))
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[:]
+        for req in itertools.combinations_with_replacement(range(1, 5), 4):
+            assert cyclic_certified_plan(params, c2_code, req) is not None
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
 
 
 def test_cyclic_certified_plan_rejects_mismatched_code(c2_code):

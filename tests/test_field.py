@@ -9,6 +9,7 @@ from bacforge.field import (
     GF2,
     Echelon,
     PrimeField,
+    annihilator,
     is_prime,
     pack,
     rank,
@@ -178,17 +179,44 @@ def test_unit_vector():
 
 @given(small_field, st.integers(1, 6), st.data())
 @settings(max_examples=80, deadline=None)
-def test_spanned_units_matches_contains_unit(p, n, data):
+def test_annihilator_units_match_contains_unit_and_solve(p, n, data):
+    """Vectors inserted one at a time into the annihilator of product rows
+    (the rows of [I | C] for the vectors as columns, see `annihilator`) leave
+    n - rank rows, each w followed by its products with the vectors and
+    orthogonal to every inserted one, the same span as inserting them all
+    at once; e_i is spanned iff every row is zero at i, as
+    `Echelon.contains_unit` and `solve` say, and no row is left iff the
+    rank is n.  Coordinates outside the rows raise ValueError."""
     unit = st.integers(0, n - 1).map(lambda i: unit_vector(i, n))
     entry = st.integers(0, p - 1)
     vector = st.one_of(unit, st.lists(entry, min_size=n, max_size=n).map(tuple))
-    ech = Echelon(PrimeField(p), n)
-    for vec in data.draw(st.lists(vector, max_size=8)):
+    vectors = data.draw(st.lists(vector, max_size=8))
+    columns = [unit_vector(i, n) for i in range(n)] + vectors
+    width = len(columns)
+    rows = [pack(p, row) for row in zip(*columns)]
+    ech, ann = Echelon(PrimeField(p), n), rows
+
+    def dense(row):
+        return tuple((row >> i) & 1 for i in range(width)) if p == 2 else tuple(row)
+
+    def spanned(basis):
+        return [not any(dense(row)[i] for row in basis) for i in range(n)]
+
+    for t, vec in enumerate(vectors):
         ech.add(vec)
-        units = ech.spanned_units()
+        ann = annihilator(p, width, ann, range(n + t, n + t + 1))
+        at_once = annihilator(p, width, rows, range(n, n + t + 1))
+        assert len(ann) == len(at_once) == n - ech.rank
+        for row in map(dense, ann):
+            products = [sum(a * b for a, b in zip(row[:n], v)) % p for v in vectors]
+            assert list(row[n:]) == products and not any(products[: t + 1])
         solvable = [ech.solve(unit_vector(i, n)) is not None for i in range(n)]
-        assert [bool((units >> i) & 1) for i in range(n)] == solvable
+        assert spanned(ann) == spanned(at_once) == solvable
         assert [ech.contains_unit(i) for i in range(n)] == solvable
+        assert (not ann) == (ech.rank == n)
+    for coords in (range(n, width + 1), range(-1, n)):
+        with pytest.raises(ValueError):
+            annihilator(p, width, rows, coords)
 
 
 @given(small_field, st.data())

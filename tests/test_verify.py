@@ -37,6 +37,7 @@ from bacforge import (
     verify_bac,
     verify_pir,
 )
+from bacforge import verify
 from bacforge.field import Echelon, PrimeField
 from bacforge.verify import (
     SpanEngine,
@@ -659,24 +660,25 @@ def test_subset_spanning_matches_the_brute_force_span(code, data):
     # that code runs in the linear regime only
     [("affine-7", LIN), ("affine-7", PROJ), ("goodvec-17", LIN)],
 )
-def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(name, model, t4_code):
-    """Level s makes one basis (`_with_bucket`) per s-subset whose every
-    (s-1)-subset is recorded (misses a symbol that some (s-1)-subset misses)
-    and whose (s-1)-subsets together miss such a symbol, and no other; once
-    every symbol is closed no basis is held.  The brute force takes
-    every subset's spanned symbols from its own `Echelon` and, in the
-    projection regime, its served ones from another engine's parts."""
+def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(name, model, t4_code, monkeypatch):
+    """Level s makes one annihilator basis (`field.annihilator`, one call
+    per child) per s-subset whose every (s-1)-subset is recorded (misses a
+    symbol that some (s-1)-subset misses) and whose (s-1)-subsets together
+    miss such a symbol, and no other; once every symbol is closed no basis
+    is held.  The brute force takes every subset's spanned symbols from its
+    own `Echelon` and, in the projection regime, its served ones from
+    another engine's parts."""
     code = random_bac(7, 2, 1.0, 1.0, 11).code if name == "affine-7" else t4_code
     engine, m, everything = SpanEngine(code, model), code.m, (1 << code.n) - 1
     made = [0] * (m + 1)
-    with_bucket = engine._with_bucket
+    annihilator = verify.annihilator
 
-    def spy(ech, ell0):
+    def spy(*args):
         if sys._getframe(1).f_code is SpanEngine._grow.__code__:
             made[len(engine._levels)] += 1
-        return with_bucket(ech, ell0)
+        return annihilator(*args)
 
-    engine._with_bucket = spy
+    monkeypatch.setattr(verify, "annihilator", spy)
     for size in range(m + 1):
         for i0 in range(code.n):
             engine.minimal_sets(i0, size)
@@ -701,7 +703,7 @@ def test_levels_make_one_basis_per_subset_whose_smaller_subsets_miss_a_symbol(na
             top = mask.bit_length() - 1
             ech = below[mask ^ 1 << top][1].copy()
             ech.extend(code.buckets[top])
-            served = ech.spanned_units()
+            served = sum(1 << i0 for i0 in range(code.n) if ech.contains_unit(i0))
             if model is PROJ:
                 # serving is monotone: only what no smaller subset serves is asked
                 known = functools.reduce(operator.or_, (below[mask ^ 1 << b][0] for b in bucket_indices(mask)))
