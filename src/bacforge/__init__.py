@@ -11,7 +11,7 @@ only for what it runs.
 
 from importlib import import_module as _import_module
 
-# submodule -> the public names it defines
+# submodule -> the public names the package takes from it
 _EXPORTS = {
     "field": ("GF2", "PrimeField", "rank"),
     "model": (

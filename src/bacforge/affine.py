@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, is_prime, unit_vector
-from .model import CodeSpec
-from .verify import RecoveryPlan, _partition_sets, certified_part, make_part, normalize_request, plan_from_parts
+from .model import CodeSpec, RecoveryPlan, _partition_sets, certified_part, make_part, normalize_request
+from .model import plan_from_parts
 
 RNG_ID = "numpy-pcg64-seedseq-v1"
 
@@ -416,7 +416,7 @@ def trial_verify(
 ) -> TrialReport:
     """Sample `trials` uniform size-k requests and run the greedy planner,
     which certifies every part it makes; a trial succeeds when its parts
-    partition the buckets (`verify._partition_sets`), as `greedy_plan`
+    partition the buckets (`model._partition_sets`), as `greedy_plan`
     requires of a plan, and no plan is assembled.  Trial seeds are derived
     per index, so the report is reproducible."""
     if trials < 1:

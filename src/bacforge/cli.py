@@ -5,11 +5,12 @@ JSON results go to stdout, human-readable summaries to stderr.  Exit codes:
 error.  Randomized commands take --seed; if omitted, one is generated and
 printed so every run is reproducible after the fact.
 
-Each command imports only the modules it runs: `verify` loads field, model
-and verify; `goodvec`, `compose` and the other `construct` families add
-construct; `bounds` adds construct and bounds; `construct affine` adds
-affine; `simulate` and `random-trials` add construct, affine and sim.
-No command imports numpy.
+Each command imports only the modules it runs.  Every command loads field
+and model; `verify` adds verify; `goodvec`, `compose` and `construct` of
+every family but affine add construct; `bounds` adds construct and bounds;
+`construct affine` adds affine; `simulate` adds verify and sim, and with the
+certified planner the module of the code's family (construct or affine);
+`random-trials` adds verify, affine and sim.  No command imports numpy.
 """
 
 from __future__ import annotations

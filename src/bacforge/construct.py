@@ -26,8 +26,7 @@ from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, PrimeField, unit_vector
-from .model import CodeSpec, codes_equal
-from .verify import RecoveryPlan, certified_part, make_part, normalize_request, plan_from_parts
+from .model import CodeSpec, RecoveryPlan, certified_part, codes_equal, make_part, normalize_request, plan_from_parts
 
 
 def _wrap(x: int, n: int) -> int:

@@ -11,7 +11,12 @@ changing recoverability.
 All arithmetic on `CodeSpec.column_table` lives here: `combine` weighs its
 columns into one functional, `unit` is e_i and `apply` evaluates a
 functional on data packed by `pack`, which comes from `field`, the one packer
-of that layout.  `encode`, `sim` and `verify` use them.
+of that layout.  `encode`, `sim` and `verify` use them, and so do the
+request, part and plan primitives every planner shares, which live here so
+that building a code does not load `verify`'s search: `normalize_request`,
+`make_part`, the part check (`_certifies`, `certified_part`), the partition
+check (`_partitions`, `_partition_sets`) and `plan_from_parts`, the one
+place that assembles a `RecoveryPlan` (see `verify` for how they fit).
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
 CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
@@ -20,9 +25,10 @@ CodeSpec reduces its columns when it is made and tabulates them on first use
 from it alone, built on first use and freed with the code: one span engine
 of `verify` per response regime, the per-parameter tables of the cyclic and
 good-vector planners (each made after checking the code against its
-construction), one planner context, which `sim` resolved from the last
-provenance it was given, and the node answers `sim.serve_batch` evaluates,
-one functional of the data and its fan-in per (bucket, response) served.
+construction), one planner context and the entry of its planner, which
+`sim` resolved from the last provenance it was given, and the node answers
+`sim.serve_batch` evaluates, one functional of the data and its fan-in per
+(bucket, response) served.
 Nothing in it refers back to the code.
 """
 
@@ -31,8 +37,8 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Optional, Sequence
 
 from .field import Echelon, PrimeField, pack
 
@@ -157,6 +163,150 @@ def encode(code: CodeSpec, x: Sequence[int]) -> Codeword:
     p, table = code.field.p, code.column_table
     data = pack(p, data_vector(code, x))
     return Codeword(tuple([tuple([apply(p, col, data) for col in bucket]) for bucket in table]))
+
+
+def normalize_request(indices: Iterable[int], n: int) -> tuple:
+    """Sort a request multiset and range-check it against [1, n].  Indices
+    must be integers, as in Python indexing (`operator.index`): a float or a
+    string raises TypeError rather than being truncated or parsed."""
+    req = tuple(sorted(map(operator.index, indices)))
+    if not req:
+        raise ValueError("empty batch request")
+    for i in req:
+        if not 1 <= i <= n:
+            raise ValueError(f"request index {i} out of range [1, {n}]")
+    return req
+
+
+def bucket_indices(mask: int) -> list:
+    """The 0-based bucket indices set in a bucket bitmask, ascending."""
+    return [ell0 for ell0 in range(mask.bit_length()) if (mask >> ell0) & 1]
+
+
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """A verifiable certificate for one served batch request.
+
+    sets       -- k disjoint non-empty bucket-index sets covering [m]
+                  (1-based), aligned with the sorted request
+    responses  -- per bucket, the response vector in F_p^{N_ell}
+                  (zero vector for non-contributing buckets)
+    combos     -- per request j, ((bucket, coefficient), ...) over its set
+    """
+
+    request: tuple
+    sets: tuple
+    responses: tuple
+    combos: tuple
+
+
+def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
+    """The plan part in which the buckets of `combo`, {bucket: coefficient}
+    (1-based), serve one request: bucket ell answers the response vector
+    whose entries the `picks`, ((bucket, position), value) pairs at distinct
+    positions, set (zero elsewhere; `sizes` gives each bucket's length), and
+    the user weighs each answer by the bucket's coefficient.  The part is the
+    triple
+        (bucket bitmask, with bit ell - 1 for bucket ell,
+         ((bucket0, response), ...) for the nonzero answers only,
+         ((bucket, coefficient), ...)),
+    both tuples in ascending bucket order; every planner builds its parts
+    here and `plan_from_parts` assembles them."""
+    vectors: dict = {}
+    for (ell, s), value in picks:
+        if value:
+            vector = vectors.get(ell)
+            if vector is None:
+                vector = vectors[ell] = [0] * sizes[ell - 1]
+            vector[s] = value
+    order = sorted(combo)
+    return (
+        sum([1 << (ell - 1) for ell in order]),
+        tuple([(ell - 1, tuple(vectors[ell])) for ell in order if ell in vectors]),
+        tuple([(ell, combo[ell]) for ell in order]),
+    )
+
+
+def _certifies(p: int, table, part: tuple, i0: int, projection: bool) -> bool:
+    """The part check, of a planner's parts and of a plan's alike: whether
+    `part` (`make_part`) has its answers and combo in its bucket set, answers
+    only unit vectors in the projection regime, and serves e_i0: its answers
+    weigh the columns in `table` of a code over F_p to e_i0 (`combine`)."""
+    bucket_set, answers, combo = part
+    for ell0, vector in answers:
+        if not bucket_set >> ell0 & 1 or projection and not _unit_or_zero(p, vector):
+            return False
+    answers, pairs = dict(answers), []
+    for ell, coeff in combo:
+        if not bucket_set >> (ell - 1) & 1:
+            return False
+        response = answers.get(ell - 1)
+        if response is not None:
+            for r, col in zip(response, table[ell - 1]):
+                if r:
+                    pairs.append((coeff * r, col))
+    return combine(p, pairs) == unit(p, i0)
+
+
+def certified_part(p: int, table, part: tuple, i0: int, projection: bool = False) -> tuple:
+    """`part`, which must pass the part check (`_certifies`) where a planner
+    makes it; a part that fails is an internal error."""
+    if not _certifies(p, table, part, i0, projection):
+        buckets = [ell0 + 1 for ell0 in bucket_indices(part[0])]
+        raise AssertionError(f"internal: part {buckets} failed certification for x{i0 + 1}")
+    return part
+
+
+def _partitions(parts: Sequence[int], k: int, everything: int) -> bool:
+    """Whether the bucket bitmasks `parts` are k non-empty sets whose union
+    is `everything` and whose sizes add up to its size: a partition of
+    `everything`, the one partition check of plans, planners and sweeps."""
+    return (
+        len(parts) == k
+        and all(parts)
+        and reduce(operator.or_, parts) == everything
+        and sum(map(int.bit_count, parts)) == everything.bit_count()
+    )
+
+
+def _partition_sets(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> tuple:
+    """The bucket bitmasks of the plan that serves request j with part j,
+    and the bitmask of the buckets in no part, which join the last set.  The
+    parts, each certified where it was made, must then partition [m]
+    (`_partitions`), or it is an internal error."""
+    everything = (1 << code.m) - 1
+    sets = [part[0] for part in parts]
+    leftover = everything & ~reduce(operator.or_, sets, 0)
+    if leftover:
+        sets[-1] |= leftover
+    if not _partitions(sets, len(req), everything):
+        raise AssertionError(f"internal: parts do not partition the buckets for {req}")
+    return sets, leftover
+
+
+def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
+    """The plan that serves request j with part j (`_partition_sets`), with
+    1-based bucket-index sets.  Every other bucket answers zero, and the
+    leftover buckets join the last part with coefficient 1."""
+    sets, leftover = _partition_sets(code, req, parts)
+    responses = [(0,) * size for size in code.bucket_sizes]
+    for _, vectors, _ in parts:
+        for ell0, vector in vectors:
+            responses[ell0] = vector
+    combos = [combo for _, _, combo in parts]
+    if leftover:
+        combos[-1] = tuple(sorted(combos[-1] + tuple((ell0 + 1, 1) for ell0 in bucket_indices(leftover))))
+    return RecoveryPlan(
+        request=req,
+        sets=tuple(frozenset(ell0 + 1 for ell0 in bucket_indices(mask)) for mask in sets),
+        responses=tuple(responses),
+        combos=tuple(combos),
+    )
+
+
+def _unit_or_zero(p: int, vector) -> bool:
+    """Whether a response is zero or a unit vector over F_p."""
+    return [v % p for v in vector if v % p] in ([], [1])
 
 
 def cap_and_reduce(code: CodeSpec) -> CodeSpec:

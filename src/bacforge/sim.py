@@ -10,12 +10,12 @@ aggregator combines the answers with each part's combo.  `symbols_read`
 counts the symbols a node's response weighs, i.e. the fan-in of its local
 computation; under the projection regime it is at most 1 by definition.
 
-A batch is served from its parts (`verify.make_part`), one per request, and
+A batch is served from its parts (`model.make_part`), one per request, and
 no `RecoveryPlan` is assembled for it.  A planner's parts are certified
 where they are made (see `verify`); a plan passed in is read as parts and
 certified once, as `certify_plan` does (`verify._plan_parts`), and those
 parts are served.  The parts must partition the buckets
-(`verify._partition_sets`), so each node answers exactly once; a node in no
+(`model._partition_sets`), so each node answers exactly once; a node in no
 part answers zero and reads nothing.
 
 Nodes are in-process actors, not network processes; a single batch serves
@@ -27,19 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import affine
-from .construct import CyclicParams, GoodVector, _cyclic_parts, _goodvec_parts, cyclic_params, good_vector
-from .model import CodeSpec, apply, codes_equal, combine, data_vector, pack, total_length
-from .model import _json_int, _json_list
-from .verify import (
-    RecoveryPlan,
-    ResponseModel,
-    _partition_sets,
-    _plan_parts,
-    _search_parts,
-    _unit_or_zero,
-    normalize_request,
-)
+from .model import CodeSpec, RecoveryPlan, _partition_sets, _unit_or_zero, apply, codes_equal, combine, data_vector
+from .model import _json_int, _json_list, normalize_request, pack, total_length
+from .verify import ResponseModel, _plan_parts, _search_parts
 
 
 @dataclass(frozen=True)
@@ -122,49 +112,59 @@ def planner_context(code: CodeSpec, provenance) -> object:
     """What the certified planner of a code's construction needs: the
     `CyclicParams`, the `GoodVector`, or the `AffinePlaneCode` rebuilt from
     the provenance and checked to be this code; a malformed provenance
-    raises ValueError.  The code's cache keeps the last provenance resolved
-    for it, as a copy with its value types (`==` holds between True, 1 and
-    1.0), and its context: one equal to it with the same types is not
+    raises ValueError."""
+    return _planner(code, provenance)[0]
+
+
+def _planner(code: CodeSpec, provenance) -> tuple:
+    """`planner_context` and the internal entry of its planner, called as
+    entry(context, code, req).  The code's cache keeps the last provenance
+    resolved for it, as a copy with its value types (`==` holds between
+    True, 1 and 1.0), and both: one equal to it with the same types is not
     checked again, and any other is checked and resolved anew."""
-    copy, types, context = code.cache.get("planner-provenance", (None, None, None))
+    copy, types, planner = code.cache.get("planner-provenance", (None, None, None))
     if type(provenance) is dict and provenance == copy and _value_types(provenance) == types:
-        return context
+        return planner
     _provenance_key(provenance)
-    context = _resolve_context(code, provenance)
+    planner = _resolve_context(code, provenance)
     copy = {name: list(v) if isinstance(v, list) else v for name, v in provenance.items()}
-    code.cache["planner-provenance"] = (copy, _value_types(provenance), context)
-    return context
+    code.cache["planner-provenance"] = (copy, _value_types(provenance), planner)
+    return planner
 
 
-def _resolve_context(code: CodeSpec, prov: dict) -> object:
+def _resolve_context(code: CodeSpec, prov: dict) -> tuple:
+    # only the module of the provenance's family is imported, once per code;
     # the size checks come first, so that a huge n or q in a provenance that
     # cannot match the code is not built
     family = prov["family"]
     if family == "cyclic":
+        from .construct import _cyclic_parts, cyclic_params
+
         if prov["n"] != code.n:
             raise ValueError("code does not match the cyclic construction for these parameters")
-        return cyclic_params(prov["n"], prov["k"], prov["m"])
+        return cyclic_params(prov["n"], prov["k"], prov["m"]), _cyclic_parts
     if family == "goodvec":
-        return good_vector(prov["v"], prov["t"])
+        from .construct import _goodvec_parts, good_vector
+
+        return good_vector(prov["v"], prov["t"]), _goodvec_parts
+    from .affine import RNG_ID, _greedy_parts, random_bac
+
     if prov["q"] * prov["q"] != code.n:
         raise ValueError("code does not match its affine provenance")
-    if prov["rng"] != affine.RNG_ID:
-        raise ValueError(f"unsupported rng {prov['rng']!r}, expected {affine.RNG_ID}")
-    apc = affine.random_bac(prov["q"], prov["s"], prov["p1"], prov["p2"], prov["seed"])
+    if prov["rng"] != RNG_ID:
+        raise ValueError(f"unsupported rng {prov['rng']!r}, expected {RNG_ID}")
+    apc = random_bac(prov["q"], prov["s"], prov["p1"], prov["p2"], prov["seed"])
     if not codes_equal(apc.code, code):
         raise ValueError("code does not match its affine provenance")
-    return apc
+    return apc, lambda context, _, req: _greedy_parts(context, req)
 
 
 def _certified_parts(code: CodeSpec, req: tuple, provenance) -> list:
     """The parts the certified planner of the code's construction serves the
-    sorted, range-checked `req` with."""
-    context = planner_context(code, provenance)
-    if isinstance(context, CyclicParams):
-        return _cyclic_parts(context, code, req)
-    if isinstance(context, GoodVector):
-        return _goodvec_parts(context, code, req)
-    parts = affine._greedy_parts(context, req)
+    sorted, range-checked `req` with; only the greedy affine planner may find
+    none."""
+    context, entry = _planner(code, provenance)
+    parts = entry(context, code, req)
     if parts is None:
         raise ValueError(f"greedy planner found no plan for request {req}")
     return parts

@@ -25,8 +25,10 @@ part it solved, by `model`'s column arithmetic.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part`: (bucket bitmask, the
-search's form; nonzero answers; combo).  Each has an internal entry that
-takes the sorted request and returns its parts: `_search_parts` here,
+search's form; nonzero answers; combo).  The request, part and plan
+primitives live in `model`, beside the column arithmetic, so `construct`
+and `affine` do not load this module.  Each planner has an internal entry
+that takes the sorted request and returns its parts: `_search_parts` here,
 `construct._goodvec_parts`, `construct._cyclic_parts` and
 `affine._greedy_parts`.  The public planners hand those parts to
 `plan_from_parts`, the one place that assembles a `RecoveryPlan`;
@@ -58,10 +60,11 @@ import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .field import Echelon, annihilator, pack, unit_vector
-from .model import CodeSpec, combine, unit
+from .model import CodeSpec, RecoveryPlan, _certifies, _partitions, bucket_indices, certified_part, combine
+from .model import make_part, normalize_request, plan_from_parts, unit
 
 
 class ResponseModel(Enum):
@@ -78,39 +81,9 @@ class ResponseModel(Enum):
             raise ValueError(f"unknown response model {text!r}") from None
 
 
-def normalize_request(indices: Iterable[int], n: int) -> tuple:
-    """Sort a request multiset and range-check it against [1, n].  Indices
-    must be integers, as in Python indexing (`operator.index`): a float or a
-    string raises TypeError rather than being truncated or parsed."""
-    req = tuple(sorted(map(operator.index, indices)))
-    if not req:
-        raise ValueError("empty batch request")
-    for i in req:
-        if not 1 <= i <= n:
-            raise ValueError(f"request index {i} out of range [1, {n}]")
-    return req
-
-
 def all_batch_requests(n: int, k: int):
     """All C(n+k-1, k) multisets of size k over [1, n], lexicographic."""
     return itertools.combinations_with_replacement(range(1, n + 1), k)
-
-
-@dataclass(frozen=True)
-class RecoveryPlan:
-    """A verifiable certificate for one served batch request.
-
-    sets       -- k disjoint non-empty bucket-index sets covering [m]
-                  (1-based), aligned with the sorted request
-    responses  -- per bucket, the response vector in F_p^{N_ell}
-                  (zero vector for non-contributing buckets)
-    combos     -- per request j, ((bucket, coefficient), ...) over its set
-    """
-
-    request: tuple
-    sets: tuple
-    responses: tuple
-    combos: tuple
 
 
 @dataclass(frozen=True)
@@ -141,11 +114,6 @@ class VerificationReport:
                 {"request": list(req), "reason": reason} for req, reason in self.failures
             ],
         }
-
-
-def bucket_indices(mask: int) -> list:
-    """The 0-based bucket indices set in a bucket bitmask, ascending."""
-    return [ell0 for ell0 in range(mask.bit_length()) if (mask >> ell0) & 1]
 
 
 class SpanEngine:
@@ -404,110 +372,6 @@ def engine_for(code: CodeSpec, model: ResponseModel) -> SpanEngine:
     return engine
 
 
-def make_part(sizes: Sequence[int], combo: dict, picks) -> tuple:
-    """The plan part in which the buckets of `combo`, {bucket: coefficient}
-    (1-based), serve one request: bucket ell answers the response vector
-    whose entries the `picks`, ((bucket, position), value) pairs at distinct
-    positions, set (zero elsewhere; `sizes` gives each bucket's length), and
-    the user weighs each answer by the bucket's coefficient.  The part is the
-    triple
-        (bucket bitmask, with bit ell - 1 for bucket ell,
-         ((bucket0, response), ...) for the nonzero answers only,
-         ((bucket, coefficient), ...)),
-    both tuples in ascending bucket order; every planner builds its parts
-    here and `plan_from_parts` assembles them."""
-    vectors: dict = {}
-    for (ell, s), value in picks:
-        if value:
-            vector = vectors.get(ell)
-            if vector is None:
-                vector = vectors[ell] = [0] * sizes[ell - 1]
-            vector[s] = value
-    order = sorted(combo)
-    return (
-        sum([1 << (ell - 1) for ell in order]),
-        tuple([(ell - 1, tuple(vectors[ell])) for ell in order if ell in vectors]),
-        tuple([(ell, combo[ell]) for ell in order]),
-    )
-
-
-def _certifies(p: int, table, part: tuple, i0: int, projection: bool) -> bool:
-    """The part check, of a planner's parts and of a plan's alike: whether
-    `part` (`make_part`) has its answers and combo in its bucket set, answers
-    only unit vectors in the projection regime, and serves e_i0: its answers
-    weigh the columns in `table` of a code over F_p to e_i0 (`combine`)."""
-    bucket_set, answers, combo = part
-    for ell0, vector in answers:
-        if not bucket_set >> ell0 & 1 or projection and not _unit_or_zero(p, vector):
-            return False
-    answers, pairs = dict(answers), []
-    for ell, coeff in combo:
-        if not bucket_set >> (ell - 1) & 1:
-            return False
-        response = answers.get(ell - 1)
-        if response is not None:
-            for r, col in zip(response, table[ell - 1]):
-                if r:
-                    pairs.append((coeff * r, col))
-    return combine(p, pairs) == unit(p, i0)
-
-
-def certified_part(p: int, table, part: tuple, i0: int, projection: bool = False) -> tuple:
-    """`part`, which must pass the part check (`_certifies`) where a planner
-    makes it; a part that fails is an internal error."""
-    if not _certifies(p, table, part, i0, projection):
-        buckets = [ell0 + 1 for ell0 in bucket_indices(part[0])]
-        raise AssertionError(f"internal: part {buckets} failed certification for x{i0 + 1}")
-    return part
-
-
-def _partitions(parts: Sequence[int], k: int, everything: int) -> bool:
-    """Whether the bucket bitmasks `parts` are k non-empty sets whose union
-    is `everything` and whose sizes add up to its size: a partition of
-    `everything`, the one partition check of plans, planners and sweeps."""
-    return (
-        len(parts) == k
-        and all(parts)
-        and functools.reduce(operator.or_, parts) == everything
-        and sum(map(int.bit_count, parts)) == everything.bit_count()
-    )
-
-
-def _partition_sets(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> tuple:
-    """The bucket bitmasks of the plan that serves request j with part j,
-    and the bitmask of the buckets in no part, which join the last set.  The
-    parts, each certified where it was made, must then partition [m]
-    (`_partitions`), or it is an internal error."""
-    everything = (1 << code.m) - 1
-    sets = [part[0] for part in parts]
-    leftover = everything & ~functools.reduce(operator.or_, sets, 0)
-    if leftover:
-        sets[-1] |= leftover
-    if not _partitions(sets, len(req), everything):
-        raise AssertionError(f"internal: parts do not partition the buckets for {req}")
-    return sets, leftover
-
-
-def plan_from_parts(code: CodeSpec, req: tuple, parts: Sequence[tuple]) -> RecoveryPlan:
-    """The plan that serves request j with part j (`_partition_sets`), with
-    1-based bucket-index sets.  Every other bucket answers zero, and the
-    leftover buckets join the last part with coefficient 1."""
-    sets, leftover = _partition_sets(code, req, parts)
-    responses = [(0,) * size for size in code.bucket_sizes]
-    for _, vectors, _ in parts:
-        for ell0, vector in vectors:
-            responses[ell0] = vector
-    combos = [combo for _, _, combo in parts]
-    if leftover:
-        combos[-1] = tuple(sorted(combos[-1] + tuple((ell0 + 1, 1) for ell0 in bucket_indices(leftover))))
-    return RecoveryPlan(
-        request=req,
-        sets=tuple(frozenset(ell0 + 1 for ell0 in bucket_indices(mask)) for mask in sets),
-        responses=tuple(responses),
-        combos=tuple(combos),
-    )
-
-
 def certify_plan(
     code: CodeSpec,
     request: Sequence[int],
@@ -563,11 +427,6 @@ def _plan_parts(code: CodeSpec, req: tuple, plan: RecoveryPlan, model: ResponseM
     p, projection = code.field.p, model is ResponseModel.PROJECTION
     certifies = all(_certifies(p, code.column_table, part, i - 1, projection) for part, i in zip(parts, req))
     return parts if certifies else None
-
-
-def _unit_or_zero(p: int, vector) -> bool:
-    """Whether a response is zero or a unit vector over F_p."""
-    return [v % p for v in vector if v % p] in ([], [1])
 
 
 def find_plan(

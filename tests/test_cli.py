@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bacforge.cli import run
 from bacforge.construct import (
     cyclic_shift_code,
+    good_vector_2t1,
     parity_code_k2,
     single_request_code,
     trivial_replication,
@@ -507,29 +508,37 @@ def _src_env() -> dict:
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    """Each command loads only the modules it runs, and none of them numpy."""
+    """Each command loads only the modules it runs, and none of them numpy:
+    the commands that build, bound or compose codes load no `verify`.  The
+    commands are those of the benchmark's cli-readme workload, in its order,
+    each run in a fresh interpreter in `tmp_path`, with smaller sizes."""
     env = _src_env()
-    c2 = tmp_path / "c2.json"
-    c2.write_text(code_to_json(cyclic_shift_code(4, 4, 5)) + "\n")
-    a = tmp_path / "a.json"
-    assert run(["construct", "affine", *_AFFINE_FLAGS, "--out", str(a)]) == 0
-    affine_sim = _CORE | {"bacforge.construct", "bacforge.affine", "bacforge.sim"}
+    construct = {"bacforge.field", "bacforge.model", "bacforge.construct"}
+    bounds = construct | {"bacforge.bounds"}
+    affine = {"bacforge.field", "bacforge.model", "bacforge.affine"}
+    sim = _CORE | {"bacforge.sim"}
+    t4 = ",".join(map(str, good_vector_2t1(4).entries))
     cases = [
         ([], {"bacforge.cli"}),
-        (["verify", str(c2), "--k", "4"], _CORE),
-        (["goodvec", "--t", "4"], _CORE | {"bacforge.construct"}),
-        (["bounds", "--n", "5", "--k", "3", "--m", "5"], _CORE | {"bacforge.construct", "bacforge.bounds"}),
-        (["compose", "parallel", str(c2), str(c2)], _CORE | {"bacforge.construct"}),
-        (["simulate", str(c2), "--data", "1,0,1,1", "--request", "1,1,1,1"], affine_sim),
-        (
-            ["construct", "affine", *_AFFINE_FLAGS, "--out", str(tmp_path / "a2.json")],
-            _CORE | {"bacforge.affine"},
-        ),
-        (["random-trials", str(a), "--k", "1", "--trials", "20", "--seed", "5"], affine_sim),
-        (
-            ["simulate", str(a), "--data", ",".join("1" * 25), "--request", "1,2", "--planner", "certified"],
-            affine_sim,
-        ),
+        (["construct", "cyclic", "--n", "4", "--k", "4", "--m", "5", "--out", "c2.json"], construct),
+        (["verify", "c2.json", "--k", "4", "--mode", "linear"], _CORE),
+        (["construct", "goodvec", "--v", t4, "--out", "g.json"], construct),
+        (["verify", "g.json", "--k", "7", "--pir-only"], _CORE),
+        (["bounds", "--n", "5", "--k", "3", "--m", "5"], bounds),
+        (["bounds", "table", "--n-range", "4..6", "--k-range", "2..3", "--m-rule", "k+1", "--csv", "t.csv"], bounds),
+        (["goodvec", "--t", "4"], construct),
+        (["goodvec", "--t", "2", "--enumerate", "--len", "4"], construct),
+        (["compose", "parallel", "c2.json", "c2.json", "--out", "big.json"], construct),
+        (["compose", "repeat", "g.json", "--count", "2", "--out", "rep.json"], construct),
+        (["simulate", "c2.json", "--data", "1,0,1,1", "--request", "1,1,1,1", "--planner", "exhaustive"], sim),
+        (["construct", "affine", *_AFFINE_FLAGS, "--out", "a.json"], affine),
+        (["random-trials", "a.json", "--k", "1", "--trials", "20", "--seed", "5"], sim | affine),
+        (["construct", "uniform", "--n", "6", "--k", "2", "--out", "u.json"], construct),
+        (["verify", "u.json", "--k", "2"], _CORE),
+        (["simulate", "a.json", "--data", ",".join("1" * 25), "--request", "1,2", "--planner", "certified"],
+         sim | affine),
+        (["simulate", "g.json", "--data", ",".join("1" * 18), "--request", "1,2", "--planner", "certified"],
+         sim | construct),
     ]
     for argv, modules in cases:
         out = subprocess.run(

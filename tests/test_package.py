@@ -94,7 +94,7 @@ def test_import_loads_no_submodule():
     )
     before, after, numpy_loaded, sim = json.loads(out.stdout)
     assert before == []
-    assert after == [f"bacforge.{m}" for m in ("bounds", "construct", "field", "model", "verify")]
+    assert after == [f"bacforge.{m}" for m in ("bounds", "construct", "field", "model")]
     assert not numpy_loaded
     # a submodule is still an attribute of the package, as when it was imported eagerly
     assert sim == "bacforge.sim"

@@ -1,7 +1,9 @@
+import builtins
 import copy
 import dataclasses
 import functools
 import itertools
+import random
 import re
 
 import numpy as np
@@ -33,6 +35,7 @@ from bacforge import (
     random_bac,
     serve_batch,
     total_length,
+    uniform_code,
 )
 from bacforge.field import PrimeField
 from bacforge.verify import make_part, plan_from_parts
@@ -290,6 +293,52 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
             assert rep.recovered == tuple(data[i - 1] for i in rep.request)
             served += 1
     assert served > 300 and (refused > 0) == (planner != "explicit")
+
+
+def test_serve_batch_imports_nothing_after_a_warm_up_batch(monkeypatch):
+    """`sim` imports a construction's module when it resolves a code's
+    provenance, once per code, so after one batch per family of the
+    plan-serve benchmark, serving runs no import statement: the certified
+    good-vector, cyclic (F_3) and affine planners, the exhaustive one on the
+    uniform code, and an explicit plan."""
+    v, apc, rng = good_vector((2, 3, 2, 4, 3, 1, 1, 4)), random_bac(7, 2, 1.0, 1.0, 11), random.Random(5)
+    uniform = uniform_code(20, 4)
+    families = [
+        (good_vector_code(v), {"family": "goodvec", "t": v.t, "v": list(v.entries)}, 7, "certified"),
+        (cyclic_shift_code(12, 6, 8, PrimeField(3)), {"family": "cyclic", "n": 12, "k": 6, "m": 8}, 6, "certified"),
+        (apc.code, apc.provenance(), 2, "certified"),
+        (uniform, None, 4, "exhaustive"),
+        (uniform, None, 4, "explicit"),
+    ]
+    batches = []
+    for code, prov, k, planner in families:
+        for _ in range(6):
+            req = tuple(sorted(rng.randrange(1, code.n + 1) for _ in range(k)))
+            plan = find_plan(code, req) if planner == "explicit" else None
+            data = [rng.randrange(code.field.p) for _ in range(code.n)]
+            batches.append((code, data, req, planner, plan, prov))
+
+    def serve_all(batches):
+        served = 0
+        for code, data, req, planner, plan, prov in batches:
+            try:
+                serve_batch(code, data, req, planner=planner, plan=plan, provenance=prov)
+                served += 1
+            except ValueError:  # the greedy affine planner may find no plan
+                assert prov is not None and prov["family"] == "affine"
+        return served
+
+    serve_all(batches[::6])  # one warm-up batch per family
+    imports, real_import = [], builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    served = serve_all(batches)
+    monkeypatch.undo()
+    assert served > 20 and imports == []
 
 
 def test_certified_planner_is_refused_in_the_projection_regime_as_before():
