@@ -15,12 +15,12 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "field": ("GF2", "PrimeField", "rank"),
     "model": (
-        "CodeSpec", "Codeword", "cap_and_reduce", "code_from_json", "code_to_json",
-        "codes_equal", "encode", "load_code", "save_code", "total_length",
+        "CodeSpec", "Codeword", "RecoveryPlan", "cap_and_reduce", "code_from_json",
+        "code_to_json", "codes_equal", "encode", "load_code", "save_code", "total_length",
     ),
     "verify": (
-        "RecoveryPlan", "ResponseModel", "VerificationReport", "certify_plan",
-        "check_subset_spanning", "find_plan", "verify_bac", "verify_pir",
+        "ResponseModel", "VerificationReport", "certify_plan", "check_subset_spanning",
+        "find_plan", "verify_bac", "verify_pir",
     ),
     "construct": (
         "CyclicParams", "GoodVector", "compose_concat", "compose_parallel", "compose_repeat",

@@ -352,36 +352,35 @@ def enumerate_good_vectors(t: int, length: int) -> list:
         raise ValueError("t must be >= 1")
     if length not in (2 * t, 2 * t + 1):
         raise ValueError(f"length must be 2t = {2 * t} or 2t+1 = {2 * t + 1}, got {length}")
-    slots = [None] * length
-    zero_allowed = length == 2 * t + 1
-    used = [False] * (t + 1)
-    out = []
-
-    def fill():
-        try:
-            pos = slots.index(None)
-        except ValueError:
-            out.append(tuple(slots))
-            return
-        candidates = []
-        if zero_allowed and not used[0]:
-            candidates.append(0)
-        for j in range(1, t + 1):
-            if not used[j] and pos + j < length and slots[pos + j] is None:
-                candidates.append(j)
-        for j in candidates:
-            used[j] = True
-            slots[pos] = j
-            if j:
-                slots[pos + j] = j
-            fill()
-            slots[pos] = None
-            if j:
-                slots[pos + j] = None
-            used[j] = False
-
-    fill()
+    out: list = []
+    # 0 is placed once, and only in a vector of length 2t+1
+    _fill([None] * length, [length == 2 * t] + [False] * t, out)
     return out
+
+
+def _fill(slots: list, used: list, out: list) -> None:
+    """`enumerate_good_vectors`'s backtracking: fill the first empty slot
+    with 0 or with a value j not `used` yet, j also going j slots further
+    on, and append each full vector to `out`.  A module function, as a
+    closure that calls itself would be a cycle."""
+    try:
+        pos = slots.index(None)
+    except ValueError:
+        out.append(tuple(slots))
+        return
+    length = len(slots)
+    candidates = [0] if not used[0] else []
+    candidates += [j for j in range(1, len(used)) if not used[j] and pos + j < length and slots[pos + j] is None]
+    for j in candidates:
+        used[j] = True
+        slots[pos] = j
+        if j:
+            slots[pos + j] = j
+        _fill(slots, used, out)
+        slots[pos] = None
+        if j:
+            slots[pos + j] = None
+        used[j] = False
 
 
 def good_vector_2t1(t: int) -> GoodVector:

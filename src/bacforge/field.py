@@ -7,15 +7,18 @@ the one solver: membership, rank and every linear solve go through it.  It
 keeps its rows in one store and one layout for every field, a dict from pivot
 bit to row, each row the vector followed by its combination of the inserted
 vectors; the rows are fully reduced (each is zero at every other pivot), so
-they apply in any order.  For p = 2 a row is packed into one Python int (bit
-i = coordinate i, the combination in the bits above), which is what makes the
-exhaustive verifiers fast enough in pure Python; otherwise it is a list of
-residues.  Correctness is defined by the generic path; the packed path is an
-equivalent specialization.  `pack` is the one packer of that layout, and
-every `Echelon` method reads its vector through `_packed`: dense, or over
-GF(2) packed once by the caller.  `annihilator` keeps a span's dual: a basis
-of its n - rank orthogonal vectors, each carrying its products with a fixed
-list of columns, so adding some of them is one elimination pass over it.
+they apply in any order.  Insertion, membership and solves share one
+reduction; an inserted vector that is left nonzero becomes the row of its
+lowest coordinate and is cleared from the others.  For p = 2 a row is packed
+into one Python int (bit i = coordinate i, the combination in the bits
+above), which is what makes the exhaustive verifiers fast enough in pure
+Python; otherwise it is a list of residues.  Correctness is defined by the
+generic path; the packed path is an equivalent specialization.  `pack` is
+the one packer of that layout, and every `Echelon` method reads its vector
+through `_packed`: dense, or over GF(2) packed once by the caller.
+`annihilator` keeps a span's dual: a basis of its n - rank orthogonal
+vectors, each carrying its products with a fixed list of columns, so adding
+some of them is one elimination pass over it.
 
 All pivoting is lowest-index-first so that solutions and reduced bases are
 reproducible across runs and platforms.
@@ -223,90 +226,47 @@ class Echelon:
         return pack(2, [v & 1 for v in vec]) if self.field.p == 2 else vec
 
     def extend(self, vectors) -> int:
-        """Insert vectors in order, in one pass; returns how many enlarged the
-        span.  Every vector is checked before anything changes.  Each one,
-        followed by e_j for its index j among the independent ones, is
-        reduced against the old rows and then against the rows this pass
-        made, which are kept zero at each other's pivots; the old rows are
-        cleared at the new pivots once, at the end.  Fully reduced rows over
-        given pivots are unique, so the rows are those of inserting the
-        vectors one at a time."""
+        """Insert vectors in order, one at a time; returns how many enlarged
+        the span.  Every vector is checked before anything changes.  Each
+        one, followed by e_j for its index j among the independent ones, is
+        reduced by the rows (`_reduce2`, `_reduce_generic`); if some of the
+        vector is left, its lowest nonzero coordinate is a new pivot, the row
+        is scaled to lead with 1 there, and that pivot is cleared from every
+        other row, so the rows stay fully reduced."""
         vectors = [self._packed(vec) for vec in vectors]
         p, length, rows, independent = self.field.p, self.length, self.rows, self.independent
-        old_pivots, coords = self.pivmask, self.coords
-        start = self.inserted
-        self.inserted += len(vectors)
-        new: dict = {}  # pivot bit -> row, for the pivots this pass adds
-        new_pivots = 0
-        for index, vec in enumerate(vectors, start):
-            j_new = len(independent)
-            if j_new == length:  # full rank: nothing enlarges the span
+        before = len(independent)
+        for index, vec in enumerate(vectors, self.inserted):
+            j = len(independent)
+            if j == length:  # full rank: nothing enlarges the span
                 break
             if p == 2:
-                row = vec | (1 << (length + j_new))
-                hits = row & old_pivots
-                while hits:
-                    low = hits & -hits
-                    row ^= rows[low]
-                    hits ^= low
-                hits = row & new_pivots
-                while hits:
-                    low = hits & -hits
-                    row ^= new[low]
-                    hits ^= low
-                vector = row & coords
+                row = self._reduce2(vec | 1 << (length + j))
+                vector = row & self.coords
                 if not vector:
                     continue
                 low = vector & -vector
-                for key, other in new.items():
+                for key, other in rows.items():
                     if other & low:
-                        new[key] = other ^ row
+                        rows[key] = other ^ row
             else:
                 work = [v % p for v in vec] + [0] * length
-                work[length + j_new] = 1
+                work[length + j] = 1
                 work = self._reduce_generic(work)
-                for piv, other in new.values():
-                    c = work[piv]
-                    if c:
-                        work = [(w - c * r) % p for w, r in zip(work, other)]
-                piv = next((j for j, v in enumerate(work[:length]) if v), None)
+                piv = next((c for c, v in enumerate(work[:length]) if v), None)
                 if piv is None:
                     continue
-                low = 1 << piv
-                c_inv = self.field.inv(work[piv])
-                residues = [(v * c_inv) % p for v in work]
-                row = (piv, residues)
-                for key, (other_piv, other) in new.items():
-                    c = other[piv]
-                    if c:
-                        new[key] = (other_piv, [(o - c * r) % p for o, r in zip(other, residues)])
-            new[low] = row
-            new_pivots |= low
+                inv = self.field.inv(work[piv])
+                residues = [v * inv % p for v in work]
+                for key, (other_piv, other) in rows.items():
+                    if c := other[piv]:
+                        rows[key] = (other_piv, [(o - c * r) % p for o, r in zip(other, residues)])
+                low, row = 1 << piv, (piv, residues)
+            rows[low] = row
+            self.pivmask |= low
             independent.append(index)
-        if not new:
-            return 0
-        # keep the old rows zero at the new pivots
-        for key, row in rows.items():
-            if p == 2:
-                hits = row & new_pivots
-                if hits:
-                    while hits:
-                        low = hits & -hits
-                        row ^= new[low]
-                        hits ^= low
-                    rows[key] = row
-            else:
-                row_piv, residues = row
-                cleared = residues
-                for piv, other in new.values():
-                    c = cleared[piv]
-                    if c:
-                        cleared = [(o - c * r) % p for o, r in zip(cleared, other)]
-                if cleared is not residues:
-                    rows[key] = (row_piv, cleared)
-        rows.update(new)
-        self.pivmask |= new_pivots
-        return len(new)
+        self.inserted += len(vectors)
+        return len(independent) - before
 
 
 def annihilator(p: int, length: int, basis: Iterable, coords: range) -> list:

@@ -18,10 +18,10 @@ free-bucket sets per request depth (`_Frontier`).  A code has one
 `cache` and freed with the code.  It builds those sets one size at a time,
 each level from the one below (`SpanEngine._grow`), solves each (subset,
 symbol) part once, and reads every linear answer from the basis of the
-subset's shortest prefix that spans the symbol (`_reach`), by which the
-search prunes in both regimes.  Each answer is certified once, where it is
-made: `_reach` checks its solve and, in the projection regime, `part` the
-part it solved, by `model`'s column arithmetic.
+subset's shortest prefix that spans the symbol (`_reach`).  Each answer is
+certified once, where it is made: `_reach` checks its solve and, in the
+projection regime, `part` the part it solved, by `model`'s column
+arithmetic.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part`: (bucket bitmask, the
@@ -120,10 +120,10 @@ class SpanEngine:
     """Per-code caches of joint-span queries over bucket subsets, for one
     response regime.
 
-    A subset is an int bitmask over the 0-based bucket indices.  Whether it
-    spans a symbol reads one memo, `_reach`: the coefficient-tracking
-    `Echelon` of its shortest prefix (lowest buckets) that spans it, which
-    also holds its linear part.  Every (subset, symbol) part of a plan is
+    A subset is an int bitmask over the 0-based bucket indices.  A linear
+    part reads one memo, `_reach`: the coefficient-tracking `Echelon` of the
+    subset's shortest prefix (lowest buckets) that spans the symbol; the
+    projection regime keeps none of them.  Every (subset, symbol) part is
     solved once: `part` caches it, so plan assembly is lookups.  Each
     answer is certified once, where it is made, against the code's
     `column_table`: `_reach` checks its solve, and in the projection regime
@@ -168,7 +168,7 @@ class SpanEngine:
         self._level_bases: dict = {0: self.rows}
 
     def _with_bucket(self, ech: Echelon, ell0: int) -> Echelon:
-        """A copy of `ech` with bucket ell0's columns inserted, in one pass."""
+        """A copy of `ech` with bucket ell0's columns inserted."""
         grown = ech.copy()
         grown.extend(self.columns[ell0])
         return grown
@@ -190,8 +190,9 @@ class SpanEngine:
             yield ech
 
     def _reach(self, mask: int, i0: int) -> Optional[Echelon]:
-        """The basis of the shortest prefix of `mask` (`_prefix_bases`) whose
-        span holds e_i0, or None; found once per (mask, symbol).  Its solve is
+        """The linear regime's basis of the shortest prefix of `mask`
+        (`_prefix_bases`) whose span holds e_i0, or None; found once per
+        (mask, symbol), asked of parts, not of leftovers.  Its solve is
         the whole mask's, padded with zeros, over any F_p: the columns that
         enlarged the span when inserted form a basis, so e_i0 has exactly one
         combination of them, and the prefix holds every column it uses (its
@@ -483,9 +484,9 @@ class _Frontier:
     every recovering subset in that order: recoverability is monotone and
     leftover buckets join the last part, so a completion for a superset of
     a minimal set A is one for A, and A comes first.  A depth-first search
-    in that order finds the first plan; a leftover that does not span the
-    next symbol (`_reach`) has no completion and is not extended, which
-    every projection part shares, so the prune is sound.
+    in that order finds the first plan.  Every part is non-empty, so a
+    part that leaves fewer buckets than requests after it (`later`) has no
+    completion and is not tried.
 
     Level d holds the distinct leftovers after the first d requests, in the
     order that search first reaches them; each is made from the level
@@ -551,24 +552,23 @@ def _children(
     engine: SpanEngine, above: _Level, leftovers: list, parents: array, seen: set, i0: int, later: int
 ):
     """Make a level's leftovers, parents and seen set from the level
-    `above`, one leftover per step: each leftover above that spans e_i0
-    gives up, in the search's order, each minimal set for symbol i0 that
-    leaves at least one bucket for each of the `later` requests after this
-    one.  It is handed the level's parts, not the level or its frontier,
-    which hold this generator: so no cycle keeps the engine alive."""
+    `above`, one leftover per step: each leftover above gives up, in the
+    search's order, each minimal set for symbol i0 inside it that leaves at
+    least one bucket for each of the `later` requests after this one.  It
+    is handed the level's parts, not the level or its frontier, which hold
+    this generator: so no cycle keeps the engine alive."""
     recovers, free, j = engine.recovers, above.leftovers, 0
     while j < len(free) or above.more():
         left = free[j]
-        if engine._reach(left, i0) is not None:
-            for size in range(1, left.bit_count() - later + 1):
-                for mask in engine.minimal_sets(i0, size):
-                    if mask & left == mask and (child := left ^ mask) not in seen:
-                        if not recovers(mask, i0):
-                            raise AssertionError(f"internal: frontier part failed certification for {(mask, i0)}")
-                        seen.add(child)
-                        leftovers.append(child)
-                        parents.append(j)
-                        yield True
+        for size in range(1, left.bit_count() - later + 1):
+            for mask in engine.minimal_sets(i0, size):
+                if mask & left == mask and (child := left ^ mask) not in seen:
+                    if not recovers(mask, i0):
+                        raise AssertionError(f"internal: frontier part failed certification for {(mask, i0)}")
+                    seen.add(child)
+                    leftovers.append(child)
+                    parents.append(j)
+                    yield True
         j += 1
 
 

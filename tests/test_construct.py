@@ -172,6 +172,27 @@ def test_cyclic_certified_plan_leaves_no_garbage(c2_code):
             gc.enable()
 
 
+def test_enumerate_good_vectors_leaves_no_garbage():
+    """The backtracking makes no reference cycle: with the cyclic collector
+    off and every unreachable object it finds saved (`gc.DEBUG_SAVEALL`),
+    a collection after the calls finds nothing."""
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[:]
+        assert len(enumerate_good_vectors(4, 8)) == 6
+        assert len(enumerate_good_vectors(4, 9)) > 0
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+
+
 def test_cyclic_certified_plan_rejects_mismatched_code(c2_code):
     params = cyclic_params(8, 4, 6)
     with pytest.raises(ValueError):

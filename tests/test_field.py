@@ -290,7 +290,7 @@ def test_packed_add_matches_vector_add(n, data):
 @given(small_field, st.integers(1, 6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_extend_matches_one_add_at_a_time(p, n, data):
-    """Inserting a list of vectors in one pass, after some inserted one at
+    """Inserting a list of vectors in one call, after some inserted one at
     a time, leaves the rows, pivots, independent vectors and insertion count
     of inserting every vector one at a time; over GF(2) packed or not."""
     vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
@@ -308,6 +308,27 @@ def test_extend_matches_one_add_at_a_time(p, n, data):
         one_by_one.independent,
         one_by_one.inserted,
     )
+
+
+@pytest.mark.parametrize("p, packed", [(2, False), (2, True), (3, False), (5, False)])
+def test_extend_checks_every_vector_before_it_changes_anything(p, packed):
+    """Good vectors followed by a malformed one raise ValueError and leave
+    the rows, pivots, independent vectors and insertion count as they were."""
+    n = 4
+    field = PrimeField(p)
+    good = [unit_vector(0, n), (1, 1, 0, p - 1)]
+    if packed:
+        good = [pack(2, vec) for vec in good]
+        bad = [-1, 1 << n, 1 << (n + 3)]
+    else:
+        bad = [(1,) * (n - 1), (1,) * (n + 1), ()]
+    for malformed in bad:
+        ech = Echelon(field, n)
+        ech.add((0, 0, 1, 0))
+        before = (dict(ech.rows), ech.pivmask, list(ech.independent), ech.inserted)
+        with pytest.raises(ValueError):
+            ech.extend(good + [malformed])
+        assert (ech.rows, ech.pivmask, ech.independent, ech.inserted) == before
 
 
 @given(small_field, st.integers(1, 6), st.data())

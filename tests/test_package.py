@@ -16,12 +16,12 @@ import bacforge
 PUBLIC = {
     "field": ["GF2", "PrimeField", "rank"],
     "model": [
-        "CodeSpec", "Codeword", "cap_and_reduce", "code_from_json", "code_to_json",
-        "codes_equal", "encode", "load_code", "save_code", "total_length",
+        "CodeSpec", "Codeword", "RecoveryPlan", "cap_and_reduce", "code_from_json",
+        "code_to_json", "codes_equal", "encode", "load_code", "save_code", "total_length",
     ],
     "verify": [
-        "RecoveryPlan", "ResponseModel", "VerificationReport", "certify_plan",
-        "check_subset_spanning", "find_plan", "verify_bac", "verify_pir",
+        "ResponseModel", "VerificationReport", "certify_plan", "check_subset_spanning",
+        "find_plan", "verify_bac", "verify_pir",
     ],
     "construct": [
         "CyclicParams", "GoodVector", "compose_concat", "compose_parallel", "compose_repeat",
@@ -84,16 +84,20 @@ def test_import_loads_no_submodule():
     script = (
         "import json, sys, bacforge\n"
         "before = sorted(m for m in sys.modules if m.startswith('bacforge.'))\n"
+        "bacforge.RecoveryPlan\n"
+        "plan = sorted(m for m in sys.modules if m.startswith('bacforge.'))\n"
         "bacforge.bound_report\n"
         "after = sorted(m for m in sys.modules if m.startswith('bacforge.'))\n"
         "numpy_loaded = 'numpy' in sys.modules\n"
-        "print(json.dumps([before, after, numpy_loaded, bacforge.sim.__name__]))\n"
+        "print(json.dumps([before, plan, after, numpy_loaded, bacforge.sim.__name__]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    before, after, numpy_loaded, sim = json.loads(out.stdout)
+    before, plan, after, numpy_loaded, sim = json.loads(out.stdout)
     assert before == []
+    # the plan class lives in `model`, so naming it does not load the search
+    assert plan == ["bacforge.field", "bacforge.model"]
     assert after == [f"bacforge.{m}" for m in ("bounds", "construct", "field", "model")]
     assert not numpy_loaded
     # a submodule is still an attribute of the package, as when it was imported eagerly

@@ -23,6 +23,7 @@ from bacforge import (
     ResponseModel,
     certify_plan,
     check_subset_spanning,
+    compose_repeat,
     cyclic_certified_plan,
     cyclic_params,
     cyclic_shift_code,
@@ -267,6 +268,17 @@ def test_k8_sweep_of_the_t3_code_golden_within_budget():
     text = json.dumps(report.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == _T3_K8_DIGEST
     assert elapsed < 15.0, f"t=3 k=8 sweep took {elapsed:.1f} s"
+    # `_reach` is asked of parts, not of every leftover the frontier makes
+    assert len(code.cache["span-engines"][LIN]._reaches) < 10_000
+
+
+def test_projection_sweep_keeps_no_prefix_basis(c1_code):
+    """The projection regime decides parts by `part`: its engine keeps the
+    empty basis and no `_reach` memo."""
+    code = compose_repeat(c1_code, 5)
+    assert verify_bac(code, 4, PROJ).passed
+    engine = code.cache["span-engines"][PROJ]
+    assert list(engine._bases) == [0] and not engine._reaches
 
 
 def _wrong_solve(monkeypatch):
