@@ -16,12 +16,13 @@ recovery sets of each requested symbol that keeps one frontier of distinct
 free-bucket sets per request depth (`_Frontier`).  A code has one
 `SpanEngine` per response regime (`engine_for`), kept in the code's own
 `cache` and freed with the code.  It builds those sets one size at a time,
-each level from the one below (`SpanEngine._grow`), solves each (subset,
-symbol) part once, and reads every linear answer from the basis of the
-subset's shortest prefix that spans the symbol (`_reach`).  Each answer is
-certified once, where it is made: `_reach` checks its solve and, in the
-projection regime, `part` the part it solved, by `model`'s column
-arithmetic.
+each level from the one below (`SpanEngine._grow`), and has one
+recoverability test, `SpanEngine.recovers`: serving is monotone, so a
+bucket set serves a symbol iff it holds one of the symbol's minimal sets
+whose part certifies.  It solves each (subset, symbol) part once, reads a
+linear part from the basis of the subset's shortest prefix that spans the
+symbol, and certifies every part where it is made (`SpanEngine.part`), by
+`model`'s part check.
 
 Every planner, this search and the construction planners alike, builds a
 plan's parts, one per request, with `make_part`: (bucket bitmask, the
@@ -35,19 +36,19 @@ that takes the sorted request and returns its parts: `_search_parts` here,
 `sim.serve_batch` serves a batch from the parts themselves.  Parts sit on
 disjoint buckets, so a plan certifies iff its parts partition [m]
 (`_partitions`) and each passes the part check (`_certifies`) on its own.
-A planner's part is certified once, where it is made: the engine's in
-`_reach` and `part`, the construction planners' when their tables are
-built, the greedy affine planner's per request (`certified_part`);
-`plan_from_parts` and `serve_batch` check the partition (`_partition_sets`).
-`certify_plan` reads a plan as parts (`_plan_parts`) and decides it by the
-same two checks.  The sweeps of `verify_bac` and `verify_pir` hand out no
-plans: they run the same search, one frontier for the whole sweep so that a
+A planner's part is certified once, where it is made (`certified_part`):
+the engine's in `part`, the construction planners' when their tables are
+built, the greedy affine planner's per request; `plan_from_parts` and
+`serve_batch` check the partition (`_partition_sets`).  `certify_plan`
+reads a plan as parts (`_plan_parts`) and decides it by the same two
+checks.  The sweeps of `verify_bac` and `verify_pir` hand out no plans:
+they run the same search, one frontier for the whole sweep so that a
 request shares the search of the prefix it has in common with the request
-before it, and read each part's certificate (`SpanEngine.recovers`), which
-is exact for the plans `find_plan` would return (see `_failures`).  Orbits
-enter there: a sweep searches only the least request of each orbit under
-the group of the code's symbol shift (`symbol_shift`) and reflection
-(`symbol_reflection`), and a failing one stands for its orbit (`_sweep`).
+before it, and solve no leftover: a last part is decided by the certified
+minimal set it holds (see `_failures`).  Orbits enter there: a sweep
+searches only the least request of each orbit under the group of the
+code's symbol shift (`symbol_shift`) and reflection (`symbol_reflection`),
+and a failing one stands for its orbit (`_sweep`).
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .field import Echelon, annihilator, pack, unit_vector
-from .model import CodeSpec, RecoveryPlan, _certifies, _partitions, bucket_indices, certified_part, combine
-from .model import make_part, normalize_request, plan_from_parts, unit
+from .model import CodeSpec, RecoveryPlan, _certifies, _partitions, bucket_indices, certified_part, make_part
+from .model import normalize_request, plan_from_parts
 
 
 class ResponseModel(Enum):
@@ -120,22 +121,21 @@ class SpanEngine:
     """Per-code caches of joint-span queries over bucket subsets, for one
     response regime.
 
-    A subset is an int bitmask over the 0-based bucket indices.  A linear
-    part reads one memo, `_reach`: the coefficient-tracking `Echelon` of the
-    subset's shortest prefix (lowest buckets) that spans the symbol; the
-    projection regime keeps none of them.  Every (subset, symbol) part is
-    solved once: `part` caches it, so plan assembly is lookups.  Each
-    answer is certified once, where it is made, against the code's
-    `column_table`: `_reach` checks its solve, and in the projection regime
-    `part` checks the part it solved; one that fails is an internal error.
-    `minimal_sets` lists, size by size, the minimal recovery sets the search
-    draws its parts from; `_grow` makes each level from the one below, whose
-    span annihilators it holds, and only the subsets whose one-smaller
-    subsets together miss an open symbol.  The engine holds the code's
-    field, n, buckets and column table but not the code, and lives in the
-    code's own cache, one per regime (see `engine_for`), so it is freed with
-    the code, as nothing it hands the search refers back to it.  It grows
-    its minimal-set levels in place, so it is for one thread at a time.
+    A subset is an int bitmask over the 0-based bucket indices.
+    `minimal_sets` lists, size by size, the minimal recovery sets of each
+    symbol; `_grow` makes each level from the one below, whose span
+    annihilators it holds, and only the subsets whose one-smaller subsets
+    together miss an open symbol.  `recovers`, the one recoverability test,
+    asks whether a subset holds one of them whose part certifies.  `part`
+    solves and certifies each (subset, symbol) once, against the code's
+    `column_table`, so plan assembly is lookups: a linear part over the
+    `_bases` memo of prefix bases, a projection part by a DFS over suffix
+    spans, the first when the search uses it, the second when `_grow` finds
+    it.  The engine holds the code's field, n, buckets and column table but
+    not the code, and lives in the code's own cache, one per regime (see
+    `engine_for`), so it is freed with the code, as nothing it hands the
+    search refers back to it.  It grows its minimal-set levels in place, so
+    it is for one thread at a time.
     """
 
     def __init__(self, code: CodeSpec, model: ResponseModel):
@@ -144,11 +144,11 @@ class SpanEngine:
         self.sizes = code.bucket_sizes
         self.linear = model is ResponseModel.LINEAR
         # the certificates read the column table; `Echelon` reads the columns
-        # and unit targets packed once (`field.pack`), so it never repacks them
+        # packed (`field.pack`): over GF(2) the table's, otherwise as stored
         self.table = code.column_table
-        self.columns = tuple(tuple([pack(field.p, col) for col in b]) for b in code.buckets)
+        self.columns = self.table if field.p == 2 else code.buckets
         self._bases: dict = {0: Echelon(field, self.n)}  # prefix mask -> Echelon
-        self._reaches: dict = {}  # mask * n + i0 -> Echelon or None (`_reach`)
+        self._recovers: dict = {}  # mask * n + i0 -> bool (`recovers`)
         self._parts: dict = {}  # mask * n + i0 -> part
         # projection: mask -> the span of its buckets inserted highest first,
         # so not a `_bases` entry (the suffix spans of `_solve_projection`)
@@ -189,37 +189,20 @@ class SpanEngine:
             ech = grown
             yield ech
 
-    def _reach(self, mask: int, i0: int) -> Optional[Echelon]:
-        """The linear regime's basis of the shortest prefix of `mask`
-        (`_prefix_bases`) whose span holds e_i0, or None; found once per
-        (mask, symbol), asked of parts, not of leftovers.  Its solve is
-        the whole mask's, padded with zeros, over any F_p: the columns that
-        enlarged the span when inserted form a basis, so e_i0 has exactly one
-        combination of them, and the prefix holds every column it uses (its
-        independent columns are the mask's first ones and span e_i0).  The
-        solve is certified when the prefix is found: weighing the mask's
-        columns by it (those of the prefix; zip drops the rest) must give
-        e_i0 (`model.combine`)."""
-        key = mask * self.n + i0
-        reach = self._reaches.get(key, False)  # False: not looked for yet
-        if reach is False:
-            reach = next((ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None)
-            if reach is not None:
-                columns = [col for ell0 in bucket_indices(mask) for col in self.table[ell0]]
-                coeffs = reach.solve(pack(self.field.p, unit_vector(i0, self.n)))
-                if coeffs is None or combine(self.field.p, zip(coeffs, columns)) != unit(self.field.p, i0):
-                    raise AssertionError(f"internal: solve failed certification for {(mask, i0)}")
-            self._reaches[key] = reach
-        return reach
-
     def recovers(self, mask: int, i0: int) -> bool:
-        """Whether `mask` serves symbol i0, by an answer certified where it
-        was made: `_reach`'s in the linear regime, `part`'s otherwise."""
-        if not self.linear:
-            return self.part(mask, i0) is not None
-        # `_reach`'s memo read in place: the search asks at each part it makes
-        reach = self._reaches.get(mask * self.n + i0, False)
-        return (self._reach(mask, i0) if reach is False else reach) is not None
+        """Whether `mask` serves symbol i0: whether it holds one of i0's
+        minimal recovery sets (`minimal_sets`) whose part (`part`) certifies.
+        Serving is monotone in both regimes, so this is exact, and every yes
+        names a certified set.  Found once per (mask, symbol)."""
+        key = mask * self.n + i0
+        served = self._recovers.get(key)
+        if served is None:
+            served = self._recovers[key] = any(
+                sub & mask == sub and self.part(sub, i0) is not None
+                for size in range(1, mask.bit_count() + 1)
+                for sub in self.minimal_sets(i0, size)
+            )
+        return served
 
     def minimal_sets(self, i0: int, size: int) -> tuple:
         """The bucket bitmasks of `size` buckets that recover symbol i0 while
@@ -282,25 +265,30 @@ class SpanEngine:
         """How the buckets in `mask` serve symbol i0, or None if they cannot:
         (bucket bitmask, ((bucket0, response vector), ...) for the buckets
         that answer something nonzero, 1-based combo), as `make_part` builds
-        it.  A linear part is the solve `_reach`
-        certified; a projection part is certified here, once: its bucket set
-        is the mask, and it passes `certified_part` with unit answers."""
+        it.  Each (subset, symbol) is solved once, and its part certified
+        here, in both regimes: its bucket set is the mask, and it passes
+        `certified_part`; one that fails is an internal error."""
         key = mask * self.n + i0
         part = self._parts.get(key, False)  # False: not solved yet
         if part is False:
-            if self.linear:
-                part = self._solve_linear(mask, i0)
-            elif (part := self._solve_projection(mask, i0)) is not None:
+            part = (self._solve_linear if self.linear else self._solve_projection)(mask, i0)
+            if part is not None:
                 if part[0] != mask:
                     raise AssertionError(f"internal: part failed certification for {(mask, i0)}")
-                certified_part(self.field.p, self.table, part, i0, projection=True)
+                certified_part(self.field.p, self.table, part, i0, projection=not self.linear)
             self._parts[key] = part
         return part
 
     def _solve_linear(self, mask: int, i0: int) -> Optional[tuple]:
         """Any combination of each bucket's columns: the lowest-index solve
-        over `_reach`; every bucket's combo coefficient is 1."""
-        reach = self._reach(mask, i0)
+        over the basis of the shortest prefix of `mask` (`_prefix_bases`)
+        whose span holds e_i0; every bucket's combo coefficient is 1.  The
+        solve is the whole mask's, padded with zeros, over any F_p: the
+        columns that enlarged the span when inserted form a basis, so e_i0
+        has exactly one combination of them, and the prefix holds every
+        column it uses (its independent columns are the mask's first ones
+        and span e_i0)."""
+        reach = next((ech for ech in self._prefix_bases(mask) if ech.contains_unit(i0)), None)
         if reach is None:
             return None
         coeffs = reach.solve(pack(self.field.p, unit_vector(i0, self.n)))
@@ -495,12 +483,14 @@ class _Frontier:
     serve, so when the search reaches a leftover a second time it has
     already found no completion below it: dropping it keeps the first plan.
     The first leftover of level k-1 that `recovers` the last symbol, on the
-    path of parents that first reached it, is the search's first plan.
-    Level d depends only on the first d requests and on k, so a request
-    keeps the levels of the prefix it shares with the request before it and
-    rebuilds only the deeper ones.  A part is the XOR of a leftover and its
-    parent, and each is certified once (`SpanEngine.recovers`), when its
-    leftover is made; one that fails is an internal error."""
+    path of parents that first reached it, is the search's first plan: it
+    holds a certified minimal set of that symbol, and its other buckets
+    join the last part with zero answers.  Level d depends only on the
+    first d requests and on k, so a request keeps the levels of the prefix
+    it shares with the request before it and rebuilds only the deeper ones.
+    A part is the XOR of a leftover and its parent, a minimal set, and each
+    is certified once (`SpanEngine.part`), when its leftover is made; one
+    that fails is an internal error."""
 
     def __init__(self, engine: SpanEngine, m: int):
         self.engine = engine
@@ -554,16 +544,17 @@ def _children(
     """Make a level's leftovers, parents and seen set from the level
     `above`, one leftover per step: each leftover above gives up, in the
     search's order, each minimal set for symbol i0 inside it that leaves at
-    least one bucket for each of the `later` requests after this one.  It
-    is handed the level's parts, not the level or its frontier, which hold
-    this generator: so no cycle keeps the engine alive."""
-    recovers, free, j = engine.recovers, above.leftovers, 0
+    least one bucket for each of the `later` requests after this one, once
+    the engine has certified its part (`SpanEngine.part`).  It is handed the
+    level's parts, not the level or its frontier, which hold this
+    generator: so no cycle keeps the engine alive."""
+    part, free, j = engine.part, above.leftovers, 0
     while j < len(free) or above.more():
         left = free[j]
         for size in range(1, left.bit_count() - later + 1):
             for mask in engine.minimal_sets(i0, size):
                 if mask & left == mask and (child := left ^ mask) not in seen:
-                    if not recovers(mask, i0):
+                    if part(mask, i0) is None:
                         raise AssertionError(f"internal: frontier part failed certification for {(mask, i0)}")
                     seen.add(child)
                     leftovers.append(child)
@@ -737,13 +728,15 @@ def _failures(code: CodeSpec, model: ResponseModel, requests) -> list:
     serve, all decided by one `_Frontier`, so a request shares the search
     of the prefix it has in common with the request before it.  A served
     request is certified without building its plan: its part masks must
-    partition [m] into k parts (`_partitions`), and each part must pass
-    `SpanEngine.recovers`, read independently of the search's pruning (the
-    frontier checked every part but the last when it made it).  That is
-    exact: parts sit on disjoint buckets, and request j's identity and unit
-    responses depend only on part j's responses and combo, so a plan
-    certifies iff its parts partition [m] and each part certifies on its
-    own.  A claimed plan that does not certify is an internal error."""
+    partition [m] into k parts (`_partitions`), every part but the last is
+    a minimal set whose part the frontier certified when it made it, and the
+    last must pass `SpanEngine.recovers`, asked of this code's engine: it
+    holds a minimal set of its symbol whose part certified, and its other
+    buckets answer zero.  No leftover is solved.  That is exact: parts sit
+    on disjoint buckets, and request j's identity and unit responses depend
+    only on part j's responses and combo, so a plan certifies iff its parts
+    partition [m] and each part certifies on its own.  A claimed plan that
+    does not certify is an internal error."""
     engine = engine_for(code, model)
     everything = (1 << code.m) - 1
     frontier = _Frontier(engine, code.m)

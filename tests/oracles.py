@@ -25,7 +25,6 @@ from bacforge.field import Echelon
 from bacforge.model import Codeword
 from bacforge.verify import (
     ResponseModel,
-    SpanEngine,
     make_part,
     normalize_request,
     plan_from_parts,
@@ -127,31 +126,40 @@ def naive_has_plan(code, request, projection: bool = False) -> bool:
 
 
 def reference_find_plan(code, request, model=ResponseModel.LINEAR):
-    """The earlier `find_plan` search, on a fresh `SpanEngine`: for each
-    request but the last, every recovering subset of the remaining buckets in
-    increasing cardinality (lexicographic within a cardinality), the last
-    request absorbing all leftover buckets, with backtracking.  The plan is
-    not certified here."""
+    """The earlier `find_plan` search, independent of the span engine: for
+    each request but the last, every recovering subset of the remaining
+    buckets (`naive_recovers`) in increasing cardinality (lexicographic
+    within a cardinality), the last request absorbing all leftover buckets,
+    with backtracking; each part is solved by `reference_linear_part` or
+    `reference_projection_part`.  The plan is not certified here."""
     model = ResponseModel.parse(model)
+    projection = model is ResponseModel.PROJECTION
     req = normalize_request(request, code.n)
     k = len(req)
-    engine = SpanEngine(code, model)
     parts: list = []
+    seen: dict = {}
+
+    def recovers(mask, i0):
+        key = (mask, i0)
+        if key not in seen:
+            buckets = [ell0 + 1 for ell0 in range(code.m) if (mask >> ell0) & 1]
+            seen[key] = naive_recovers(code, buckets, i0 + 1, projection)
+        return seen[key]
 
     def search(pos: int, remaining: tuple, left: int) -> bool:
         i0 = req[pos] - 1
         if pos == k - 1:
-            if engine.recovers(left, i0):
+            if recovers(left, i0):
                 parts.append(left)
                 return True
             return False
-        if not engine.recovers(left, i0):
+        if not recovers(left, i0):
             return False
         max_size = len(remaining) - (k - pos - 1)
         for size in range(1, max_size + 1):
             for cand in itertools.combinations(remaining, size):
                 mask = sum(cand)
-                if engine.recovers(mask, i0):
+                if recovers(mask, i0):
                     parts.append(mask)
                     rest = tuple(b for b in remaining if not b & mask)
                     if search(pos + 1, rest, left ^ mask):
@@ -161,7 +169,8 @@ def reference_find_plan(code, request, model=ResponseModel.LINEAR):
 
     if not search(0, tuple(1 << ell0 for ell0 in range(code.m)), (1 << code.m) - 1):
         return None
-    solved = [engine.part(mask, i - 1) for mask, i in zip(parts, req)]
+    solve = reference_projection_part if projection else reference_linear_part
+    solved = [solve(code, mask, i - 1) for mask, i in zip(parts, req)]
     return plan_from_parts(code, req, solved)
 
 

@@ -172,21 +172,27 @@ def test_deeply_nested_code_json_exits_2(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, verdict",
     [
-        ["--k", "1100"],
-        ["--k", "2", "--mode", "projection"],
-        ["--data", "1", "--request", "1,1", "--mode", "projection"],
+        (["--k", "1100"], None),
+        (["--k", "2", "--mode", "projection"], {"status": "pass", "checked": 1, "failures": []}),
+        (["--data", "1", "--request", "1,1", "--mode", "projection"], None),
     ],
     ids=["verify-deep-search", "verify-projection-solve", "simulate-projection-solve"],
 )
-def test_recursion_past_the_interpreter_limit_exits_2(tmp_path, capsys, argv):
+def test_recursion_past_the_interpreter_limit_exits_2(tmp_path, capsys, argv, verdict):
     """1,100 requests make the plan search, and 1,100 buckets the projection
-    solve, recurse deeper than the interpreter allows."""
+    solve of a plan's last part, recurse deeper than the interpreter allows.
+    A sweep solves no last part: it serves (1, 1) by the minimal sets its
+    leftovers hold, one bucket each, and passes."""
     path = tmp_path / "r.json"
     assert run(["construct", "replication", "--n", "1", "--k", "1100", "--out", str(path)]) == 0
     capsys.readouterr()
     command = "simulate" if "--data" in argv else "verify"
+    if verdict is not None:
+        assert run([command, str(path), *argv]) == 0
+        assert json.loads(capsys.readouterr().out) == verdict
+        return
     assert run([command, str(path), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -216,7 +216,9 @@ def _table_parts(code) -> list:
 def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
     """Where a served batch is certified.  A planner table's parts are each
     certified once, when the table is built, and never again per batch; the
-    greedy affine planner certifies the k parts it makes per request; no
+    search's parts are each certified once, when the span engine makes them,
+    and a batch serves only parts certified so far; the greedy affine
+    planner certifies the k parts it makes per request; no
     certified or exhaustive batch certifies a whole plan (`_plan_parts`, by
     which `certify_plan` decides) or assembles a plan (`plan_from_parts`),
     and an explicit plan is certified exactly once per batch.  The plan of
@@ -226,6 +228,7 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
     real_part = verify_mod.certified_part
     real_search, real_certified_parts = sim_mod._search_parts, sim_mod._certified_parts
     certify_calls, part_calls, served_parts, assembled = [], [], [], []
+    made = []  # every part certified on the current code
 
     def certify_spy(*args):
         parts = real_plan_parts(*args)
@@ -234,6 +237,7 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
 
     def part_spy(p, table, part, i0, projection=False):
         part_calls.append((i0, part))
+        made.append((i0, part))
         return real_part(p, table, part, i0, projection)
 
     def recorded(parts_fn):
@@ -256,6 +260,7 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
     monkeypatch.setattr(sim_mod, "_certified_parts", recorded(real_certified_parts))
     served = refused = 0
     for code, prov, requests in _fresh_families():
+        made.clear()
         data = tuple(i % 2 for i in range(code.n))
         affine = prov["family"] == "affine"
         for number, req in enumerate(requests):
@@ -285,9 +290,12 @@ def test_serve_batch_certifies_each_part_once(monkeypatch, planner):
                     table = _table_parts(code)
                     assert len(table) > len(req)
                     assert sorted(part_calls, key=repr) == sorted(table, key=repr)
-                else:
+                elif planner == "certified":
                     assert part_calls == []
                 [parts] = served_parts
+                if planner == "exhaustive":
+                    assert len(set(made)) == len(made)
+                    assert {(i - 1, part) for part, i in zip(parts, rep.request)} <= set(made)
                 served_plan = plan_from_parts(code, rep.request, parts)
             assert real_certify(code, req, served_plan)
             assert rep.recovered == tuple(data[i - 1] for i in rep.request)

@@ -237,7 +237,7 @@ def test_serial_k7_sweep_of_the_t4_code_within_budget(t4_vector):
             print(
                 f"serial t=4 k=7 sweep: {report.status}, {elapsed:.2f} s, "
                 f"test process peak RSS {rss:.1f} MB, {bases} cached bases, "
-                f"{len(engine._reaches)} reaches, {len(engine._parts)} parts",
+                f"{len(engine._recovers)} recovers answers, {len(engine._parts)} parts",
                 file=fh,
             )
     assert report.passed and report.checked == 245157
@@ -268,17 +268,36 @@ def test_k8_sweep_of_the_t3_code_golden_within_budget():
     text = json.dumps(report.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == _T3_K8_DIGEST
     assert elapsed < 15.0, f"t=3 k=8 sweep took {elapsed:.1f} s"
-    # `_reach` is asked of parts, not of every leftover the frontier makes
-    assert len(code.cache["span-engines"][LIN]._reaches) < 10_000
+    # `recovers` is asked of last parts, not of every leftover the frontier makes
+    assert len(code.cache["span-engines"][LIN]._recovers) < 10_000
+
+
+def test_k8_sweep_of_the_t3_code_solves_only_minimal_sets(monkeypatch):
+    """A sweep decides every leftover by the minimal sets it holds, so the
+    only solves it makes are those of the parts of minimal sets, one each."""
+    solves, solve = [], Echelon.solve
+
+    def counted(self, vec):
+        solves.append(vec)
+        return solve(self, vec)
+
+    monkeypatch.setattr(Echelon, "solve", counted)
+    code = good_vector_code(good_vector_2t1(3))
+    assert len(verify_bac(code, 8, LIN).failures) == 1477
+    engine = code.cache["span-engines"][LIN]
+    assert len(solves) == len(engine._parts) > 0
+    for key in engine._parts:
+        mask, i0 = divmod(key, code.n)
+        assert mask in engine.minimal_sets(i0, mask.bit_count())
 
 
 def test_projection_sweep_keeps_no_prefix_basis(c1_code):
-    """The projection regime decides parts by `part`: its engine keeps the
-    empty basis and no `_reach` memo."""
+    """The projection regime solves parts by its DFS: its engine keeps only
+    the empty prefix basis."""
     code = compose_repeat(c1_code, 5)
     assert verify_bac(code, 4, PROJ).passed
     engine = code.cache["span-engines"][PROJ]
-    assert list(engine._bases) == [0] and not engine._reaches
+    assert list(engine._bases) == [0]
 
 
 def _wrong_solve(monkeypatch):
