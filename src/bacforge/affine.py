@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .field import GF2, is_prime, unit_vector
@@ -141,8 +140,7 @@ class Line(NamedTuple):
     points: tuple  # 1-based point indices, ascending x
 
 
-@dataclass(frozen=True)
-class AffinePlane:
+class AffinePlane(NamedTuple):
     """Full incidence structure of the affine plane of prime order q:
     q^2 points, q^2 non-vertical lines y = s*x + c, q vertical lines."""
 
@@ -184,8 +182,7 @@ def slope_label(slope: int, q: int) -> int:
     return q if slope == 0 else slope
 
 
-@dataclass(frozen=True)
-class ParamDefaults:
+class ParamDefaults(NamedTuple):
     p1: float
     p2: float
     p1_raw: float
@@ -224,8 +221,7 @@ def redundancy_bound(q: int, k: int, s: int) -> float:
     return n + 64.0 * (k * s) ** 1.5 * n**0.75 * math.log(n)
 
 
-@dataclass(frozen=True)
-class AffinePlaneCode:
+class AffinePlaneCode(NamedTuple):
     """Output of the random construction: the plane, the drawn line family
     and point sets, and the derived systematic code over GF(2)."""
 
@@ -381,8 +377,7 @@ def _greedy_parts(apc: AffinePlaneCode, req: tuple, strict_appendix: bool = Fals
     return parts
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     """Sampling summary for greedy recovery on one drawn code."""
 
     k: int

@@ -16,10 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .construct import max_batch_k
 
@@ -126,10 +125,7 @@ def ub_constructions(n: int, k: int, m: int) -> Optional[tuple[int, str]]:
     return min(candidates)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Bracketing of the minimum code length at one (n, k, m) tuple."""
-
+class _BoundReport(NamedTuple):
     n: int
     k: int
     m: int
@@ -140,12 +136,22 @@ class BoundReport:
     upper_source: Optional[str]
     optimal: bool
 
-    def __post_init__(self):
+
+class BoundReport(_BoundReport):
+    """Bracketing of the minimum code length at one (n, k, m) tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.upper is not None and self.upper < self.lower:
             raise ValueError(
                 f"upper bound {self.upper} below lower bound {self.lower} "
                 f"at (n={self.n}, k={self.k}, m={self.m})"
             )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,8 @@ and model; `verify` adds verify; `goodvec`, `compose` and `construct` of
 every family but affine add construct; `bounds` adds construct and bounds;
 `construct affine` adds affine; `simulate` adds verify and sim, and with the
 certified planner the module of the code's family (construct or affine);
-`random-trials` adds verify, affine and sim.  No command imports numpy.
+`random-trials` adds verify, affine and sim.  No command imports numpy or
+dataclasses.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ verbatim, which the golden tests pin down.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
@@ -88,8 +87,7 @@ def parity_code_k2(m: int, field: PrimeField = GF2) -> CodeSpec:
 # cyclic shifted-set construction (k < m < 2k)
 
 
-@dataclass(frozen=True)
-class CyclicParams:
+class CyclicParams(NamedTuple):
     """Parameters of the cyclic construction together with the shifted sets.
 
     shifted_sets[ell-1] is the ell-th cyclically shifted block of
@@ -312,18 +310,24 @@ def is_good_vector(entries: Sequence[int], t: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GoodVector:
-    """A validated good vector with its per-value last-occurrence map; a
-    float or a string entry raises TypeError (`operator.index`)."""
-
+class _GoodVector(NamedTuple):
     t: int
     entries: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(operator.index, self.entries)))
-        if not is_good_vector(self.entries, self.t):
-            raise ValueError(f"{self.entries} is not a good vector for t = {self.t}")
+
+class GoodVector(_GoodVector):
+    """A validated good vector with its per-value last-occurrence map; a
+    float or a string entry raises TypeError (`operator.index`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, entries: Sequence[int]):
+        entries = tuple(map(operator.index, entries))
+        if not is_good_vector(entries, t):
+            raise ValueError(f"{entries} is not a good vector for t = {t}")
+        return super().__new__(cls, t, entries)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     @property
     def last_occurrence(self) -> dict:

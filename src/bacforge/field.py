@@ -26,8 +26,7 @@ reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 # Miller-Rabin with these bases decides primality exactly below the limit
@@ -63,15 +62,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p for a prime modulus p."""
-
+class _PrimeField(NamedTuple):
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+
+class PrimeField(_PrimeField):
+    """The field F_p for a prime modulus p."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        return super().__new__(cls, p)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""

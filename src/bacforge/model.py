@@ -19,7 +19,9 @@ check (`_partitions`, `_partition_sets`) and `plan_from_parts`, the one
 place that assembles a `RecoveryPlan` (see `verify` for how they fit).
 
 Symbol and bucket indices are 1-based at the public API (0-based internally).
-CodeSpec and Codeword are immutable; a pickled CodeSpec drops its cache.  A
+Codeword and RecoveryPlan, like every record of the package, are
+NamedTuples (change one with `_replace`); CodeSpec is a plain class whose
+attributes cannot be assigned, and a pickled CodeSpec drops its cache.  A
 CodeSpec reduces its columns when it is made and tabulates them on first use
 (`column_table`, `bucket_sizes`).  Its `cache` holds the other state derived
 from it alone, built on first use and freed with the code: one span engine
@@ -36,56 +38,67 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .field import Echelon, PrimeField, pack
 
 CODE_FORMAT = "bacforge-code-v1"
 
 
-@dataclass(frozen=True)
 class CodeSpec:
     """An (n, N, k, m) array code: m buckets of generator columns over F_p.
 
     k is not part of the data; it is a property a code is verified against.
     n and the column entries must be integers, as in Python indexing
-    (`operator.index`); the entries are reduced mod p.
+    (`operator.index`); the entries are reduced mod p.  The value of a code
+    is (field, n, buckets): ==, hash, repr and pickles read only these, and
+    no attribute can be assigned.
     """
 
-    field: PrimeField
-    n: int
-    buckets: tuple
-    # derived per-code state, filled lazily by its users; not part of the
-    # code's value: left out of ==, hash, repr and pickles
-    cache: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return (CodeSpec, (self.field, self.n, self.buckets))
-
-    def __post_init__(self):
-        n = operator.index(self.n)
+    def __init__(self, field: PrimeField, n: int, buckets: tuple):
+        n = operator.index(n)
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        if len(self.buckets) < 1:
+        if len(buckets) < 1:
             raise ValueError("a code needs at least one bucket")
-        p, norm = self.field.p, []
-        for b, bucket in enumerate(self.buckets, start=1):
+        p, norm = field.p, []
+        for b, bucket in enumerate(buckets, start=1):
             cols = []
             for col in bucket:
                 if len(col) != n:
                     raise ValueError(f"bucket {b} has a column of length {len(col)}, expected {n}")
                 cols.append(tuple([operator.index(v) % p for v in col]))
             norm.append(tuple(cols))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "buckets", tuple(norm))
+        # `cache`: derived per-code state, filled lazily by its users; not
+        # part of the code's value
+        self.__dict__.update(field=field, n=n, buckets=tuple(norm), cache={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.n, self.buckets) == (other.field, other.n, other.buckets)
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.buckets))
+
+    def __repr__(self):
+        return f"CodeSpec(field={self.field!r}, n={self.n!r}, buckets={self.buckets!r})"
+
+    def __reduce__(self):
+        return (CodeSpec, (self.field, self.n, self.buckets))
 
     @property
     def m(self) -> int:
         return len(self.buckets)
 
-    # not dataclass fields, so like `cache` out of ==, hash, repr and pickles
+    # like `cache`, out of ==, hash, repr and pickles
     @cached_property
     def bucket_sizes(self) -> tuple:
         return tuple(map(len, self.buckets))
@@ -103,8 +116,7 @@ class CodeSpec:
         )
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(NamedTuple):
     """Per-bucket encoded values; shape mirrors the originating CodeSpec."""
 
     values: tuple
@@ -183,8 +195,7 @@ def bucket_indices(mask: int) -> list:
     return [ell0 for ell0 in range(mask.bit_length()) if (mask >> ell0) & 1]
 
 
-@dataclass(frozen=True)
-class RecoveryPlan:
+class RecoveryPlan(NamedTuple):
     """A verifiable certificate for one served batch request.
 
     sets       -- k disjoint non-empty bucket-index sets covering [m]

@@ -24,16 +24,14 @@ nodes in bucket order so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import CodeSpec, RecoveryPlan, _partition_sets, _unit_or_zero, apply, codes_equal, combine, data_vector
 from .model import _json_int, _json_list, normalize_request, pack, total_length
 from .verify import ResponseModel, _plan_parts, _search_parts
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """One served batch: recovered values plus per-node accounting."""
 
     request: tuple
@@ -245,8 +243,7 @@ def serve_batch(
     )
 
 
-@dataclass(frozen=True)
-class LoadStats:
+class LoadStats(NamedTuple):
     """Per-node reads and fan-in over served batches.  Every node answers
     once per batch (see `serve_batch`), so the batch count is each node's
     number of responses."""
@@ -280,8 +277,7 @@ def load_stats(reports: Iterable[SimReport]) -> LoadStats:
     return LoadStats(len(reports), tuple(read_totals), hist)
 
 
-@dataclass(frozen=True)
-class ModelComparison:
+class ModelComparison(NamedTuple):
     """Side-by-side accounting of a linear-response code against a
     projection-only code on the same request sweep."""
 

@@ -59,9 +59,8 @@ import math
 import operator
 import time
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .field import Echelon, annihilator, pack, unit_vector
 from .model import CodeSpec, RecoveryPlan, _certifies, _partitions, bucket_indices, certified_part, make_part
@@ -87,8 +86,7 @@ def all_batch_requests(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kind: str  # "bac" or "pir"
     k: int
     model: ResponseModel

@@ -15,6 +15,7 @@ from bacforge import (
 )
 from bacforge.bounds import (
     CSV_HEADER,
+    BoundReport,
     _goodvec_length_exists,
     lb_ishai_projection,
     table_to_csv,
@@ -98,6 +99,15 @@ def test_bound_report_optimal_rows():
     assert (r.lower_ceil, r.upper, r.optimal) == (10, 10, True)
     r = bound_report(20, 4, 5)
     assert (r.lower_ceil, r.upper, r.optimal) == (65, 65, True)
+
+
+def test_bound_report_rejects_upper_below_lower():
+    r = bound_report(4, 4, 5)
+    msg = r"upper bound 12 below lower bound 13 at \(n=4, k=4, m=5\)"
+    with pytest.raises(ValueError, match=msg):
+        BoundReport(*r[:6], 12, "cyclic", False)
+    with pytest.raises(ValueError, match=msg):
+        r._replace(upper=12)
 
 
 def test_bound_report_json_shape():

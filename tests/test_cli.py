@@ -491,7 +491,7 @@ _AFFINE_FLAGS = ["--q", "5", "--s", "1", "--k", "2", "--p1", "0.8", "--p2", "0.6
 
 # `python -m bacforge.cli ARGV` in a fresh interpreter (`import bacforge.cli`
 # for no ARGV): prints the exit code, the bacforge submodules loaded and
-# whether numpy is
+# whether numpy and dataclasses are
 _RUN_CLI = """
 import json, runpy, sys
 argv = json.loads(sys.argv[1])
@@ -504,7 +504,8 @@ if argv:
         code = exc.code
 else:
     import bacforge.cli
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bacforge.")), "numpy" in sys.modules]))
+loaded = sorted(m for m in sys.modules if m.startswith("bacforge."))
+print(json.dumps([code, loaded, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -514,10 +515,11 @@ def _src_env() -> dict:
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    """Each command loads only the modules it runs, and none of them numpy:
-    the commands that build, bound or compose codes load no `verify`.  The
-    commands are those of the benchmark's cli-readme workload, in its order,
-    each run in a fresh interpreter in `tmp_path`, with smaller sizes."""
+    """Each command loads only the modules it runs, and none of them numpy
+    or dataclasses: the commands that build, bound or compose codes load no
+    `verify`.  The commands are those of the benchmark's cli-readme
+    workload, in its order, each run in a fresh interpreter in `tmp_path`,
+    with smaller sizes."""
     env = _src_env()
     construct = {"bacforge.field", "bacforge.model", "bacforge.construct"}
     bounds = construct | {"bacforge.bounds"}
@@ -555,9 +557,9 @@ def test_cli_import_leaves_numpy_out(tmp_path):
             text=True,
             check=True,
         )
-        code, loaded, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
+        code, loaded, numpy_loaded, dataclasses_loaded = json.loads(out.stdout.splitlines()[-1])
         assert code in (None, 0), (argv, out.stderr)
-        assert (set(loaded), numpy_loaded) == (modules, False), argv
+        assert (set(loaded), numpy_loaded, dataclasses_loaded) == (modules, False, False), argv
 
 
 # `python -m bacforge.cli ARGV` where importing numpy raises ImportError

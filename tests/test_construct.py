@@ -246,6 +246,10 @@ def test_good_vector_class_refuses_non_integer_entries():
     with pytest.raises(TypeError):
         GoodVector(1, ("1", "1"))
     assert GoodVector(1, [1, 1]).entries == (1, 1)
+    with pytest.raises(ValueError, match=r"\(1, 2, 1, 2\) is not a good vector for t = 2"):
+        GoodVector(2, [1, 2, 1, 2])
+    with pytest.raises(ValueError, match="not a good vector"):
+        GoodVector(1, [1, 1])._replace(entries=(1, 2, 1, 2))
 
 
 def test_enumerate_good_vectors_refuses_a_float_t_up_front():

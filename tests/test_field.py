@@ -24,6 +24,8 @@ def test_prime_field_rejects_composites():
             PrimeField(p)
     for p in (2, 3, 5, 7, 11, 97):
         assert PrimeField(p).p == p
+    with pytest.raises(ValueError):
+        PrimeField(3)._replace(p=4)
 
 
 def test_is_prime_small():

@@ -20,7 +20,6 @@ implementation that assembled a `RecoveryPlan` per batch and walked its
 responses column by column.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -157,7 +156,7 @@ def regimes_digest(seed: int = 7) -> str:
                         responses = tuple(
                             tuple(r + p * rng.randrange(-1, 2) for r in resp) for resp in plan.responses
                         )
-                        plan = dataclasses.replace(plan, responses=responses)
+                        plan = plan._replace(responses=responses)
                     args, extra = {"plan": plan}, [model.value, found.value, list(asked)]
                 else:
                     model, args, extra = PROJ, {"planner": planner, "provenance": prov}, []

@@ -48,6 +48,21 @@ def test_code_spec_entries_must_be_integers():
     assert all(type(v) is int for bucket in code.buckets for col in bucket for v in col)
 
 
+def test_code_spec_is_an_immutable_value():
+    code = CodeSpec(GF2, 2, (((1, 0),), ((0, 1),), ((1, 1),)))
+    assert repr(code) == "CodeSpec(field=PrimeField(2), n=2, buckets=(((1, 0),), ((0, 1),), ((1, 1),)))"
+    with pytest.raises(AttributeError):
+        code.n = 3
+    with pytest.raises(AttributeError):
+        del code.buckets
+    assert code.n == 2
+    other = CodeSpec(GF2, 2, code.buckets)
+    other.cache["key"] = "value"
+    assert other == code and hash(other) == hash(code) and other != CodeSpec(GF2, 2, code.buckets[:2])
+    again = pickle.loads(pickle.dumps(other))
+    assert again == other and again.cache == {}
+
+
 def test_encode_reference_table(c2_code):
     word = encode(c2_code, (1, 0, 0, 0))
     assert word.values == ((1, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0), (1,))

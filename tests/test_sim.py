@@ -1,6 +1,5 @@
 import builtins
 import copy
-import dataclasses
 import functools
 import itertools
 import random
@@ -502,8 +501,8 @@ def test_a_wrong_explicit_plan_is_refused(c2_code):
     responses = list(plan.responses)
     ell0 = next(ell0 for ell0, resp in enumerate(responses) if any(resp))
     responses[ell0] = tuple(1 - r for r in responses[ell0])
-    for wrong in (dataclasses.replace(plan, responses=tuple(responses)),
-                  dataclasses.replace(plan, sets=(plan.sets[0] | plan.sets[1],) + plan.sets[1:])):
+    for wrong in (plan._replace(responses=tuple(responses)),
+                  plan._replace(sets=(plan.sets[0] | plan.sets[1],) + plan.sets[1:])):
         for planner in ("exhaustive", "certified"):
             with pytest.raises(ValueError, match="plan failed certification"):
                 serve_batch(c2_code, (1, 0, 1, 1), (1, 2, 3, 4), planner=planner, plan=wrong)
@@ -583,7 +582,7 @@ def explicit_batches(draw):
     shift = st.integers(-1, 1)
     responses = tuple(tuple(r + p * draw(shift) for r in resp) for resp in plan.responses)
     data = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n))
-    return code, model, req, dataclasses.replace(plan, responses=responses), data
+    return code, model, req, plan._replace(responses=responses), data
 
 
 @functools.lru_cache(maxsize=None)
